@@ -2,13 +2,17 @@
 
 Polynomials are coefficient lists, low degree first, with coefficients
 reduced into [0, p).  Everything is plain integer arithmetic; inputs are
-desk scale (p fits in 64 bits, degrees in the tens), so the naive
-algorithms here are the right tool.
+desk scale (p fits in 64 bits, degrees in the tens).  Schoolbook
+multiplication and division are the right tool at that scale.  Where a
+loop runs over every candidate, it avoids the expensive test: primality
+is Miller-Rabin rather than trial division, and the monic irreducibles of
+a factor base come from a sieve rather than an irreducibility test each.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 from .errors import NonInvertible
 
@@ -20,34 +24,33 @@ NEG_INF = float("-inf")
 _TRIAL_BOUND = 10 ** 6
 
 
+# The first thirteen primes.  As Miller-Rabin bases they decide primality
+# exactly for every n < 3,317,044,064,679,887,385,961,981 (about 3.3e24;
+# Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality. Intended for desk-scale moduli."""
+    """Miller-Rabin with the first thirteen primes as bases.
+
+    Exact for n < 3.3 * 10^24, which covers every modulus and group order
+    this package meets.  Above that bound a composite that is a strong
+    pseudoprime to all thirteen bases would be called prime; such numbers
+    exist but have to be built on purpose.  Small n cost a few divisions.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _miller_rabin(n: int) -> bool:
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _MR_BASES:
         if n % sp == 0:
             return n == sp
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -84,7 +87,7 @@ def factorize_int(n: int) -> dict[int, int]:
         i = (i + 1) % 8
     if n == 1:
         return out
-    if n < _TRIAL_BOUND ** 2 or _miller_rabin(n):
+    if n < _TRIAL_BOUND ** 2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return out
     for q, m in _rho_factor(n).items():
@@ -93,7 +96,7 @@ def factorize_int(n: int) -> dict[int, int]:
 
 
 def _rho_factor(n: int) -> dict[int, int]:
-    if _miller_rabin(n):
+    if is_prime(n):
         return {n: 1}
     c = 1
     while True:
@@ -524,25 +527,80 @@ def poly_sort_key(q: Poly):
     return (len(q.coeffs), n)
 
 
+def _monic_from_index(n: int, k: int, p: int) -> Poly:
+    """The monic polynomial of degree k whose low coefficients have the
+    canonical encoding n = sum c_i p^i."""
+    coeffs = []
+    for _ in range(k):
+        n, c = divmod(n, p)
+        coeffs.append(c)
+    coeffs.append(1)
+    return Poly(coeffs, p)
+
+
+def _monic_multiples(f: tuple, k: int, p: int) -> list[int]:
+    """Canonical indices of all monic multiples of degree k of the monic f.
+
+    With i = deg f, a multiple is fixed by its coefficients c_i..c_{k-1}
+    (any values), and its low part is minus the remainder of
+    H = X^k + sum_t c_t X^t mod f.  The index is then h * p^i + (low part),
+    h = sum_t c_t p^(t-i), with no carry between the two halves.
+    """
+    i = len(f) - 1
+    # rems[t - i] = X^t mod f, for t = i..k
+    rems = [[-c % p for c in f[:-1]]]
+    for _ in range(k - i):
+        prev = rems[-1]
+        top = prev[-1]
+        rems.append([(lo - top * c) % p for lo, c in zip([0] + prev[:-1], f)])
+    low = [0] * p ** (k - i)
+    for s in range(i):
+        # digit s of -(H mod f) for every h, most significant c_t first
+        digit = [-rems[-1][s] % p]
+        for r in reversed(rems[:-1]):
+            rs = r[s]
+            digit = [(v - c * rs) % p for v in digit for c in range(p)]
+        low = [x + v * p ** s for x, v in zip(low, digit)]
+    step = p ** i
+    return [h * step + x for h, x in enumerate(low)]
+
+
 def monic_irreducibles(p: int, max_degree: int):
-    """Yield all monic irreducibles of degree 1..max_degree in canonical order."""
+    """Yield all monic irreducibles of degree 1..max_degree in canonical order.
+
+    A sieve, with no irreducibility test: for each degree k it keeps one flag
+    per monic candidate, indexed by the canonical encoding of its low
+    coefficients, and clears the flags of every product of an irreducible of
+    degree i <= k/2 (yielded earlier) with a monic polynomial of degree k - i.
+    The survivors are yielded in increasing encoding, which is the order of
+    poly_sort_key.  The generator is lazy per degree and holds p^k bytes of
+    flags for the degree it is on, so O(p^max_degree) memory in all.
+    """
+    small = []  # coefficient tuples of the irreducibles of degree <= max_degree // 2
     for k in range(1, max_degree + 1):
-        for n in range(p ** k):
-            coeffs = []
-            v = n
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            coeffs.append(1)
-            q = Poly(coeffs, p)
-            if k == 1 or is_irreducible(q):
-                yield q
+        flags = bytearray(b"\x01") * p ** k
+        for f in small:
+            if 2 * (len(f) - 1) > k:
+                break
+            for n in _monic_multiples(f, k, p):
+                flags[n] = 0
+        for n in compress(range(p ** k), flags):
+            q = _monic_from_index(n, k, p)
+            if 2 * k <= max_degree:
+                small.append(q.coeffs)
+            yield q
 
 
 def find_irreducible(p: int, degree: int) -> Poly:
-    """First monic irreducible of the given degree in canonical order."""
-    for q in monic_irreducibles(p, degree):
-        if q.degree == degree:
+    """First monic irreducible of the given degree in canonical order.
+
+    Only the candidates of that degree are tested, in order: a sieve would
+    need p^degree flags, and about one candidate in every `degree` is
+    irreducible, so a hit comes early.
+    """
+    for n in range(p ** degree):
+        q = _monic_from_index(n, degree, p)
+        if is_irreducible(q):
             return q
     raise ValueError("unreachable: irreducibles exist in every degree")
 

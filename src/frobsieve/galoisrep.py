@@ -20,6 +20,7 @@ unknown per polynomial.
 """
 
 import random
+from operator import mul
 
 from .errors import (
     DegreeNotCompatible,
@@ -154,6 +155,7 @@ class Representation:
         self.ring = QuotientField(A)
         self.ext = None  # elliptic builder attaches its curve data here
         self._image_cache = {}
+        self._step_basis = {}  # torus orbit walk, see _torus_step_basis
 
     def __repr__(self):
         return f"Representation({self.kind}, p={self.p}, d={self.d})"
@@ -520,6 +522,26 @@ class Orbit:
         return f"Orbit({tag}anchor={self.anchor!r}, size={self.size})"
 
 
+def _torus_step_basis(rep: Representation, n: int):
+    """Columns of the powers (tau X + D)^i (X + tau)^(n-i), i = 0..n: entry
+    [j][i] is the X^j coefficient of the i-th power.  Cached per degree n."""
+    cols = rep._step_basis.get(n)
+    if cols is None:
+        fld = rep.field
+        num = fld.poly([rep.params["D"], rep.params["tau"]])  # tau X + D
+        den = fld.poly([rep.params["tau"], 1])                # X + tau
+        num_pows = [fld.poly([1])]
+        den_pows = [fld.poly([1])]
+        for _ in range(n):
+            num_pows.append(num_pows[-1] * num)
+            den_pows.append(den_pows[-1] * den)
+        rows = [(num_pows[i] * den_pows[n - i]).coeffs for i in range(n + 1)]
+        cols = [tuple(row[j] if j < len(row) else 0 for row in rows)
+                for j in range(n + 1)]
+        rep._step_basis[n] = cols
+    return cols
+
+
 def frobenius_step(rep: Representation, q: Poly):
     """One step of the orbit walk: (sigma(q), scalar) with
     q(x)^p = scalar * sigma(q)(x) * (x+tau)^{-deg q} (torus)
@@ -537,21 +559,10 @@ def frobenius_step(rep: Representation, q: Poly):
     if rep.kind == ARTIN_SCHREIER:
         return q.shift_arg(rep.params["a"]), 1
     if rep.kind == TORUS:
-        tau = rep.params["tau"]
-        D = rep.params["D"]
-        fld = rep.field
-        num = fld.poly([D, tau])       # tau X + D
-        den = fld.poly([tau, 1])       # X + tau
-        acc = fld.poly([])
-        num_pow = fld.poly([1])
-        den_pows = [fld.poly([1])]
-        for _ in range(n):
-            den_pows.append(den_pows[-1] * den)
-        for i, c in enumerate(q.coeffs):
-            if c:
-                acc = acc + num_pow * den_pows[n - i] * c
-            if i < n:
-                num_pow = num_pow * num
+        # sum_i q_i (tau X + D)^i (X + tau)^(n-i), an F_p-combination of
+        # the cached power basis
+        cols = _torus_step_basis(rep, n)
+        acc = Poly([sum(map(mul, q.coeffs, col)) for col in cols], rep.p)
         if acc.degree < n:
             # only X - tau does this; the successor is the infinite place
             return None, acc.constant_value()
@@ -560,13 +571,42 @@ def frobenius_step(rep: Representation, q: Poly):
     raise ValueError(f"no orbit action for kind {rep.kind!r}")
 
 
+def _walk(rep: Representation, q: Poly):
+    """Walk q, sigma(q), ... until it comes back to q or degenerates.
+
+    Returns (members, scalar, weight, degenerate): scalar and weight are
+    the running products after the last step, which give the closure.
+    """
+    p = rep.p
+    track_weight = rep.kind == TORUS
+    members = []
+    cur, scalar, weight, shift = q, 1, 0, 0
+    while True:
+        members.append(OrbitMember(cur, shift, scalar, weight))
+        nxt, s = frobenius_step(rep, cur)
+        # scalars live in F_p, so the p-th power of the running product is
+        # the product itself
+        scalar = scalar * s % p
+        if track_weight:
+            weight = p * weight + cur.degree
+        shift += 1
+        if nxt is None or nxt == q:
+            return members, scalar, weight, nxt is None
+        if shift > rep.d + 1:
+            raise InconsistentFrobenius(
+                f"orbit of {q!r} did not close within {rep.d + 1} steps"
+            )
+        cur = nxt
+
+
 def frobenius_orbit(rep: Representation, q: Poly) -> Orbit:
     """The full Frobenius orbit through the monic irreducible q.
 
-    Kummer and Artin-Schreier orbits cycle back to the anchor.  Torus
-    orbits either cycle or run into the degenerate step, in which case the
-    orbit is the kernel orbit and is re-anchored at X + tau so that its
-    bookkeeping is uniform.
+    One walk from q records the members as it goes.  Kummer and
+    Artin-Schreier orbits cycle back to the anchor.  A torus walk either
+    cycles too or runs into the degenerate step at X - tau; then q lies on
+    the kernel orbit, which is walked again from X + tau (unless q is
+    X + tau already) so that its bookkeeping is uniform.
     """
     q = q.monic()
     p = rep.p
@@ -577,65 +617,22 @@ def frobenius_orbit(rep: Representation, q: Poly) -> Orbit:
         member = OrbitMember(q, 0, 1, 0)
         return Orbit(rep, [member], False, 1)
 
-    if rep.kind == TORUS:
-        tau = rep.params["tau"]
-        ker_anchor = rep.field.poly([tau, 1])
-        # detect kernel membership by walking to degeneracy or back to q
-        probe = q
-        is_kernel = False
-        for _ in range(rep.d + 1):
-            nxt, _s = frobenius_step(rep, probe)
-            if nxt is None:
-                is_kernel = True
-                break
-            if nxt == q:
-                break
-            probe = nxt
-        if is_kernel:
-            members = []
-            cur, scalar, weight, shift = ker_anchor, 1, 0, 0
-            while True:
-                members.append(OrbitMember(cur, shift, scalar, weight))
-                nxt, s = frobenius_step(rep, cur)
-                # scalars live in F_p, so the p-th power of the running
-                # product is the product itself
-                scalar = scalar * s % p
-                weight = p * weight + cur.degree
-                shift += 1
-                if nxt is None:
-                    break
-                cur = nxt
-            # walking off the end: (x+tau)^{p^{shift-1} + W} = scalar as
-            # elements, once the final degenerate constant is folded in;
-            # the left exponent collects into closure_exponent below.
-            last = members[-1]
-            exponent = p * (p ** last.shift + last.ker_weight) + 1
-            return Orbit(
-                rep,
-                members,
-                True,
-                scalar,
-                closure_exponent=exponent,
-            )
-
-    track_weight = rep.kind == TORUS
-    members = []
-    cur, scalar, weight, shift = q, 1, 0, 0
-    while True:
-        members.append(OrbitMember(cur, shift, scalar, weight))
-        nxt, s = frobenius_step(rep, cur)
-        scalar = scalar * s % p
-        if track_weight:
-            weight = p * weight + cur.degree
-        shift += 1
-        if nxt == q:
-            break
-        cur = nxt
-        if shift > rep.d + 1:
+    members, scalar, weight, degenerate = _walk(rep, q)
+    if not degenerate:
+        return Orbit(rep, members, False, scalar, closure_ker_weight=weight)
+    ker_anchor = rep.field.poly([rep.params["tau"], 1])
+    if q != ker_anchor:
+        members, scalar, _weight, degenerate = _walk(rep, ker_anchor)
+        if not degenerate:
             raise InconsistentFrobenius(
-                f"orbit of {q!r} did not close within {rep.d + 1} steps"
+                f"{q!r} degenerates but the orbit of {ker_anchor!r} does not"
             )
-    return Orbit(rep, members, False, scalar, closure_ker_weight=weight)
+    # walking off the end: (x+tau)^{p^{shift-1} + W} = scalar as elements,
+    # once the final degenerate constant is folded in; the left exponent
+    # collects into closure_exponent below.
+    last = members[-1]
+    exponent = p * (p ** last.shift + last.ker_weight) + 1
+    return Orbit(rep, members, True, scalar, closure_exponent=exponent)
 
 
 def orbit_partition(rep: Representation, polys) -> list:

@@ -6,6 +6,7 @@ trusting the implementation under test.
 """
 
 import random
+import time
 
 import pytest
 
@@ -217,6 +218,44 @@ def test_monic_irreducible_enumeration_counts():
     assert count == 43 + (43 * 43 - 43) // 2
 
 
+def _irreducibles_by_filter(p, maxdeg):
+    # the definition: every monic candidate in canonical order, kept when
+    # the x^(p^k) ladder says it is irreducible
+    out = []
+    for k in range(1, maxdeg + 1):
+        for n in range(p ** k):
+            q = Poly([(n // p ** i) % p for i in range(k)] + [1], p)
+            if k == 1 or is_irreducible(q):
+                out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("p, maxdeg", [(2, 8), (3, 5), (5, 4), (7, 3), (13, 2)])
+def test_monic_irreducibles_sieve_matches_filter(p, maxdeg):
+    assert list(monic_irreducibles(p, maxdeg)) == _irreducibles_by_filter(p, maxdeg)
+
+
+def test_monic_irreducibles_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    p = 11
+    expected = []
+    for k in range(1, 4):
+        for n in range(p ** k):
+            coeffs = [(n // p ** i) % p for i in range(k)] + [1]
+            if sympy.Poly(coeffs[::-1], x, modulus=p).is_irreducible:
+                expected.append(tuple(coeffs))
+    assert [q.coeffs for q in monic_irreducibles(p, 3)] == expected
+
+
+def test_find_irreducible_scans_target_degree():
+    assert find_irreducible(11, 5) == Poly([2, 0, 0, 0, 0, 1], 11)
+    assert find_irreducible(2, 1) == Poly([0, 1], 2)
+    for p, k in ((2, 6), (3, 4), (7, 3), (43, 2)):
+        first = next(q for q in monic_irreducibles(p, k) if q.degree == k)
+        assert find_irreducible(p, k) == first
+
+
 def test_primitive_roots():
     # exhaustive-order oracle at p=7
     orders = {g: min(k for k in range(1, 7) if pow(g, k, 7) == 1) for g in range(1, 7)}
@@ -246,6 +285,30 @@ def test_is_prime_and_factorize():
             assert is_prime(q)
             prod *= q ** m
         assert prod == n
+
+
+def test_is_prime_matches_trial_division():
+    limit = 2 * 10 ** 5
+    small = [f for f in range(2, 448) if all(f % e for e in range(2, f))]
+    for n in range(limit):
+        by_division = n >= 2 and all(n % f for f in small if f * f <= n)
+        assert is_prime(n) == by_division, n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 in turn; the
+    # last is why the bases run on to 41
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_large_is_fast():
+    start = time.perf_counter()
+    assert is_prime(2 ** 89 - 1)
+    assert not is_prime(2 ** 89 + 1)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_crt():

@@ -1,5 +1,6 @@
 """Tests for the structured field models and their Frobenius orbits."""
 
+import hashlib
 import json
 import random
 
@@ -356,6 +357,37 @@ class TestOrbits:
         kernels = [o for o in orbits if o.is_kernel]
         assert len(kernels) == 1
         assert kernels[0].full_size == 7
+        for o in orbits:
+            assert rep.d % o.full_size == 0
+            orbit_identity_oracle(rep, o)
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: build_kummer(43, 6),
+             "8c3f4ea2882ce9c1412b44bb9a376bffd8a2029d1f6dfe06f45fbaca1b95cbbc"),
+            (lambda: build_torus(13, 7, u_r=8),
+             "9b1d3a8999f2802cef6eecf21c88a9de9d3d2e52437a80b0a45901abc8d12bbd"),
+            (lambda: build_torus(13, 7),
+             "e72b49453b500cc11a6c900109705ccdce7ae8b10da61a2e403c10e490cb5ad0"),
+        ],
+        ids=["kummer-43x6", "torus-13x7-u8", "torus-13x7"],
+    )
+    def test_partition_pinned(self, build, digest):
+        # sha256 of every orbit at kappa = 2 (members, shifts, scalars,
+        # kernel weights, closure), as the filter-and-double-walk code
+        # computed it
+        rep = build()
+        rows = [(o.is_kernel, o.closure_scalar, o.closure_ker_weight, o.closure_exponent,
+                 tuple((m.poly.coeffs, m.shift, m.scalar, m.ker_weight) for m in o.members))
+                for o in orbit_partition(rep, monic_irreducibles(rep.p, 2))]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    def test_torus_41x7_orbit_identities(self):
+        rep = build_torus(41, 7)
+        orbits = orbit_partition(rep, monic_irreducibles(41, 2))
+        assert sum(o.is_kernel for o in orbits) == 1
+        assert sum(o.size for o in orbits) == 41 + (41 * 41 - 41) // 2
         for o in orbits:
             assert rep.d % o.full_size == 0
             orbit_identity_oracle(rep, o)
