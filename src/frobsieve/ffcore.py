@@ -1,17 +1,30 @@
 """Exact arithmetic over small prime fields.
 
 Polynomials are coefficient lists, low degree first, with coefficients
-reduced into [0, p).  Everything is plain integer arithmetic; inputs are
-desk scale (p fits in 64 bits, degrees in the tens).  Schoolbook
-multiplication and division are the right tool at that scale.  Where a
-loop runs over every candidate, it avoids the expensive test: primality
-is Miller-Rabin rather than trial division, and the monic irreducibles of
-a factor base come from a sieve rather than an irreducibility test each.
+reduced into [0, p).  Inputs are desk scale (p fits in 64 bits, degrees in
+the tens), so `Poly` keeps schoolbook multiplication and division.
+
+Products modulo a fixed polynomial A of degree d, the inner loop of every
+modular power, go through one packed kernel instead (Kronecker
+substitution): an element is one int holding its d coefficients in slots
+of S bits, and a product is one bigint multiply.  The product of two
+reduced elements has slots below d(p-1)^2; folding its d-1 high slots,
+each first reduced mod p, back through the rows x^(d+i) mod A adds less
+than (d-1)(p-1)^2 more, so every slot stays below 2d(p-1)^2 < 2^S with
+S = bit_length(2d(p-1)^2), no slot carries into the next, and the result
+is exact for every p.  A pass mod p then normalises the d low slots.
+
+Where a loop runs over every candidate, it avoids the expensive test:
+primality is Miller-Rabin rather than trial division, and the monic
+irreducibles of a factor base come from a sieve rather than an
+irreducibility test each.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+import struct
 from itertools import compress
 
 from .errors import NonInvertible
@@ -372,21 +385,138 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
+def resultant(f: Poly, g: Poly) -> int:
+    """Res(f, g) in F_p, by the Euclidean algorithm.
+
+    Each step uses Res(f, g) = (-1)^(mn) Res(g, f) and, with r = f mod g,
+    Res(g, f) = lc(g)^(m - deg r) Res(g, r), for m = deg f and n = deg g;
+    Res(f, c) = c^m for a constant c.  For a monic f this is the norm of g
+    from F_p[X]/(f) down to F_p.
+    """
+    p = f.p
+    if not f or not g:
+        return 0
+    res = 1
+    while True:
+        m, n = f.degree, g.degree
+        if n == 0:
+            return res * pow(g.lc(), m, p) % p
+        r = f % g
+        if not r:
+            return 0
+        if m * n % 2:
+            res = -res
+        res = res * pow(g.lc(), m - r.degree, p) % p
+        f, g = g, r
+
+
 def poly_mul_mod(f: Poly, g: Poly, modulus: Poly) -> Poly:
-    return (f * g) % modulus
+    k = PackedModulus(modulus)
+    return k.unpack(k.mul(k.pack(f), k.pack(g)))
 
 
-def poly_pow_mod(f: Poly, e: int, modulus: Poly) -> Poly:
+def poly_pow_mod(f: Poly, e: int, modulus: Poly, packed: PackedModulus | None = None) -> Poly:
+    """f^e mod modulus, by the packed kernel.
+
+    `packed` is the kernel of this modulus when the caller keeps one
+    (QuotientField does); otherwise it is built for this call.  A negative e
+    inverts f first.
+    """
+    if packed is None:
+        packed = PackedModulus(modulus)
     if e < 0:
-        return poly_pow_mod(poly_invert_mod(f, modulus), -e, modulus)
-    result = Poly([1], f.p)
-    base = f % modulus
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        e >>= 1
-    return result
+        return poly_pow_mod(poly_invert_mod(f, modulus), -e, modulus, packed)
+    return packed.unpack(packed.pow(packed.pack(f), e))
+
+
+class _WideSlots:
+    """The pack/unpack/size of a struct.Struct, for slots wider than 64 bits."""
+
+    def __init__(self, count: int, width: int):
+        self.size = count * width
+        self.width = width
+
+    def pack(self, *vals) -> bytes:
+        return b"".join(v.to_bytes(self.width, "little") for v in vals)
+
+    def unpack(self, data: bytes) -> list[int]:
+        w = self.width
+        return [int.from_bytes(data[i:i + w], "little") for i in range(0, self.size, w)]
+
+
+def _slot_codec(count: int, width: int):
+    """Packs `count` slots of `width` bytes to bytes and back."""
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+    return struct.Struct(f"<{count}{fmt}") if fmt else _WideSlots(count, width)
+
+
+class PackedModulus:
+    """The packed kernel for F_p[X]/(modulus): elements as ints, d slots each.
+
+    Slot i of an element holds its X^i coefficient.  The slot width is
+    S = bit_length(2d(p-1)^2) bits (see the module docstring), rounded up to
+    1, 2, 4 or 8 bytes so that struct moves the slots in and out of bytes in
+    one call; past 64 bits it is rounded up to whole bytes.  The modulus
+    need not be monic.
+    """
+
+    __slots__ = ("modulus", "p", "d", "_full", "_low", "_low_mask", "_zeros", "_rows")
+
+    def __init__(self, modulus: Poly):
+        p, d = modulus.p, modulus.degree
+        if d is NEG_INF or d < 1:
+            raise ValueError("modulus must have positive degree")
+        self.modulus = modulus
+        self.p = p
+        self.d = d
+        width = -(-(2 * d * (p - 1) ** 2).bit_length() // 8)  # bytes for S bits
+        if width <= 8:
+            width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8
+        self._full = _slot_codec(2 * d - 1, width)  # a product before folding
+        self._low = _slot_codec(d, width)
+        self._low_mask = (1 << (8 * width * d)) - 1
+        self._zeros = (0,) * d
+        # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-2
+        inv_lc = pow(modulus.lc(), -1, p)
+        top = [-c * inv_lc % p for c in modulus.coeffs[:-1]]  # x^d mod A
+        row = top
+        self._rows = []
+        for _ in range(d - 1):
+            self._rows.append(int.from_bytes(self._low.pack(*row), "little"))
+            t = row[-1]
+            row = [(lo + t * c) % p for lo, c in zip([0] + row[:-1], top)]
+
+    def pack(self, f: Poly) -> int:
+        if f.p != self.p:
+            raise ValueError("mixed moduli")
+        cs = f.coeffs
+        if len(cs) > self.d:
+            cs = (f % self.modulus).coeffs
+        return int.from_bytes(self._low.pack(*cs, *self._zeros[len(cs):]), "little")
+
+    def unpack(self, a: int) -> Poly:
+        return Poly(self._low.unpack(a.to_bytes(self._low.size, "little")), self.p)
+
+    def mul(self, a: int, b: int) -> int:
+        """The packed product of two packed elements."""
+        p, d = self.p, self.d
+        c = a * b
+        slots = self._full.unpack(c.to_bytes(self._full.size, "little"))
+        c = sum(map(operator.mul, [v % p for v in slots[d:]], self._rows), c & self._low_mask)
+        slots = self._low.unpack(c.to_bytes(self._low.size, "little"))
+        return int.from_bytes(self._low.pack(*[v % p for v in slots]), "little")
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0, square and multiply from the top bit down."""
+        if e == 0:
+            return 1  # the constant 1 is slot 0 = 1
+        kmul = self.mul
+        r = a
+        for bit in bin(e)[3:]:
+            r = kmul(r, r)
+            if bit == "1":
+                r = kmul(r, a)
+        return r
 
 
 def poly_invert_mod(f: Poly, modulus: Poly) -> Poly:
@@ -412,11 +542,12 @@ def is_irreducible(f: Poly) -> bool:
         return True
     p = f.p
     x = Poly([0, 1], p)
-    xq = poly_pow_mod(x, p ** n, f)
+    packed = PackedModulus(f)
+    xq = poly_pow_mod(x, p ** n, f, packed)
     if xq != x % f:
         return False
     for ell in factorize_int(n):
-        h = poly_pow_mod(x, p ** (n // ell), f)
+        h = poly_pow_mod(x, p ** (n // ell), f, packed)
         if poly_gcd(f, h - x).degree != 0:
             return False
     return True
@@ -456,14 +587,17 @@ def _ddf(f: Poly) -> list[tuple[int, Poly]]:
     h = x
     k = 0
     rest = f
+    packed = None  # the kernel of rest, built when first needed
     while rest.degree >= 2 * (k + 1):
         k += 1
-        h = poly_pow_mod(h, p, rest)
+        packed = packed or PackedModulus(rest)
+        h = poly_pow_mod(h, p, rest, packed)
         g = poly_gcd(rest, h - x)
         if g.degree != 0:
             out.append((k, g))
             rest = rest // g
             h = h % rest
+            packed = None
     if rest.degree != 0:
         out.append((rest.degree, rest))
     return out
@@ -475,6 +609,7 @@ def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
         return [f]
     p = f.p
     n = f.degree
+    packed = None  # the kernel of f, built when first needed
     while True:
         h = Poly([rng.randrange(p) for _ in range(n)], p)
         if h.degree is NEG_INF or h.degree == 0:
@@ -487,7 +622,8 @@ def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
                 t = t * t % f
                 g = (g + t) % f
         else:
-            g = poly_pow_mod(h, (p ** k - 1) // 2, f) - 1
+            packed = packed or PackedModulus(f)
+            g = poly_pow_mod(h, (p ** k - 1) // 2, f, packed) - 1
         g = poly_gcd(f, g)
         if 0 < g.degree < n:
             return _edf(g, k, rng) + _edf(f // g, k, rng)
@@ -617,13 +753,6 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-def group_generator_check(g: int, p: int, order: int, order_factors: dict[int, int]) -> bool:
-    """Does g generate the order-`order` subgroup of F_p^* it lives in?"""
-    if pow(g, order, p) != 1:
-        return False
-    return all(pow(g, order // ell, p) != 1 for ell in order_factors)
-
-
 def bsgs_dlog(target: int, base: int, p: int, order: int | None = None) -> int:
     """Discrete log in F_p^* by baby-step giant-step."""
     if order is None:
@@ -710,8 +839,9 @@ class QuotientField:
     """Arithmetic in F_p[X]/(modulus), a field when the modulus is irreducible.
 
     Elements are Poly values reduced below the modulus degree.  The class
-    only bundles the modulus with the handful of operations the rest of the
-    package needs; it does not wrap elements.
+    only bundles the modulus, and the packed kernel built for it once, with
+    the handful of operations the rest of the package needs; it does not
+    wrap elements.
     """
 
     def __init__(self, modulus: Poly):
@@ -720,6 +850,7 @@ class QuotientField:
         self.modulus = modulus.monic()
         self.p = modulus.p
         self.degree = modulus.degree
+        self.packed = PackedModulus(self.modulus)
 
     def __repr__(self):
         return f"QuotientField(F_{self.p}[X]/deg{self.degree})"
@@ -754,7 +885,8 @@ class QuotientField:
         return -a
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        return a * b % self.modulus
+        k = self.packed
+        return k.unpack(k.mul(k.pack(a), k.pack(b)))
 
     def inv(self, a: Poly) -> Poly:
         return poly_invert_mod(a, self.modulus)
@@ -763,7 +895,7 @@ class QuotientField:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: Poly, e: int) -> Poly:
-        return poly_pow_mod(a, e, self.modulus)
+        return poly_pow_mod(a, e, self.modulus, self.packed)
 
     def is_zero(self, a: Poly) -> bool:
         return a.is_zero()
@@ -783,6 +915,40 @@ class QuotientField:
                 coeffs.append(v % self.p)
                 v //= self.p
             yield Poly(coeffs, self.p)
+
+
+class FixedBasePowers:
+    """g^e for one fixed element g of a QuotientField, from a window-4 table
+    (Brickell, Gordon, McCurley and Wilson, 1992).
+
+    Row j holds g^(c * 16^j) for the hex digits c = 1..15, packed, so a power
+    costs one packed product per nonzero hex digit of e instead of a square
+    per bit.  `order` is a multiple of the order of g (for a unit, the group
+    order p^d - 1), so e is reduced mod order first; a negative e is fine.
+    """
+
+    def __init__(self, ring: QuotientField, g: Poly, order: int):
+        self.ring = ring
+        self.order = order
+        k = ring.packed
+        base = k.pack(g)
+        self._rows = []
+        for _ in range(max(1, -(-(order - 1).bit_length() // 4))):
+            row = {"1": base}
+            acc = base
+            for c in "23456789abcdef":
+                acc = k.mul(acc, base)
+                row[c] = acc
+            self._rows.append(row)
+            base = k.mul(acc, base)  # g^(16^(j+1))
+
+    def pow(self, e: int) -> Poly:
+        k = self.ring.packed
+        acc = 1  # the packed constant 1
+        for row, c in zip(self._rows, reversed(f"{e % self.order:x}")):
+            if c != "0":
+                acc = row[c] if acc == 1 else k.mul(acc, row[c])
+        return k.unpack(acc)
 
 
 # ---------------------------------------------------------------------------

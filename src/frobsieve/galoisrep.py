@@ -35,7 +35,6 @@ from .ffcore import (
     factorize_int,
     is_irreducible,
     kernel_basis,
-    poly_pow_mod,
     primitive_root,
 )
 
@@ -206,18 +205,58 @@ def rep_from_json(data) -> Representation:
     return rep
 
 
-def verify_representation(rep: Representation):
-    """Check x^p really equals the claimed structural image.
+_VARIANTS = {
+    KUMMER: "affine",
+    ARTIN_SCHREIER: "affine",
+    TORUS: "homography",
+    ELLIPTIC: "curve-translation",
+}
 
-    Cheap insurance against a corrupted or hand-edited modulus: one modular
-    exponentiation versus the closed form.
+
+def _stored_twice(rep: Representation):
+    """(name, stored value, the value it must equal) for every value the
+    representation stores twice: once in params and once in its Frobenius
+    object or modulus."""
+    frob, params = rep.frobenius, rep.params
+    if rep.kind == KUMMER:
+        r = params.get("r")
+        A = rep.field.poly([-r] + [0] * (rep.d - 1) + [1]) if isinstance(r, int) else None
+        return [("params.zeta", params.get("zeta"), frob.u),
+                ("frobenius.v", frob.v, 0),
+                ("A = X^d - params.r", rep.A, A)]
+    if rep.kind == ARTIN_SCHREIER:
+        return [("params.a", params.get("a"), frob.v)]
+    if rep.kind == TORUS:
+        return [("params.tau", params.get("tau"), frob.tau),
+                ("params.D", params.get("D"), frob.D)]
+    return []
+
+
+def verify_representation(rep: Representation):
+    """Check x^p really equals the claimed structural image, and that every
+    value stored twice agrees with the Frobenius object.
+
+    Cheap insurance against a corrupted or hand-edited file: one modular
+    exponentiation versus the closed form, then one comparison per value
+    kept in both params and the Frobenius object (or the modulus), so a
+    tampered params entry fails here rather than later in a sieve or solve.
     """
-    actual = poly_pow_mod(rep.ring.x(), rep.p, rep.A)
+    variant = _VARIANTS.get(rep.kind)
+    if rep.frobenius.variant != variant:
+        raise InconsistentFrobenius(
+            f"a {rep.kind} representation cannot carry a {rep.frobenius.variant} Frobenius"
+        )
+    actual = rep.ring.pow(rep.ring.x(), rep.p)
     claimed = rep.frobenius_image(1)
     if actual != claimed:
         raise InconsistentFrobenius(
             f"x^p mod A is {actual!r} but the structural action gives {claimed!r}"
         )
+    for name, stored, expected in _stored_twice(rep):
+        if stored != expected:
+            raise InconsistentFrobenius(
+                f"{name} is {stored!r} but the Frobenius object gives {expected!r}"
+            )
 
 
 def apply_frobenius(rep: Representation, z: Poly, k: int = 1) -> Poly:

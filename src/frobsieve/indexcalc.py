@@ -16,14 +16,15 @@ import random
 
 from .errors import NotFound, RankDeficient, SieveTimeout
 from .ffcore import (
+    FixedBasePowers,
     Poly,
     bsgs_dlog,
     crt,
     factor,
     factorize_int,
     monic_irreducibles,
-    poly_pow_mod,
     primitive_root,
+    resultant,
 )
 from .galoisrep import ELLIPTIC, Representation, orbit_partition
 
@@ -149,9 +150,10 @@ class Relation:
             == (other.columns, other.const_exp, other.e)
         )
 
-    def verify(self, fb: FactorBase, g: Poly) -> bool:
+    def verify(self, fb: FactorBase, g: Poly, powers: FixedBasePowers | None = None) -> bool:
         """Multiplicative soundness: the column values raised to their
-        exponents reproduce g^e exactly."""
+        exponents reproduce g^e exactly.  `powers`, the fixed-base table of
+        g when the caller holds one, makes g^e cheaper."""
         rep = fb.rep
         ring = rep.ring
         N = rep.order()
@@ -159,7 +161,9 @@ class Relation:
         for col, exp in self.columns.items():
             acc = ring.mul(acc, ring.pow(fb.column_value(col), exp % N))
         acc = ring.mul(acc, ring.pow(ring.embed(fb.g0), self.const_exp % N))
-        return acc == ring.pow(ring.el(g), self.e % N)
+        if powers is None:
+            return acc == ring.pow(ring.el(g), self.e % N)
+        return acc == powers.pow(self.e)
 
     def dense_row(self, ncols: int):
         row = [0] * ncols
@@ -226,11 +230,19 @@ def smooth_factor(fb: FactorBase, z: Poly):
 
 def find_generator(rep: Representation) -> Poly:
     """Deterministic generator of L^*: first full-order element in the
-    canonical enumeration of nonconstant low-degree polynomials."""
+    canonical enumeration of nonconstant low-degree polynomials.
+
+    For a prime l | p - 1 the test g^(N/l) != 1 needs no ring power: with
+    the modulus A monic, g^(N/(p-1)) is the norm of g, which is the
+    resultant Res(A, g) in F_p, so the test reads norm^((p-1)/l) != 1 mod p.
+    Ring powers are left for the primes l that do not divide p - 1.
+    """
     N = rep.order()
     facs = factorize_int(N)
     ring = rep.ring
     p = rep.p
+    small = [ell for ell in facs if (p - 1) % ell == 0]
+    large = [ell for ell in facs if (p - 1) % ell]
     for n in range(p, p ** rep.d):
         coeffs = []
         v = n
@@ -238,7 +250,10 @@ def find_generator(rep: Representation) -> Poly:
             coeffs.append(v % p)
             v //= p
         g = ring.el(coeffs)
-        if all(ring.pow(g, N // ell) != ring.one() for ell in facs):
+        norm = resultant(ring.modulus, g)
+        if any(pow(norm, (p - 1) // ell, p) == 1 for ell in small):
+            continue
+        if all(ring.pow(g, N // ell) != ring.one() for ell in large):
             return g
     raise NotFound("the multiplicative group has no generator?")
 
@@ -262,7 +277,7 @@ def collect_relations(
     if g is None:
         g = find_generator(rep)
     N = rep.order()
-    ring = rep.ring
+    powers = FixedBasePowers(rep.ring, g, N)
     found = {}
     trial = 0
     while len(found) < target_count:
@@ -276,12 +291,12 @@ def collect_relations(
         for i in batch:
             rng = random.Random(seed * 0x9E3779B1 + i)
             e = rng.randrange(1, N)
-            z = ring.pow(g, e)
+            z = powers.pow(e)
             hit = smooth_factor(fb, z)
             if hit is not None:
                 cols, const = hit
                 rel = Relation(cols, const, e)
-                if not rel.verify(fb, g):
+                if not rel.verify(fb, g, powers):
                     raise ValueError(f"unsound relation from trial {i}")
                 found[i] = rel
         trial += len(batch)
@@ -523,12 +538,17 @@ def _cartesian(options):
 
 
 class LogTable:
-    """Discrete logs of the factor-base columns, base g, modulo N."""
+    """Discrete logs of the factor-base columns, base g, modulo N.
+
+    The fixed-base table of g is built on first use and kept, so every
+    individual log against this table shares one.
+    """
 
     def __init__(self, g: Poly, N: int, logs):
         self.g = g
         self.N = N
         self.logs = dict(logs)  # Poly -> int
+        self._powers = None
 
     def __repr__(self):
         return f"LogTable(entries={len(self.logs)}, N={self.N})"
@@ -536,12 +556,16 @@ class LogTable:
     def log(self, value: Poly) -> int:
         return self.logs[value]
 
+    def powers(self, ring) -> FixedBasePowers:
+        """The fixed-base table of g in ring."""
+        if self._powers is None or self._powers.ring is not ring:
+            self._powers = FixedBasePowers(ring, ring.el(self.g), self.N)
+        return self._powers
+
     def verify_all(self, rep: Representation) -> bool:
         ring = rep.ring
-        return all(
-            ring.pow(ring.el(self.g), lam) == ring.el(v)
-            for v, lam in self.logs.items()
-        )
+        powers = self.powers(ring)
+        return all(powers.pow(lam) == ring.el(v) for v, lam in self.logs.items())
 
     def to_json(self):
         return {
@@ -581,9 +605,11 @@ def build_log_table(
     """
     N = rep.order()
     ring = rep.ring
+    table = LogTable(g, N, {})
+    powers = table.powers(ring)
 
     def verifier(col, lam):
-        return ring.pow(ring.el(g), lam) == fb.column_value(col)
+        return powers.pow(lam) == fb.column_value(col)
 
     values, uncertain = solve_log_system(relations, N, fb.ncols, verifier, cap)
     resolved = set()
@@ -600,7 +626,7 @@ def build_log_table(
             rng = random.Random(seed * 0x9E3779B1 + 0x85EBCA77 + col)
             for trial in range(patch_trials):
                 e = 0 if trial == 0 else rng.randrange(1, N)
-                z = ring.mul(anchor_el, ring.pow(ring.el(g), e))
+                z = ring.mul(anchor_el, powers.pow(e))
                 hit = smooth_factor(fb, z)
                 if hit is None:
                     continue
@@ -622,10 +648,9 @@ def build_log_table(
                 sorted(set(range(fb.ncols)) - resolved),
             )
 
-    logs = {}
     for col in range(fb.ncols):
-        logs[fb.column_value(col)] = values[col]
-    return LogTable(g, N, logs)
+        table.logs[fb.column_value(col)] = values[col]
+    return table
 
 
 def individual_log(
@@ -642,11 +667,11 @@ def individual_log(
     target = ring.el(target)
     if target.is_zero():
         raise ValueError("zero has no logarithm")
-    g = table.g
+    powers = table.powers(ring)
     rng = random.Random(seed * 0x9E3779B1 + 0x517CC1B7)
     for trial in range(max_trials):
         e = 0 if trial == 0 else rng.randrange(N)
-        z = ring.mul(target, ring.pow(ring.el(g), e))
+        z = ring.mul(target, powers.pow(e))
         if z.is_zero():
             continue
         hit = smooth_factor(fb, z)
@@ -658,7 +683,7 @@ def individual_log(
             result += exp * table.log(fb.column_value(col))
         result += const * table.log(ring.embed(fb.g0))
         result %= N
-        if ring.pow(ring.el(g), result) != target:
+        if powers.pow(result) != target:
             continue  # table inconsistency would surface here; keep trying
         return result
     raise SieveTimeout(f"no smooth randomization of target in {max_trials} trials")

@@ -105,6 +105,22 @@ class TestCheck:
         failed = [c for c in report["checks"] if not c["ok"]]
         assert failed and failed[0]["name"] == "frobenius-consistency"
 
+    def test_tampered_torus_tau(self, rep_files, tmp_path):
+        # tau lives in params and in the homography; an edit to params alone
+        # used to pass check and then fail dlog with exit 3
+        doc = json.loads(rep_files["torus"].read_text())
+        doc["rep"]["params"]["tau"] = (doc["rep"]["params"]["tau"] + 1) % 13
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert report["ok"] is False
+        failed = [c for c in report["checks"] if not c["ok"]]
+        assert failed and failed[0]["name"] == "frobenius-consistency"
+        assert "params.tau" in failed[0]["detail"]
+        assert main(["dlog", str(bad), "--kappa", "2", "--out", str(tmp_path / "d.json")]) == 4
+
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 

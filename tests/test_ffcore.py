@@ -12,8 +12,10 @@ import pytest
 
 from frobsieve.ffcore import (
     NEG_INF,
+    FixedBasePowers,
     Poly,
     PrimeField,
+    QuotientField,
     bsgs_dlog,
     crt,
     factor,
@@ -28,6 +30,7 @@ from frobsieve.ffcore import (
     poly_mul_mod,
     poly_pow_mod,
     primitive_root,
+    resultant,
     solve_mod_prime,
 )
 
@@ -338,3 +341,164 @@ def test_kernel_and_solve():
         part, _ = sol
         for row, b in zip(rows, rhs):
             assert sum(a * v for a, v in zip(row, part)) % p == b
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel and the fixed-base table, against plain schoolbook
+# arithmetic on coefficient lists.
+
+
+def _schoolbook_mulmod(a, b, m, p):
+    """(a * b) % m on coefficient lists, low degree first; m may be non-monic."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    prod = [c % p for c in prod]
+    d = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    for top in range(len(prod) - 1, d - 1, -1):
+        q = prod[top] * inv % p
+        for j, c in enumerate(m):
+            prod[top - d + j] = (prod[top - d + j] - q * c) % p
+    return Poly(prod[:d], p)
+
+
+def _schoolbook_pow(f, e, m, p):
+    result = _schoolbook_mulmod([1], [1], m, p)
+    base = _schoolbook_mulmod(list(f.coeffs), [1], m, p)
+    while e:
+        if e & 1:
+            result = _schoolbook_mulmod(list(result.coeffs), list(base.coeffs), m, p)
+        base = _schoolbook_mulmod(list(base.coeffs), list(base.coeffs), m, p)
+        e >>= 1
+    return result
+
+
+KERNEL_FIELDS = [(2, 8), (3, 5), (43, 6), (199, 11), (2 ** 61 - 1, 3)]
+
+
+@pytest.mark.parametrize("p, d", KERNEL_FIELDS)
+def test_packed_mulmod_matches_schoolbook(p, d):
+    rng = random.Random(p * 31 + d)
+    monic = find_irreducible(p, d)
+    # a random non-monic modulus, and a degree-1 one
+    non_monic = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)
+    linear = Poly([rng.randrange(p), rng.randrange(1, p)], p)
+    ring = QuotientField(monic)
+    for m in (monic, non_monic, linear):
+        for _ in range(40):
+            # inputs need not be reduced below the modulus
+            a = Poly([rng.randrange(p) for _ in range(rng.randrange(2 * d + 2))], p)
+            b = Poly([rng.randrange(p) for _ in range(rng.randrange(2 * d + 2))], p)
+            want = _schoolbook_mulmod(list(a.coeffs), list(b.coeffs), list(m.coeffs), p)
+            assert poly_mul_mod(a, b, m) == want
+            if m is monic:
+                assert ring.mul(a, b) == want
+    # the all-(p-1) element squared has the largest product slots
+    top = Poly([p - 1] * d, p)
+    assert ring.mul(top, top) == _schoolbook_mulmod(
+        [p - 1] * d, [p - 1] * d, list(monic.coeffs), p
+    )
+    other = Poly([1, 1], 3 if p == 2 else 2)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        ring.mul(other, top)
+
+
+@pytest.mark.parametrize("p, d", KERNEL_FIELDS)
+def test_packed_pow_matches_schoolbook(p, d):
+    rng = random.Random(p * 37 + d)
+    monic = find_irreducible(p, d)
+    non_monic = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)
+    linear = Poly([rng.randrange(p), rng.randrange(1, p)], p)
+    N = p ** d - 1
+    for m in (monic, non_monic, linear):
+        for e in [0, 1, 2, p, N] + [rng.randrange(N) for _ in range(8)]:
+            f = Poly([rng.randrange(p) for _ in range(2 * d)], p)
+            assert poly_pow_mod(f, e, m) == _schoolbook_pow(f, e, list(m.coeffs), p)
+    ring = QuotientField(monic)
+    one = Poly([1], p)
+    for _ in range(5):
+        f = ring.random_el(rng)
+        if f.is_zero():
+            continue
+        e = rng.randrange(1, N)
+        inv_power = poly_pow_mod(f, -e, monic)
+        direct = _schoolbook_pow(f, e, list(monic.coeffs), p)
+        assert _schoolbook_mulmod(list(inv_power.coeffs), list(direct.coeffs),
+                                  list(monic.coeffs), p) == one
+        assert ring.pow(f, -e) == inv_power
+
+
+def test_poly_pow_mod_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    rng = random.Random(11)
+    for p, d in ((2, 8), (3, 5), (43, 6), (199, 11)):
+        for m in (find_irreducible(p, d),
+                  Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)):
+            for _ in range(5):
+                f = Poly([rng.randrange(p) for _ in range(d + 3)], p)
+                e = rng.randrange(p ** d)
+                want = gf_pow_mod([ZZ(c) for c in reversed(f.coeffs)], e,
+                                  [ZZ(c) for c in reversed(m.coeffs)], p, ZZ)
+                assert poly_pow_mod(f, e, m) == Poly([int(c) for c in reversed(want)], p)
+
+
+@pytest.mark.parametrize("p, d", [(2, 8), (43, 6), (199, 11)])
+def test_fixed_base_powers_match_ring_pow(p, d):
+    rng = random.Random(p + d)
+    ring = QuotientField(find_irreducible(p, d))
+    N = p ** d - 1
+    g = ring.el([rng.randrange(p) for _ in range(d)] + [1])
+    table = FixedBasePowers(ring, g, N)
+    for e in [0, 1, N - 1, N, 2 * N + 5] + [rng.randrange(N) for _ in range(30)]:
+        assert table.pow(e) == ring.pow(g, e)
+    for e in (-1, -N - 3, -rng.randrange(N)):
+        assert table.pow(e) == ring.pow(g, e % N)
+
+
+def _sylvester_resultant(f, g, p):
+    """det of the Sylvester matrix of f and g over F_p, by elimination."""
+    m, n = f.degree, g.degree
+    F, G = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[0] * i + F + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + G + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for c in range(len(rows)):
+        piv = next((r for r in range(c, len(rows)) if rows[r][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, len(rows)):
+            f_ = rows[r][c] * inv % p
+            rows[r] = [(a - f_ * b) % p for a, b in zip(rows[r], rows[c])]
+    return det % p
+
+
+def test_resultant_matches_sylvester_determinant():
+    rng = random.Random(5)
+    for p in (2, 3, 7, 43):
+        for _ in range(150):
+            f = Poly([rng.randrange(p) for _ in range(rng.randrange(1, 8))], p)
+            g = Poly([rng.randrange(p) for _ in range(rng.randrange(1, 8))], p)
+            if f and g:
+                assert resultant(f, g) == _sylvester_resultant(f, g, p)
+
+
+def test_resultant_is_the_norm():
+    # for a monic modulus A, Res(A, g) = g^((p^d - 1)/(p - 1)) in F_p[X]/(A)
+    rng = random.Random(6)
+    for p, d in ((3, 5), (13, 7), (43, 6)):
+        ring = QuotientField(find_irreducible(p, d))
+        N = p ** d - 1
+        for _ in range(20):
+            g = ring.random_el(rng)
+            if not g.is_zero():
+                assert ring.pow(g, N // (p - 1)) == Poly([resultant(ring.modulus, g)], p)

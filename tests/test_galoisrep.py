@@ -501,3 +501,35 @@ class TestJson:
         data["A"][0] = (data["A"][0] + 1) % 43
         with pytest.raises(InconsistentFrobenius):
             rep_from_json(data)
+
+    @pytest.mark.parametrize(
+        "rep, key",
+        [
+            (build_kummer(43, 6), "zeta"),
+            (build_kummer(43, 6), "r"),
+            (build_artin_schreier(7), "a"),
+            (build_torus(13, 7, u_r=8), "tau"),
+            (build_torus(13, 7, u_r=8), "D"),
+        ],
+        ids=["kummer-zeta", "kummer-r", "artin-schreier-a", "torus-tau", "torus-D"],
+    )
+    def test_tampered_params_detected(self, rep, key):
+        # each of these is stored twice; the Frobenius object and the
+        # modulus, which x^p is checked against, are left as built
+        data = json.loads(json.dumps(rep.to_json()))
+        data["params"][key] = (data["params"][key] + 1) % rep.p
+        with pytest.raises(InconsistentFrobenius, match=rf"params\.{key}\b"):
+            rep_from_json(data)
+
+    def test_tampered_frobenius_shift_detected(self):
+        # a Kummer Frobenius x^p = zeta x + v with v != 0 fails x^p first
+        data = json.loads(json.dumps(build_kummer(43, 6).to_json()))
+        data["frobenius"]["v"] = 1
+        with pytest.raises(InconsistentFrobenius):
+            rep_from_json(data)
+
+    def test_kind_and_variant_must_match(self):
+        data = json.loads(json.dumps(build_kummer(43, 6).to_json()))
+        data["kind"] = "torus"
+        with pytest.raises(InconsistentFrobenius, match="affine"):
+            rep_from_json(data)

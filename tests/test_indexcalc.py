@@ -1,11 +1,13 @@
 """Tests for the index-calculus engine: factor bases, sieving, solving."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from frobsieve.errors import SieveTimeout
-from frobsieve.ffcore import Poly, factor, factorize_int, monic_irreducibles
+from frobsieve.ffcore import Poly, factor, factorize_int, monic_irreducibles, resultant
 from frobsieve.galoisrep import (
     build_artin_schreier,
     build_kummer,
@@ -287,6 +289,36 @@ class TestCollectRelations:
         for ell in factorize_int(N):
             assert ring.pow(g, N // ell) != ring.one()
 
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: build_kummer(43, 6), [2, 1]),
+            (lambda: build_torus(13, 7), [2, 1]),
+            (lambda: build_torus(13, 7, u_r=8), [5, 1]),
+            (lambda: build_kummer(199, 11), [4, 1]),
+            (lambda: build_torus(109, 11), [4, 1]),
+        ],
+        ids=["kummer-43x6", "torus-13x7", "torus-13x7-u8", "kummer-199x11", "torus-109x11"],
+    )
+    def test_generator_pinned(self, build, expected):
+        # the generators found by testing every prime of N with a ring power
+        assert find_generator(build()).to_list() == expected
+
+    @pytest.mark.parametrize("rep", [build_kummer(43, 6), build_torus(13, 7, u_r=8)],
+                             ids=["kummer", "torus"])
+    def test_norm_test_matches_ring_power(self, rep):
+        # for l | p - 1, g^(N/l) = 1 exactly when Res(A, g)^((p-1)/l) = 1
+        ring, p, N = rep.ring, rep.p, rep.order()
+        small = [ell for ell in factorize_int(N) if (p - 1) % ell == 0]
+        rng = random.Random(9)
+        for _ in range(40):
+            g = ring.random_el(rng)
+            if g.is_zero():
+                continue
+            norm = resultant(ring.modulus, g)
+            for ell in small:
+                assert (pow(norm, (p - 1) // ell, p) == 1) == (ring.pow(g, N // ell) == ring.one())
+
 
 # ---------------------------------------------------------------------------
 # The linear solver.
@@ -390,6 +422,38 @@ class TestPipelines:
         b = compute_logs(as_rep, 2, seed=4)
         assert a[2] == b[2]
         assert a[3].logs == b[3].logs
+
+    # sha256 of the relations and table of compute_logs(build_kummer(43, 6),
+    # 2, seed=s), and of 200 individual logs against the seed-0 table, as
+    # the schoolbook arithmetic before the packed kernel computed them
+    RUN_DIGESTS = {
+        0: "7eb15949b0f0f05ca3daf56a4ce6956fc6bcbb8856e74b846d53e1cc3e608c53",
+        1: "a5e57a2972a32edb91c195f26770459e0a5412a5721ca38b906d3069ad7eb41c",
+    }
+    ILOG_DIGEST = "c7d7a290912186afc196dcda22b53a0e0405a68eda429c84dcdccc73c0cf46f5"
+
+    @staticmethod
+    def _digest(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kummer_run_pinned(self, kummer_rep, kummer_run, seed):
+        run = kummer_run if seed == 0 else compute_logs(kummer_rep, 2, seed=seed)
+        _fb, _g, relations, table = run
+        doc = {"relations": [r.to_json() for r in relations], "table": table.to_json()}
+        assert self._digest(doc) == self.RUN_DIGESTS[seed]
+
+    def test_individual_logs_pinned(self, kummer_rep, kummer_run):
+        fb, _g, _rels, table = kummer_run
+        ring = kummer_rep.ring
+        answers = []
+        for j in range(200):
+            rng = random.Random(j)
+            z = ring.random_el(rng)
+            while z.is_zero():
+                z = ring.random_el(rng)
+            answers.append(str(individual_log(kummer_rep, fb, table, z, seed=j)))
+        assert self._digest(answers) == self.ILOG_DIGEST
 
     def test_frobenius_log_consistency(self, kummer_rep, kummer_run):
         # log(x^p) read through the table equals p*log(x)
