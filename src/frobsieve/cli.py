@@ -110,19 +110,18 @@ def cmd_build(args) -> int:
     if kind != "artin-schreier" and args.d is None:
         raise ValueError(f"--d is required for kind {kind}")
     if kind == "kummer":
-        rep = build_kummer(args.p, args.d, r=args.r, seed=args.seed)
+        rep = build_kummer(args.p, args.d, r=args.r)
         body = rep.to_json()
     elif kind == "artin-schreier":
         if args.d is not None and args.d != args.p:
             raise ValueError("the additive model forces d = p")
-        rep = build_artin_schreier(args.p, a=args.a if args.a is not None else 1,
-                                   seed=args.seed)
+        rep = build_artin_schreier(args.p, a=args.a if args.a is not None else 1)
         body = rep.to_json()
     elif kind == "torus":
-        rep = build_torus(args.p, args.d, u_r=args.u_r, seed=args.seed)
+        rep = build_torus(args.p, args.d, u_r=args.u_r)
         body = rep.to_json()
     else:
-        ext = build_elliptic_residue(args.p, args.d, seed=args.seed)
+        ext = build_elliptic_residue(args.p, args.d)
         body = ext.to_json()
     _emit({"manifest": _manifest("build", args), "rep": body}, args)
     return 0
@@ -203,9 +202,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_dlog(args) -> int:
     rep = _load_rep(args.rep)
-    fb, g, relations, table = compute_logs(
-        rep, args.kappa, seed=args.seed, workers=args.workers
-    )
+    fb, g, relations, table = compute_logs(rep, args.kappa, seed=args.seed)
     doc = {
         "manifest": _manifest("dlog", args),
         "kind": rep.kind,
@@ -260,7 +257,7 @@ def cmd_ee_sieve(args) -> int:
     rep = _load_rep(args.rep)
     if rep.kind != ELLIPTIC:
         raise ValueError(f"ee-sieve needs an elliptic residue build, got {rep.kind}")
-    setup = ee_setup(rep.p, rep.d, seed=args.seed)
+    setup = ee_setup(rep.p, rep.d)
     cls = _parse_class(args.cls, setup.curve.trace(), rep.p)
     manifest = _manifest("ee-sieve", args)
     manifest["setup"] = setup.to_json()
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=int, help="kummer radicand override")
     b.add_argument("--u-r", dest="u_r", type=int, help="torus base point override")
     b.add_argument("--a", type=int, help="artin-schreier constant")
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out")
     b.set_defaults(func=cmd_build)
 
@@ -324,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--kappa", type=int, required=True)
     dl.add_argument("--target", help="residue element as comma-separated coefficients")
     dl.add_argument("--seed", type=int, default=0)
-    dl.add_argument("--workers", type=int, default=1)
     dl.add_argument("--out")
     dl.set_defaults(func=cmd_dlog)
 

@@ -14,7 +14,6 @@ converted on input (p > 3 makes that lossless) and kept for reference.
 """
 
 import math
-import random
 
 from .errors import (
     DegreeNotCompatible,
@@ -29,6 +28,7 @@ from .ffcore import (
     PrimeOps,
     QuotientField,
     factorize_int,
+    horner,
     is_irreducible,
     is_prime,
     kernel_basis,
@@ -274,13 +274,13 @@ class Isogeny:
         if ops is None:
             ops = self.domain.ops
         x, y = P
-        hx = _ev(self.h, x, ops)
+        hx = horner(ops, self.h, x)
         if ops.is_zero(hx):
             return None
         h2 = ops.mul(hx, hx)
         h3 = ops.mul(h2, hx)
-        xi = ops.div(_ev(self.N_x, x, ops), h2)
-        yi = ops.mul(y, ops.div(_ev(self.N_y, x, ops), h3))
+        xi = ops.div(horner(ops, self.N_x, x), h2)
+        yi = ops.mul(y, ops.div(horner(ops, self.N_y, x), h3))
         return (xi, yi)
 
     def to_json(self):
@@ -292,14 +292,6 @@ class Isogeny:
             "x_map_num": self.N_x.to_list(),
             "y_map_num": self.N_y.to_list(),
         }
-
-
-def _ev(poly: Poly, x, ops):
-    """Evaluate an F_p-coefficient polynomial at a field-adapter element."""
-    acc = ops.zero()
-    for c in reversed(poly.coeffs):
-        acc = ops.add(ops.mul(acc, x), ops.embed(c))
-    return acc
 
 
 def velu_quotient(E: Curve, T_gen) -> Isogeny:
@@ -428,7 +420,7 @@ def translate_x(ext: EllipticResidueRep, t) -> Poly:
     return translate_point(ext, ext.point(), t)[0]
 
 
-def build_elliptic_residue(p: int, d: int, seed: int = 0) -> EllipticResidueRep:
+def build_elliptic_residue(p: int, d: int) -> EllipticResidueRep:
     """Full pipeline: curve with d | #E and cyclic rational points, Vélu
     quotient by the order-d subgroup, scan for an irreducible fiber, then
     identify Frobenius among the d translations."""

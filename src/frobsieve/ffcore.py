@@ -168,13 +168,12 @@ def crt(residues: list[int], moduli: list[int]) -> int:
 
 
 class PrimeField:
-    """Context for F_p: the modulus plus the seed randomized routines use."""
+    """Context for F_p: the prime modulus, checked once."""
 
-    def __init__(self, p: int, seed: int = 0):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.seed = seed
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -325,7 +324,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x: int) -> int:
-        """Evaluate at a field element by Horner's rule."""
+        """Evaluate at an element of F_p by Horner's rule; `horner` is the
+        same rule over any field adapter."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
@@ -375,6 +375,16 @@ class Poly:
 
     def to_list(self) -> list[int]:
         return list(self.coeffs)
+
+
+def horner(ops, poly: Poly, x):
+    """poly(x) by Horner's rule, for poly over F_p and x an element of any
+    field adapter (PrimeOps, QuotientField, a function field), whose
+    embed() carries the coefficients over."""
+    acc = ops.zero()
+    for c in reversed(poly.coeffs):
+        acc = ops.add(ops.mul(acc, x), ops.embed(c))
+    return acc
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

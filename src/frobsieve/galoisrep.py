@@ -19,7 +19,6 @@ and each orbit contributes one unknown (plus bookkeeping) instead of one
 unknown per polynomial.
 """
 
-import random
 from operator import mul
 
 from .errors import (
@@ -33,6 +32,7 @@ from .ffcore import (
     PrimeField,
     QuotientField,
     factorize_int,
+    horner,
     is_irreducible,
     kernel_basis,
     primitive_root,
@@ -240,6 +240,8 @@ def verify_representation(rep: Representation):
     exponentiation versus the closed form, then one comparison per value
     kept in both params and the Frobenius object (or the modulus), so a
     tampered params entry fails here rather than later in a sieve or solve.
+    Stored curve images x^(p^k) are checked as a whole chain: image 0 is x,
+    image k+1 is image k evaluated at x^p, and the chain closes at x.
     """
     variant = _VARIANTS.get(rep.kind)
     if rep.frobenius.variant != variant:
@@ -247,6 +249,15 @@ def verify_representation(rep: Representation):
             f"a {rep.kind} representation cannot carry a {rep.frobenius.variant} Frobenius"
         )
     actual = rep.ring.pow(rep.ring.x(), rep.p)
+    if variant == "curve-translation":
+        images = rep.frobenius.images
+        if len(images) != rep.d:
+            raise InconsistentFrobenius(f"curve Frobenius needs {rep.d} images")
+        cur = rep.ring.x()
+        for k, img in enumerate(images + [cur]):
+            if img != cur:
+                raise InconsistentFrobenius(f"stored image {k % rep.d} is not x^(p^{k})")
+            cur = horner(rep.ring, cur, actual)
     claimed = rep.frobenius_image(1)
     if actual != claimed:
         raise InconsistentFrobenius(
@@ -265,12 +276,7 @@ def apply_frobenius(rep: Representation, z: Poly, k: int = 1) -> Poly:
     Evaluates the coefficient polynomial of z at x^{p^k}; coefficients are
     fixed by Frobenius, so this is exactly the p^k-power map.
     """
-    img = rep.frobenius_image(k)
-    ring = rep.ring
-    acc = ring.zero()
-    for c in reversed(z.coeffs):
-        acc = ring.mul(acc, img) + c
-    return acc
+    return horner(rep.ring, z, rep.frobenius_image(k))
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +355,13 @@ def torus_order(P, D: int, p: int, group_factors) -> int:
 # Builders.
 
 
-def build_kummer(p: int, d: int, r=None, seed: int = 0) -> Representation:
+def build_kummer(p: int, d: int, r=None) -> Representation:
     """F_{p^d} as F_p[X]/(X^d - r) with r a primitive root mod p.
 
     Needs d | p - 1 so that x^p = zeta * x for the root of unity
     zeta = r^((p-1)/d).
     """
-    field = PrimeField(p, seed=seed)
+    field = PrimeField(p)
     if d < 1 or (p - 1) % d != 0:
         raise DegreeNotCompatible(f"need d | p - 1, got d={d}, p={p}")
     if r is None:
@@ -376,9 +382,9 @@ def build_kummer(p: int, d: int, r=None, seed: int = 0) -> Representation:
     return rep
 
 
-def build_artin_schreier(p: int, a: int = 1, seed: int = 0) -> Representation:
+def build_artin_schreier(p: int, a: int = 1) -> Representation:
     """F_{p^p} as F_p[X]/(X^p - X - a), with x^p = x + a."""
-    field = PrimeField(p, seed=seed)
+    field = PrimeField(p)
     a %= p
     if a == 0:
         raise ValueError("a must be nonzero mod p")
@@ -408,7 +414,7 @@ def _poly_from_torus_generator(field: PrimeField, d: int, u_r: int, D: int) -> P
     return field.poly([(even[i] - u_r * odd[i]) % p for i in range(d + 1)])
 
 
-def build_torus(p: int, d: int, u_r=None, seed: int = 0) -> Representation:
+def build_torus(p: int, d: int, u_r=None) -> Representation:
     """F_{p^d} modeled on the rank-one torus of order p + 1, for d | p + 1.
 
     The residue x is the affine coordinate of a point t of exact order d,
@@ -419,7 +425,7 @@ def build_torus(p: int, d: int, u_r=None, seed: int = 0) -> Representation:
     full group; an explicit u_r is accepted whenever its multiple t still
     has exact order d, which is the only property the construction uses.
     """
-    field = PrimeField(p, seed=seed)
+    field = PrimeField(p)
     if p == 2:
         raise DegreeNotCompatible("torus model needs an odd prime")
     if d < 2 or (p + 1) % d != 0:

@@ -258,6 +258,46 @@ def find_generator(rep: Representation) -> Poly:
     raise NotFound("the multiplicative group has no generator?")
 
 
+def _mix(seed: int, i: int) -> int:
+    """RNG key of position i in the stream of seed.  Sieve trial i, the JL
+    setup search, the descent (i = 0x85EBCA77 + column) and individual_log
+    (i = 0x517CC1B7) all draw from random.Random(_mix(seed, i))."""
+    return seed * 0x9E3779B1 + i
+
+
+def sieve_trials(seed: int, budget: int, target, draw, relation):
+    """The trial loop behind every sieve.
+
+    Trial i passes random.Random(_mix(seed, i)) to draw, which returns
+    (key, candidate), or None for a degenerate draw.  A key already seen is
+    skipped; otherwise relation(candidate) gives a relation or None.
+    Relations come back in trial order, so those for a smaller target are a
+    prefix of those for a larger one.  The loop stops at target relations
+    and raises SieveTimeout with the partial list if the budget of trials
+    runs out first; with target None it runs the whole budget.
+    """
+    relations = []
+    seen = set()
+    for i in range(budget):
+        if target is not None and len(relations) >= target:
+            return relations
+        drawn = draw(random.Random(_mix(seed, i)))
+        if drawn is None:
+            continue
+        key, candidate = drawn
+        if key in seen:
+            continue
+        seen.add(key)
+        rel = relation(candidate)
+        if rel is not None:
+            relations.append(rel)
+    if target is not None and len(relations) < target:
+        raise SieveTimeout(
+            f"{len(relations)}/{target} relations in {budget} trials", relations
+        )
+    return relations
+
+
 def collect_relations(
     rep: Representation,
     fb: FactorBase,
@@ -265,43 +305,31 @@ def collect_relations(
     seed: int = 0,
     g: Poly = None,
     max_trials: int = 10**6,
-    workers: int = 1,
 ):
     """Sieve for target_count relations g^e = smooth product.
 
-    Each trial i draws its exponent from an RNG keyed by (seed, i), so any
-    partition of the trial range across workers, merged back in trial
-    order, reproduces the single-threaded list exactly.  Workers > 1 just
-    walks the same trial indices in stride order before merging.
+    Trials run through sieve_trials, keyed by their exponent e, so an
+    exponent drawn twice gives one relation.
     """
     if g is None:
         g = find_generator(rep)
     N = rep.order()
     powers = FixedBasePowers(rep.ring, g, N)
-    found = {}
-    trial = 0
-    while len(found) < target_count:
-        if trial >= max_trials:
-            partial = [found[i] for i in sorted(found)]
-            raise SieveTimeout(
-                f"{len(partial)}/{target_count} relations after {max_trials} trials",
-                partial,
-            )
-        batch = range(trial, min(trial + workers, max_trials))
-        for i in batch:
-            rng = random.Random(seed * 0x9E3779B1 + i)
-            e = rng.randrange(1, N)
-            z = powers.pow(e)
-            hit = smooth_factor(fb, z)
-            if hit is not None:
-                cols, const = hit
-                rel = Relation(cols, const, e)
-                if not rel.verify(fb, g, powers):
-                    raise ValueError(f"unsound relation from trial {i}")
-                found[i] = rel
-        trial += len(batch)
-    ordered = [found[i] for i in sorted(found)]
-    return ordered[:target_count]
+
+    def draw(rng):
+        e = rng.randrange(1, N)
+        return e, e
+
+    def relation(e):
+        hit = smooth_factor(fb, powers.pow(e))
+        if hit is None:
+            return None
+        rel = Relation(*hit, e)
+        if not rel.verify(fb, g, powers):
+            raise ValueError(f"unsound relation for exponent {e}")
+        return rel
+
+    return sieve_trials(seed, max_trials, target_count, draw, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +651,7 @@ def build_log_table(
             if col in resolved or fb.const_col not in resolved:
                 continue
             anchor_el = fb.column_value(col)
-            rng = random.Random(seed * 0x9E3779B1 + 0x85EBCA77 + col)
+            rng = random.Random(_mix(seed, 0x85EBCA77 + col))
             for trial in range(patch_trials):
                 e = 0 if trial == 0 else rng.randrange(1, N)
                 z = ring.mul(anchor_el, powers.pow(e))
@@ -668,7 +696,7 @@ def individual_log(
     if target.is_zero():
         raise ValueError("zero has no logarithm")
     powers = table.powers(ring)
-    rng = random.Random(seed * 0x9E3779B1 + 0x517CC1B7)
+    rng = random.Random(_mix(seed, 0x517CC1B7))
     for trial in range(max_trials):
         e = 0 if trial == 0 else rng.randrange(N)
         z = ring.mul(target, powers.pow(e))
@@ -695,7 +723,6 @@ def compute_logs(
     seed: int = 0,
     margin: int = 10,
     max_trials: int = 10**6,
-    workers: int = 1,
 ):
     """Whole pipeline: factor base, generator, relations, solved table.
 
@@ -709,8 +736,7 @@ def compute_logs(
     target = fb.ncols + margin
     for round_ in range(6):
         sieved = collect_relations(
-            rep, fb, target, seed=seed, g=g,
-            max_trials=max_trials, workers=workers,
+            rep, fb, target, seed=seed, g=g, max_trials=max_trials
         )
         try:
             table = build_log_table(rep, fb, free + sieved, g, seed=seed)

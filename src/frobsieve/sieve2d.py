@@ -17,6 +17,7 @@ classes.
 """
 
 import random
+from operator import mul
 
 from .errors import (
     InsufficientPoints,
@@ -30,6 +31,7 @@ from .ffcore import (
     QuotientField,
     factor,
     find_irreducible,
+    horner,
     is_irreducible,
     kernel_basis,
     monic_irreducibles,
@@ -46,11 +48,7 @@ from .elliptic import (
     ec_scalar,
     ec_sub,
 )
-
-
-def _mix(seed: int, i: int) -> int:
-    return seed * 0x9E3779B1 + i
-
+from .indexcalc import _mix, sieve_trials
 
 # ---------------------------------------------------------------------------
 # The rational surface: bidegrees and the correspondence setup.
@@ -256,7 +254,7 @@ class JLRelation:
         prod_b = ring.one()
         yv = setup.y_image
         for q, e in self.side_b[1]:
-            val = _horner(ring, q, yv)
+            val = horner(ring, q, yv)
             prod_b = ring.mul(prod_b, ring.pow(val, e))
         quot = ring.mul(prod_a, ring.inv(prod_b))
         if quot.degree > 0:
@@ -281,7 +279,7 @@ class JLRelation:
                 return False
         ring = setup.ring
         va = ring.el(a_poly)
-        vb = _horner(ring, b_poly, setup.y_image)
+        vb = horner(ring, b_poly, setup.y_image)
         if va != vb:
             return False
         try:
@@ -303,13 +301,6 @@ class JLRelation:
             "side_a": side(self.side_a),
             "side_b": side(self.side_b),
         }
-
-
-def _horner(ring, q: Poly, val):
-    acc = ring.zero()
-    for c in reversed(q.coeffs):
-        acc = ring.add(ring.mul(acc, val), ring.embed(c))
-    return acc
 
 
 def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
@@ -343,14 +334,12 @@ def jl_sieve(
     target: int = None,
 ):
     """Run through random lambda of bidegree <= (u_x, u_y) and keep the
-    smooth ones.  Trials are keyed by (seed, index) so partitions of the
-    trial range merge into the same result set."""
+    smooth ones.  Trials run through indexcalc.sieve_trials, keyed by the
+    coefficients of lambda."""
     if u_x < 0 or u_y < 0 or (u_x == 0 and u_y == 0):
         raise ValueError("bidegree must be nonzero")
-    relations = []
-    seen = set()
-    for trial in range(budget):
-        rng = random.Random(_mix(seed, trial))
+
+    def draw(rng):
         coeffs = {
             (i, j): rng.randrange(setup.p)
             for i in range(u_x + 1)
@@ -358,21 +347,12 @@ def jl_sieve(
         }
         lam = BivariatePoly(setup.p, coeffs)
         if lam.is_zero() or lam.degrees() == (0, 0):
-            continue
-        key = tuple(sorted(lam.coeffs.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        rel = jl_relation(setup, lam, kappa)
-        if rel is not None:
-            relations.append(rel)
-            if target is not None and len(relations) >= target:
-                return relations
-    if target is not None and len(relations) < target:
-        raise SieveTimeout(
-            f"{len(relations)}/{target} relations in {budget} trials", relations
-        )
-    return relations
+            return None
+        return tuple(sorted(lam.coeffs.items())), lam
+
+    return sieve_trials(
+        seed, budget, target, draw, lambda lam: jl_relation(setup, lam, kappa)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +418,8 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def evaluate(self, ring, xv):
-        num = _horner(ring, self.num, xv)
-        den = _horner(ring, self.den, xv)
+        num = horner(ring, self.num, xv)
+        den = horner(ring, self.den, xv)
         return ring.mul(num, ring.inv(den))
 
 
@@ -817,7 +797,7 @@ def _endomorphism_pair(t: int, p: int, bound: int = 50):
     return best[1], best[2]
 
 
-def ee_setup(p: int, d: int, seed: int = 0, bound: int = 50) -> EESetup:
+def ee_setup(p: int, d: int, bound: int = 50) -> EESetup:
     """Build the E x E sieve context over F_{p^d}.
 
     The residue-field construction fixes the curve and the order-d
@@ -825,7 +805,7 @@ def ee_setup(p: int, d: int, seed: int = 0, bound: int = 50) -> EESetup:
     rational point, b = m0 + beta(a), which puts the distinguished fiber
     point on the intersection of the two parametrized curves.
     """
-    ext = build_elliptic_residue(p, d, seed=seed)
+    ext = build_elliptic_residue(p, d)
     curve = ext.curve
     alpha, beta = _endomorphism_pair(curve.trace(), p, bound)
 
@@ -914,13 +894,6 @@ class PlaceClasses:
     def class_count(self) -> int:
         reps = {self.class_of(q).coeffs for q in monic_irreducibles(self.curve.p, self.kappa)}
         return len(reps)
-
-    def members(self, rep: Poly):
-        return [
-            q
-            for q in monic_irreducibles(self.curve.p, self.kappa)
-            if self.class_of(q) == rep
-        ]
 
 
 def translate_place(curve: Curve, q: Poly, t) -> Poly:
@@ -1164,36 +1137,24 @@ def ee_sieve(
     """Draw sections from the linear system of cls and keep the ones whose
     two restrictions are both kappa-smooth.  Linear-equivalence variation
     comes from the random coefficient draws over the kernel basis; trials
-    are keyed by (seed, index) for order-independent merging."""
+    run through indexcalc.sieve_trials, keyed by the section's
+    coefficients."""
     if restriction is None:
         lin = linear_system_ee(setup, cls)
         restriction = EERestriction(setup, lin, kappa)
-    lin = restriction.lin
-    if not lin.kernel:
+    kernel = restriction.lin.kernel
+    if not kernel:
         raise InsufficientPoints("the linear system has no sections")
-    relations = []
-    seen = set()
-    for trial in range(budget):
-        rng = random.Random(_mix(seed, trial))
-        weights = [rng.randrange(setup.curve.p) for _ in lin.kernel]
-        if not any(weights):
-            continue
-        coeffs = [0] * len(lin.kernel[0])
-        for w, vec in zip(weights, lin.kernel):
-            if w:
-                for i, v in enumerate(vec):
-                    coeffs[i] = (coeffs[i] + w * v) % setup.curve.p
-        key = tuple(coeffs)
-        if key in seen or not any(coeffs):
-            continue
-        seen.add(key)
-        rel = ee_relation(restriction, coeffs, kappa)
-        if rel is not None:
-            relations.append(rel)
-            if target is not None and len(relations) >= target:
-                return relations
-    if target is not None and len(relations) < target:
-        raise SieveTimeout(
-            f"{len(relations)}/{target} relations in {budget} trials", relations
-        )
-    return relations
+    p = setup.curve.p
+
+    def draw(rng):
+        weights = [rng.randrange(p) for _ in kernel]
+        coeffs = [sum(map(mul, weights, col)) % p for col in zip(*kernel)]
+        if not any(coeffs):
+            return None
+        return tuple(coeffs), coeffs
+
+    return sieve_trials(
+        seed, budget, target, draw,
+        lambda coeffs: ee_relation(restriction, coeffs, kappa),
+    )

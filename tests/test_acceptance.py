@@ -43,7 +43,7 @@ from frobsieve.sieve2d import (
 
 @pytest.fixture(scope="module")
 def ee11():
-    return ee_setup(11, 7, seed=0)
+    return ee_setup(11, 7)
 
 
 def test_01_kummer_small_model():

@@ -73,6 +73,13 @@ class TestBuild:
         assert main(["build", "--kind", "artin-schreier", "--p", "7",
                      "--d", "6"]) == 2
 
+    def test_seed_flag_gone(self, rep_files):
+        # no builder draws at random, so build takes no seed
+        assert "seed" not in json.loads(rep_files["kummer"].read_text())["manifest"]["params"]
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--kind", "kummer", "--p", "43", "--d", "6", "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestCheck:
     @pytest.mark.parametrize(
@@ -121,6 +128,20 @@ class TestCheck:
         assert "params.tau" in failed[0]["detail"]
         assert main(["dlog", str(bad), "--kappa", "2", "--out", str(tmp_path / "d.json")]) == 4
 
+    def test_corrupted_elliptic_image(self, rep_files, tmp_path):
+        # images[1] = x^p still matches, so only the whole chain catches this
+        doc = json.loads(rep_files["elliptic-residue"].read_text())
+        images = doc["rep"]["frobenius"]["images"]
+        images[3] = [(c + 1) % 11 for c in images[3]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        failed = [c for c in report["checks"] if not c["ok"]]
+        assert failed and failed[0]["name"] == "frobenius-consistency"
+        assert "image 3" in failed[0]["detail"]
+
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
@@ -158,6 +179,7 @@ class TestDlog:
         doc = json.loads(out.read_text())
         assert int(doc["group_order"]) == 43**6 - 1
         assert doc["verified"] is True
+        assert "workers" not in doc["manifest"]["params"]
         assert len(doc["table"]["logs"]) == doc["columns"]
         # spot check one table entry by hand
         p = 43
@@ -169,6 +191,11 @@ class TestDlog:
         key, lam = next(iter(doc["table"]["logs"].items()))
         value = ring.el([int(c) for c in key.split(",")])
         assert ring.pow(ring.el(g), int(lam)) == value
+
+    def test_workers_flag_gone(self, rep_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["dlog", str(rep_files["kummer"]), "--kappa", "2", "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestJLSieve:
@@ -223,7 +250,7 @@ class TestEESieve:
         assert manifest["class"] == {"d1": 2, "d2": 2, "xi": [1, 0]}
         assert len(lines) > 1
 
-        setup = ee_setup(11, 7, seed=0)
+        setup = ee_setup(11, 7)
         cls = NSClassEE(2, 2, EndomorphismElement(1, 0, setup.curve.trace(), 11))
         restr = EERestriction(setup, linear_system_ee(setup, cls), 4)
         for line in lines[1:]:

@@ -1,5 +1,6 @@
 """Tests for curve arithmetic, quotient isogenies, and fiber residue fields."""
 
+import json
 import random
 import time
 
@@ -30,7 +31,7 @@ from frobsieve.errors import (
     NotFound,
 )
 from frobsieve.ffcore import factorize_int, poly_pow_mod
-from frobsieve.galoisrep import apply_frobenius
+from frobsieve.galoisrep import apply_frobenius, rep_from_json
 
 
 REFERENCE_LONG = (11, 1, 0, 0, 2, 8)  # y^2 + xy = x^3 + 2x + 8
@@ -436,3 +437,18 @@ class TestJson:
         assert data["kind"] == "elliptic-residue"
         assert len(data["A"]) == 8
         assert data["isogeny"]["degree"] == 7
+
+    @pytest.mark.parametrize("k", [0, 2, 3, 6])
+    def test_corrupted_image_detected(self, k):
+        # image 1 is x^p itself; the others are only caught by the chain
+        data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
+        images = data["frobenius"]["images"]
+        images[k] = [(c + 1) % 11 for c in images[k]]
+        with pytest.raises(InconsistentFrobenius, match=f"stored image {k} "):
+            rep_from_json(data)
+
+    def test_missing_image_detected(self):
+        data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
+        data["frobenius"]["images"].pop()
+        with pytest.raises(InconsistentFrobenius, match="7 images"):
+            rep_from_json(data)

@@ -15,12 +15,14 @@ from frobsieve.ffcore import (
     FixedBasePowers,
     Poly,
     PrimeField,
+    PrimeOps,
     QuotientField,
     bsgs_dlog,
     crt,
     factor,
     factorize_int,
     find_irreducible,
+    horner,
     is_irreducible,
     is_prime,
     kernel_basis,
@@ -78,6 +80,19 @@ def test_divmod_random():
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree is NEG_INF or r.degree < g.degree
+
+
+def test_horner_over_each_adapter():
+    # over F_p it is Poly.__call__; over F_p[X]/(A) it is composition mod A
+    rng = random.Random(8)
+    A = find_irreducible(13, 4)
+    ring = QuotientField(A)
+    for _ in range(30):
+        f = Poly([rng.randrange(13) for _ in range(rng.randrange(7))], 13)
+        c = rng.randrange(13)
+        assert horner(PrimeOps(13), f, c) == f(c)
+        z = ring.random_el(rng)
+        assert horner(ring, f, z) == f.compose(z) % A
 
 
 def test_eval_matches_remainder():

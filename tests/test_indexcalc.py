@@ -260,14 +260,29 @@ class TestCollectRelations:
         c = collect_relations(as_rep, fb, 12, seed=10, g=g)
         assert a != c
 
-    def test_worker_partition_merges_identically(self, as_rep):
+    def test_smaller_target_is_prefix(self, as_rep):
+        # trials are keyed by (seed, index) and come back in trial order
         fb = build_factor_base(as_rep, 2)
         g = find_generator(as_rep)
-        single = collect_relations(as_rep, fb, 12, seed=9, g=g, workers=1)
-        for workers in (2, 3, 7):
-            assert collect_relations(
-                as_rep, fb, 12, seed=9, g=g, workers=workers
-            ) == single
+        twenty = collect_relations(as_rep, fb, 20, seed=9, g=g)
+        assert len(twenty) == 20
+        assert collect_relations(as_rep, fb, 12, seed=9, g=g) == twenty[:12]
+
+    def test_no_exponent_twice(self, as_rep):
+        # seed 54 draws e = 628778 at two trials; both used to come back
+        fb = build_factor_base(as_rep, 2)
+        rels = collect_relations(as_rep, fb, 100, seed=54)
+        assert len(rels) == 100
+        assert len({rel.e for rel in rels}) == 100
+
+    def test_relations_pinned(self, as_rep):
+        # sha256 of the relations as the per-sieve loops produced them
+        fb = build_factor_base(as_rep, 2)
+        rels = collect_relations(as_rep, fb, 60, seed=0)
+        digest = hashlib.sha256(
+            json.dumps([r.to_json() for r in rels], sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "561cf997618e593698622b9a6319aec5f6f9ec3fac63a916aae18918a37fa296"
 
     def test_relations_all_sound(self, torus_rep, torus_run):
         fb, g, relations, _ = torus_run

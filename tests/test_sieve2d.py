@@ -1,5 +1,7 @@
 """Tests for the surface sieves: the rational correspondence and E x E."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -33,6 +35,12 @@ from frobsieve.sieve2d import (
 )
 
 
+def _digest(rels):
+    return hashlib.sha256(
+        json.dumps([r.to_json() for r in rels], sort_keys=True).encode()
+    ).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def jl43():
     return jl_setup(43, 3, 2, 6, seed=0)
@@ -40,7 +48,7 @@ def jl43():
 
 @pytest.fixture(scope="module")
 def ee11():
-    return ee_setup(11, 7, seed=0)
+    return ee_setup(11, 7)
 
 
 class TestIntersectionFormP1P1:
@@ -192,6 +200,17 @@ class TestJLSieve:
         partial = exc.value.partial
         assert 0 < len(partial) < 1000
         assert all(r.verify(jl43) for r in partial)
+
+    def test_smaller_target_is_prefix(self, jl43):
+        twenty = jl_sieve(jl43, 1, 1, 2, budget=1000, seed=4, target=20)
+        assert len(twenty) == 20
+        twelve = jl_sieve(jl43, 1, 1, 2, budget=1000, seed=4, target=12)
+        assert [r.to_json() for r in twelve] == [r.to_json() for r in twenty[:12]]
+
+    def test_relations_pinned(self, jl43):
+        # sha256 of the relations as the per-sieve loop produced them
+        rels = jl_sieve(jl43, 1, 1, 2, budget=1500, seed=3)
+        assert _digest(rels) == "635896dc13569bf7f15edab8166bbca9ed7ed5d89fd28a0fa2e27ba63951b72f"
 
     def test_rejects_trivial_bidegree(self, jl43):
         with pytest.raises(ValueError):
@@ -510,6 +529,19 @@ class TestEESieve:
         for rel in exc.value.partial:
             assert verify_ee_relation(restr, rel)
 
+    def test_smaller_target_is_prefix(self, ee11, sieved):
+        c, restr, _ = sieved
+        eight = ee_sieve(ee11, c, 4, budget=200, seed=1, target=8, restriction=restr)
+        assert len(eight) == 8
+        five = ee_sieve(ee11, c, 4, budget=200, seed=1, target=5, restriction=restr)
+        assert [r.to_json() for r in five] == [r.to_json() for r in eight[:5]]
+
+    def test_relations_pinned(self, sieved):
+        # sha256 of the relations as the per-sieve loop produced them, from
+        # a fresh restriction (its place-class cache starts empty)
+        _, _, rels = sieved
+        assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
+
     def test_json_shape(self, sieved):
         _, _, rels = sieved
         data = rels[0].to_json()
@@ -520,7 +552,7 @@ class TestEESieve:
 
 class TestEESetup:
     def test_deterministic(self, ee11):
-        again = ee_setup(11, 7, seed=0)
+        again = ee_setup(11, 7)
         assert again.alpha == ee11.alpha
         assert again.beta == ee11.beta
         assert again.a == ee11.a
