@@ -158,6 +158,7 @@ def cmd_check(args) -> int:
             break
     record("frobenius-sample", ok_pow, f"{args.samples} random elements")
 
+    report = {"manifest": _manifest("check", args), "checks": checks}
     if rep.kind != ELLIPTIC:
         ok_deg = True
         for _ in range(args.samples):
@@ -169,11 +170,13 @@ def cmd_check(args) -> int:
                 break
         record("degree-invariance", ok_deg, f"{args.samples} random elements")
     else:
-        record("degree-invariance", True, "skipped: needs live curve data")
+        report["skipped"] = [
+            {"name": "degree-invariance", "detail": "needs live curve data"}
+        ]
 
-    ok = all(c["ok"] for c in checks)
-    _emit({"manifest": _manifest("check", args), "ok": ok, "checks": checks}, args)
-    return 0 if ok else INCONSISTENT
+    report["ok"] = all(c["ok"] for c in checks)
+    _emit(report, args)
+    return 0 if report["ok"] else INCONSISTENT
 
 
 def cmd_orbits(args) -> int:

@@ -15,9 +15,16 @@ S = bit_length(2d(p-1)^2), no slot carries into the next, and the result
 is exact for every p.  A pass mod p then normalises the d low slots.
 
 Where a loop runs over every candidate, it avoids the expensive test:
-primality is Miller-Rabin rather than trial division, and the monic
+primality is Miller-Rabin rather than trial division, the monic
 irreducibles of a factor base come from a sieve rather than an
-irreducibility test each.
+irreducibility test each, and a sieve candidate is tested for
+kappa-smoothness before it is factored.  `is_smooth` decides it exactly
+without factoring: f is kappa-smooth if and only if f divides F^m for
+F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F is the
+product of the monic irreducibles of degree <= kappa (each at least
+once) and no irreducible divides f more than deg f times.  That is a
+few Frobenius powers and squarings in one packed kernel of f, so
+`factor` runs only on the candidates that pass.
 """
 
 from __future__ import annotations
@@ -516,6 +523,13 @@ class PackedModulus:
         slots = self._low.unpack(c.to_bytes(self._low.size, "little"))
         return int.from_bytes(self._low.pack(*[v % p for v in slots]), "little")
 
+    def sub(self, a: int, b: int) -> int:
+        """The packed difference of two packed elements."""
+        p, low = self.p, self._low
+        us = low.unpack(a.to_bytes(low.size, "little"))
+        vs = low.unpack(b.to_bytes(low.size, "little"))
+        return int.from_bytes(low.pack(*[(u - v) % p for u, v in zip(us, vs)]), "little")
+
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0, square and multiply from the top bit down."""
         if e == 0:
@@ -663,6 +677,40 @@ def factor(f: Poly, seed: int = 0) -> tuple[int, list[tuple[Poly, int]]]:
                 factors.append((irr, mult))
     factors.sort(key=lambda t: poly_sort_key(t[0]))
     return unit, factors
+
+
+def is_smooth(f: Poly, kappa: int) -> bool:
+    """Whether every irreducible factor of f has degree <= kappa.
+
+    Exact, and no factoring: with F = prod_{k <= kappa} (X^(p^k) - X),
+    f is kappa-smooth if and only if f divides F^m for some m >= deg f.
+    X^(p^k) - X is the product of the monic irreducibles of degree
+    dividing k, so the irreducibles dividing F are exactly those of degree
+    <= kappa, each at least once.  An irreducible q divides f at most
+    deg f times, so for m >= deg f its whole power in f divides F^m when
+    deg q <= kappa, while a q of degree > kappa never divides F^m.  One
+    packed kernel of f computes h_k = X^(p^k) mod f as h_(k-1)^p,
+    multiplies the (h_k - X) together, and squares the product
+    ceil(log2 deg f) times, stopping once it is zero.  The zero
+    polynomial raises ValueError.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no smoothness")
+    n = f.degree
+    if n <= max(kappa, 0):
+        return True
+    p = f.p
+    packed = PackedModulus(f)
+    h = x = packed.pack(Poly([0, 1], p))
+    acc = 1  # the packed constant 1
+    for _ in range(kappa):
+        h = packed.pow(h, p)
+        acc = packed.mul(acc, packed.sub(h, x))
+    for _ in range((n - 1).bit_length()):
+        if not acc:
+            return True
+        acc = packed.mul(acc, acc)
+    return not acc
 
 
 def poly_sort_key(q: Poly):

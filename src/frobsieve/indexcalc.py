@@ -22,6 +22,7 @@ from .ffcore import (
     crt,
     factor,
     factorize_int,
+    is_smooth,
     monic_irreducibles,
     primitive_root,
     resultant,
@@ -205,9 +206,9 @@ def smooth_factor(fb: FactorBase, z: Poly):
     N = rep.order()
     if z.is_zero():
         raise ValueError("cannot factor the zero element")
-    unit, factors = factor(z)
-    if any(q.degree > fb.kappa for q, _ in factors):
+    if not is_smooth(z, fb.kappa):
         return None
+    unit, factors = factor(z)
     cols = {}
     const = fb.scalar_log(unit)
     for q, mult in factors:

@@ -33,6 +33,7 @@ from .ffcore import (
     find_irreducible,
     horner,
     is_irreducible,
+    is_smooth,
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
@@ -309,16 +310,12 @@ def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     if lam.is_zero():
         return None
     a_poly = lam.substitute_curve_x(setup.f)
+    if a_poly.is_zero() or not is_smooth(a_poly, kappa):
+        return None
     b_poly = lam.substitute_curve_y(setup.g)
-    if a_poly.is_zero() or b_poly.is_zero():
+    if b_poly.is_zero() or not is_smooth(b_poly, kappa):
         return None
-    unit_a, facs_a = factor(a_poly)
-    unit_b, facs_b = factor(b_poly)
-    if any(q.degree > kappa for q, _ in facs_a):
-        return None
-    if any(q.degree > kappa for q, _ in facs_b):
-        return None
-    rel = JLRelation(lam, (unit_a, facs_a), (unit_b, facs_b))
+    rel = JLRelation(lam, factor(a_poly), factor(b_poly))
     if not rel.verify(setup):
         raise ValueError("relation failed verification; setup inconsistent")
     return rel
@@ -1047,13 +1044,23 @@ class EERelation:
         }
 
 
-def _factor_side(norm: RationalFunction, kappa: int, classes: PlaceClasses):
+def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
+    """(restriction, norm) of one side when the restriction is nonzero and
+    its norm is kappa-smooth in numerator and denominator, else None.
+    Nothing is factored."""
+    ff = restr.ffops
+    elem = restr.restrict(coeffs, side)
+    if ff.is_zero(elem):
+        return None
+    norm = ff.norm(elem)
+    if is_smooth(norm.num, kappa) and is_smooth(norm.den, kappa):
+        return elem, norm
+    return None
+
+
+def _factor_side(norm: RationalFunction, classes: PlaceClasses):
     unit_n, facs_n = factor(norm.num)
     unit_d, facs_d = factor(norm.den)
-    if any(q.degree > kappa for q, _ in facs_n):
-        return None
-    if any(q.degree > kappa for q, _ in facs_d):
-        return None
     by_class = {}
     for q, e in facs_n:
         rep = classes.class_of(q)
@@ -1071,17 +1078,17 @@ def _factor_side(norm: RationalFunction, kappa: int, classes: PlaceClasses):
 
 
 def ee_relation(restr: EERestriction, coeffs, kappa: int):
-    """Build and verify the relation carried by one section, or None."""
-    ff = restr.ffops
+    """Build and verify the relation carried by one section, or None.
+    Side b is restricted only once side a is smooth, and the two sides are
+    factored only once the section is known to give a relation."""
     ring = restr.setup.ring
-    elem_a = restr.restrict(coeffs, "a")
-    elem_b = restr.restrict(coeffs, "b")
-    if ff.is_zero(elem_a) or ff.is_zero(elem_b):
+    hit_a = _smooth_norm(restr, coeffs, "a", kappa)
+    if hit_a is None:
         return None
-    side_a = _factor_side(ff.norm(elem_a), kappa, restr.classes)
-    side_b = _factor_side(ff.norm(elem_b), kappa, restr.classes)
-    if side_a is None or side_b is None:
+    hit_b = _smooth_norm(restr, coeffs, "b", kappa)
+    if hit_b is None:
         return None
+    (elem_a, norm_a), (elem_b, norm_b) = hit_a, hit_b
     try:
         va = restr.value_at_intersection(elem_a, "a")
         vb = restr.value_at_intersection(elem_b, "b")
@@ -1091,6 +1098,8 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
         return None  # the section vanishes at the distinguished point
     if va != vb:
         raise ValueError("restrictions disagree at the intersection point")
+    side_a = _factor_side(norm_a, restr.classes)
+    side_b = _factor_side(norm_b, restr.classes)
     return EERelation(coeffs, side_a, side_b, va)
 
 
@@ -1138,10 +1147,17 @@ def ee_sieve(
     two restrictions are both kappa-smooth.  Linear-equivalence variation
     comes from the random coefficient draws over the kernel basis; trials
     run through indexcalc.sieve_trials, keyed by the section's
-    coefficients."""
+    coefficients.  A given restriction must be built for cls and kappa."""
     if restriction is None:
         lin = linear_system_ee(setup, cls)
         restriction = EERestriction(setup, lin, kappa)
+    built = restriction.lin.cls
+    if restriction.kappa != kappa:
+        raise ValueError(
+            f"restriction built for kappa={restriction.kappa}, not {kappa}"
+        )
+    if (built.d1, built.d2, built.xi) != (cls.d1, cls.d2, cls.xi):
+        raise ValueError(f"restriction built for {built!r}, not {cls!r}")
     kernel = restriction.lin.kernel
     if not kernel:
         raise InsufficientPoints("the linear system has no sections")

@@ -94,6 +94,23 @@ class TestCheck:
         assert "frobenius-consistency" in names
         assert "modulus-irreducible" in names
 
+    def test_elliptic_lists_skipped_check(self, rep_files, tmp_path):
+        # degree-invariance never runs on an elliptic rep, so it is not
+        # reported as ok; the other kinds run it and carry no skipped key
+        for kind, path in rep_files.items():
+            out = tmp_path / f"{kind}.json"
+            assert main(["check", str(path), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            names = [c["name"] for c in doc["checks"]]
+            if kind == "elliptic-residue":
+                assert "degree-invariance" not in names
+                assert doc["skipped"] == [
+                    {"name": "degree-invariance", "detail": "needs live curve data"}
+                ]
+            else:
+                assert "degree-invariance" in names
+                assert "skipped" not in doc
+
     def test_raw_rep_accepted(self, rep_files, tmp_path):
         raw = json.loads(rep_files["kummer"].read_text())["rep"]
         path = tmp_path / "raw.json"

@@ -13,6 +13,7 @@ import pytest
 from frobsieve.ffcore import (
     NEG_INF,
     FixedBasePowers,
+    PackedModulus,
     Poly,
     PrimeField,
     PrimeOps,
@@ -25,6 +26,7 @@ from frobsieve.ffcore import (
     horner,
     is_irreducible,
     is_prime,
+    is_smooth,
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
@@ -517,3 +519,109 @@ def test_resultant_is_the_norm():
             g = ring.random_el(rng)
             if not g.is_zero():
                 assert ring.pow(g, N // (p - 1)) == Poly([resultant(ring.modulus, g)], p)
+
+
+@pytest.mark.parametrize("p, d", KERNEL_FIELDS)
+def test_packed_sub_matches_poly(p, d):
+    rng = random.Random(p * 41 + d)
+    m = find_irreducible(p, d)
+    k = PackedModulus(m)
+    for _ in range(40):
+        a = Poly([rng.randrange(p) for _ in range(d)], p)
+        b = Poly([rng.randrange(p) for _ in range(d)], p)
+        assert k.unpack(k.sub(k.pack(a), k.pack(b))) == a - b
+    top = Poly([p - 1] * d, p)
+    assert k.sub(k.pack(top), k.pack(top)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The early-abort smoothness test.
+
+
+def _smooth_by_factor(f, kappa):
+    return all(q.degree <= kappa for q, _ in factor(f)[1])
+
+
+def _power(q, e):
+    out = Poly([1], q.p)
+    for _ in range(e):
+        out = out * q
+    return out
+
+
+def _random_irreducible(p, k, rng):
+    while True:
+        q = Poly([rng.randrange(p) for _ in range(k)] + [1], p)
+        if is_irreducible(q):
+            return q
+
+
+def _smoothness_cases(p, kappa, rng):
+    """Random polynomials, products of irreducibles with repeated factors
+    (g^3 h), p-th powers g(X^p), degrees <= kappa and constants."""
+    cases = []
+    for _ in range(25):
+        cases.append(Poly([rng.randrange(p) for _ in range(rng.randrange(2, 11))], p))
+    for top in (kappa, kappa + 1):
+        # g of degree exactly top, so a factor of degree kappa must be caught
+        g = _random_irreducible(p, top, rng)
+        h = _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
+        cases.append(_power(g, 3) * h * rng.randrange(1, p))
+        cases.append(g * _power(h, 4))
+        cases.append(_power(h, 5))
+    for _ in range(4):
+        f = Poly([1], p)
+        for _ in range(rng.randrange(1, 4)):
+            q = _random_irreducible(p, rng.randrange(1, kappa + 2), rng)
+            f = f * _power(q, rng.randrange(1, 4))
+        cases.append(f)
+    for _ in range(3):
+        g = Poly([rng.randrange(p) for _ in range(rng.randrange(2, 4))] + [1], p)
+        f = g.compose(Poly([0] * p + [1], p))  # g(X^p)
+        assert f.derivative().is_zero()
+        cases.append(f)
+    for n in range(kappa + 1):
+        cases.append(Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p))
+    return [f for f in cases if f]
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 43, 199])
+def test_is_smooth_matches_factor(p, kappa):
+    rng = random.Random(p * 7 + kappa)
+    seen = set()
+    for f in _smoothness_cases(p, kappa, rng):
+        want = _smooth_by_factor(f, kappa)
+        assert is_smooth(f, kappa) == want, (f, kappa)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_smooth_edges():
+    for p in (2, 43):
+        with pytest.raises(ValueError):
+            is_smooth(Poly([], p), 2)
+        assert is_smooth(Poly([3], p), 1)
+        assert is_smooth(Poly([3], p), 0)
+        assert not is_smooth(Poly([0, 1], p), 0)
+        # degree <= kappa is smooth whatever it is, irreducible or not
+        q = find_irreducible(p, 3)
+        assert is_smooth(q, 3) and not is_smooth(q, 2)
+        # a linear factor to a power above p: needs the squarings
+        lin = Poly([1, 1], p)
+        assert is_smooth(_power(lin, p + 2), 1)
+        assert not is_smooth(_power(lin, p + 2) * q, 2)
+
+
+def test_is_smooth_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(13)
+    for p in (3, 43):
+        for kappa in (1, 2, 3):
+            for f in _smoothness_cases(p, kappa, rng):
+                if f.degree == 0:
+                    continue
+                _, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+                want = all(q.degree() <= kappa for q, _ in facs)
+                assert is_smooth(f, kappa) == want

@@ -284,6 +284,30 @@ class TestCollectRelations:
         ).hexdigest()
         assert digest == "561cf997618e593698622b9a6319aec5f6f9ec3fac63a916aae18918a37fa296"
 
+    def test_rejected_candidates_never_factored(self, as_rep, monkeypatch):
+        import frobsieve.indexcalc as ic
+
+        calls = {"trials": 0, "smooth": 0, "factor": 0}
+        real_smooth, real_factor = ic.is_smooth, ic.factor
+
+        def counting_smooth(f, kappa):
+            calls["trials"] += 1
+            ok = real_smooth(f, kappa)
+            calls["smooth"] += ok
+            return ok
+
+        def counting_factor(f, *args):
+            calls["factor"] += 1
+            return real_factor(f, *args)
+
+        monkeypatch.setattr(ic, "is_smooth", counting_smooth)
+        monkeypatch.setattr(ic, "factor", counting_factor)
+        fb = build_factor_base(as_rep, 2)
+        rels = collect_relations(as_rep, fb, 60, seed=0)
+        assert len(rels) == 60
+        assert calls["factor"] == calls["smooth"] >= 60
+        assert calls["trials"] > 2 * calls["smooth"]
+
     def test_relations_all_sound(self, torus_rep, torus_run):
         fb, g, relations, _ = torus_run
         assert all(rel.verify(fb, g) for rel in relations)

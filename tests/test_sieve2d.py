@@ -212,6 +212,22 @@ class TestJLSieve:
         rels = jl_sieve(jl43, 1, 1, 2, budget=1500, seed=3)
         assert _digest(rels) == "635896dc13569bf7f15edab8166bbca9ed7ed5d89fd28a0fa2e27ba63951b72f"
 
+    def test_rejected_candidates_never_factored(self, jl43, monkeypatch):
+        import frobsieve.sieve2d as s2d
+
+        calls = 0
+        real_factor = s2d.factor
+
+        def counting_factor(f, *args):
+            nonlocal calls
+            calls += 1
+            return real_factor(f, *args)
+
+        monkeypatch.setattr(s2d, "factor", counting_factor)
+        rels = jl_sieve(jl43, 1, 1, 2, budget=400, seed=3)
+        assert len(rels) > 0
+        assert calls == 2 * len(rels)
+
     def test_rejects_trivial_bidegree(self, jl43):
         with pytest.raises(ValueError):
             jl_sieve(jl43, 0, 0, 2, budget=10)
@@ -541,6 +557,46 @@ class TestEESieve:
         # a fresh restriction (its place-class cache starts empty)
         _, _, rels = sieved
         assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
+
+    def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
+        # four factorizations per relation (numerator and denominator on
+        # each side); the rest come from translating places into classes
+        import frobsieve.sieve2d as s2d
+
+        c, restr, _ = sieved
+        calls = {"factor": 0, "translate": 0}
+        real_factor, real_translate = s2d.factor, s2d.translate_place
+
+        def counting_factor(f, *args):
+            calls["factor"] += 1
+            return real_factor(f, *args)
+
+        def counting_translate(*args):
+            calls["translate"] += 1
+            return real_translate(*args)
+
+        monkeypatch.setattr(s2d, "factor", counting_factor)
+        monkeypatch.setattr(s2d, "translate_place", counting_translate)
+        fresh = EERestriction(ee11, restr.lin, 4)
+        rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
+        assert len(rels) > 0
+        assert calls["factor"] == 4 * len(rels) + calls["translate"]
+
+    def test_mismatched_restriction_rejected(self, ee11, sieved):
+        # a restriction for kappa 2 used to let degree-3 and -4 places
+        # through to PlaceClasses.class_of, which then raised
+        c, restr, _ = sieved
+        small = EERestriction(ee11, restr.lin, 2)
+        with pytest.raises(ValueError, match="kappa=2"):
+            ee_sieve(ee11, c, 4, 40, restriction=small)
+        t = ee11.curve.trace()
+        for other in (NSClassEE(3, 2, c.xi), NSClassEE(2, 2, EndomorphismElement(0, 1, t, 11))):
+            with pytest.raises(ValueError, match="restriction built for"):
+                ee_sieve(ee11, other, 4, 40, restriction=restr)
+        # an equal class built separately is accepted
+        same = NSClassEE(2, 2, EndomorphismElement(1, 0, t, 11))
+        rels = ee_sieve(ee11, same, 4, 40, restriction=restr)
+        assert all(verify_ee_relation(restr, rel) for rel in rels)
 
     def test_json_shape(self, sieved):
         _, _, rels = sieved
