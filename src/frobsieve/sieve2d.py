@@ -17,6 +17,7 @@ classes.
 """
 
 import random
+from itertools import chain
 from operator import mul
 
 from .errors import (
@@ -486,9 +487,6 @@ class FuncFieldOps:
             e >>= 1
         return acc
 
-    def is_zero(self, a) -> bool:
-        return a[0].is_zero() and a[1].is_zero()
-
     def eq(self, a, b) -> bool:
         return a[0] == b[0] and a[1] == b[1]
 
@@ -949,7 +947,13 @@ def build_place_classes(curve: Curve, kappa: int, t) -> PlaceClasses:
 
 class EERestriction:
     """Precomputed symbolic data for restricting sections to the curves
-    A = {(P, alpha(P) - a)} and B = {(beta(Q) + b, Q)}."""
+    A = {(P, alpha(P) - a)} and B = {(beta(Q) + b, Q)}.
+
+    Each side keeps its basis products over one common denominator:
+    common[side] = (D, U, V), with D the monic lcm of every product's
+    denominators, and basis product i restricts to (U[i]/D, V[i]/D), that
+    is (U[i] + y V[i]) / D.  A section's restriction is then two F_p
+    combinations of fixed numerators, and its norm costs one gcd."""
 
     def __init__(self, setup: EESetup, lin: LinearSystemEE, kappa: int):
         self.setup = setup
@@ -974,29 +978,42 @@ class EERestriction:
         image_b = setup.beta.apply(ff, curve.a4, generic, frob)
         self.curve_b = (ec_add(ff, curve.a4, image_b, b_pt), generic)
 
-        self.prods_a = self._basis_products(*self.curve_a)
-        self.prods_b = self._basis_products(*self.curve_b)
+        self.common = {
+            "a": self._common_form(*self.curve_a),
+            "b": self._common_form(*self.curve_b),
+        }
         self.classes = build_place_classes(curve, kappa, setup.m0)
 
-    def _basis_products(self, P, Q):
+    def _common_form(self, P, Q):
         ff = self.ffops
-        out = []
+        prods = []
         for (i1, j1) in self.lin.basis1:
             b1 = ff.mul(ff.pow(P[0], i1), ff.pow(P[1], j1))
             for (i2, j2) in self.lin.basis2:
                 b2 = ff.mul(ff.pow(Q[0], i2), ff.pow(Q[1], j2))
-                out.append(ff.mul(b1, b2))
-        return out
+                prods.append(ff.mul(b1, b2))
+        den = Poly([1], ff.p)
+        for part in chain.from_iterable(prods):
+            den = den * (part.den // poly_gcd(den, part.den))
+        scaled = lambda r: r.num * (den // r.den)
+        return den, [scaled(u) for u, _ in prods], [scaled(v) for _, v in prods]
 
     def restrict(self, coeffs, side: str):
-        """The function-field element of one side's restriction."""
-        ff = self.ffops
-        prods = self.prods_a if side == "a" else self.prods_b
-        acc = ff.zero()
-        for c, prod in zip(coeffs, prods):
-            if c:
-                acc = ff.add(acc, ff.mul(ff.embed(c), prod))
-        return acc
+        """Numerators (U, V) of one side's restriction, which is
+        (U + y V) / D over that side's common denominator D."""
+        _, us, vs = self.common[side]
+        return _combine(coeffs, us), _combine(coeffs, vs)
+
+    def norm(self, uv, side: str) -> RationalFunction:
+        """Norm to F_p(x) of a restriction (U, V): (U^2 - f V^2) / D^2."""
+        u, v = uv
+        den = self.common[side][0]
+        return RationalFunction(u * u - self.ffops.f * (v * v), den * den)
+
+    def element(self, uv, side: str):
+        """The reduced function-field element (U/D, V/D) of a restriction."""
+        den = self.common[side][0]
+        return RationalFunction(uv[0], den), RationalFunction(uv[1], den)
 
     def value_at_intersection(self, elem, side: str):
         ring = self.setup.ring
@@ -1005,6 +1022,16 @@ class EERestriction:
         else:
             xv, yv = self.setup.q_int
         return self.ffops.evaluate(ring, elem, xv, yv)
+
+
+def _combine(coeffs, polys):
+    """sum_i coeffs[i] * polys[i] over F_p."""
+    acc = [0] * max(len(q.coeffs) for q in polys)
+    for c, q in zip(coeffs, polys):
+        if c:
+            for j, a in enumerate(q.coeffs):
+                acc[j] += c * a
+    return Poly(acc, polys[0].p)
 
 
 class EERelation:
@@ -1047,14 +1074,13 @@ class EERelation:
 def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
     """(restriction, norm) of one side when the restriction is nonzero and
     its norm is kappa-smooth in numerator and denominator, else None.
-    Nothing is factored."""
-    ff = restr.ffops
-    elem = restr.restrict(coeffs, side)
-    if ff.is_zero(elem):
+    Nothing is factored, and only a side that passes is reduced."""
+    uv = restr.restrict(coeffs, side)
+    if uv[0].is_zero() and uv[1].is_zero():
         return None
-    norm = ff.norm(elem)
+    norm = restr.norm(uv, side)
     if is_smooth(norm.num, kappa) and is_smooth(norm.den, kappa):
-        return elem, norm
+        return restr.element(uv, side), norm
     return None
 
 
@@ -1105,11 +1131,11 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
 
 def verify_ee_relation(restr: EERestriction, rel: EERelation) -> bool:
     """Independent re-derivation of everything the relation claims."""
-    ff = restr.ffops
     field = PrimeField(restr.setup.curve.p)
+    elems = []
     for side_tag, stored in (("a", rel.side_a), ("b", rel.side_b)):
-        elem = restr.restrict(rel.coeffs, side_tag)
-        norm = ff.norm(elem)
+        uv = restr.restrict(rel.coeffs, side_tag)
+        norm = restr.norm(uv, side_tag)
         num = field.poly([stored["unit"]])
         for q, e in stored["num"]:
             for _ in range(e):
@@ -1129,8 +1155,9 @@ def verify_ee_relation(restr: EERestriction, rel: EERelation) -> bool:
             by_class[rep] = by_class.get(rep, 0) - e
         if {rep: e for rep, e in by_class.items() if e} != stored["classes"]:
             return False
-    va = restr.value_at_intersection(restr.restrict(rel.coeffs, "a"), "a")
-    vb = restr.value_at_intersection(restr.restrict(rel.coeffs, "b"), "b")
+        elems.append(restr.element(uv, side_tag))
+    va = restr.value_at_intersection(elems[0], "a")
+    vb = restr.value_at_intersection(elems[1], "b")
     return va == vb == rel.witness and not restr.setup.ring.is_zero(va)
 
 

@@ -298,7 +298,10 @@ def test_bsgs_dlog():
 def test_is_prime_and_factorize():
     assert is_prime(2) and is_prime(43) and is_prime(370801)
     assert not is_prime(1) and not is_prime(62748516)
-    for n in (43 ** 6 - 1, 13 ** 7 - 1, 7 ** 7 - 1, 11 ** 7 - 1, 360):
+    # the degree-11 orders leave cofactors above 10^12 after trial
+    # division: composite for 43 and 199 (rho splits them), prime for 109
+    for n in (43 ** 6 - 1, 13 ** 7 - 1, 7 ** 7 - 1, 11 ** 7 - 1, 360,
+              43 ** 11 - 1, 109 ** 11 - 1, 199 ** 11 - 1):
         fac = factorize_int(n)
         prod = 1
         for q, m in fac.items():

@@ -526,15 +526,40 @@ class TestEESieve:
         again = ee_sieve(ee11, c, 4, budget=200, seed=0, restriction=restr)
         assert [r.to_json() for r in again] == [r.to_json() for r in rels]
 
-    def test_tampered_relation_fails(self, ee11, sieved):
+    @staticmethod
+    def _tamper(kind, ring, rel, other):
+        a = rel.side_a
+        if kind == "unit":
+            return type(rel)(rel.coeffs, dict(a, unit=a["unit"] * 2 % 11),
+                             rel.side_b, rel.witness)
+        if kind == "witness":
+            return type(rel)(rel.coeffs, a, rel.side_b,
+                             ring.add(rel.witness, ring.one()))
+        if kind == "class-exponent":
+            rep = next(iter(a["classes"]))
+            classes = dict(a["classes"])
+            classes[rep] += 1
+            return type(rel)(rel.coeffs, dict(a, classes=classes),
+                             rel.side_b, rel.witness)
+        if kind == "num-exponent":
+            (q, e), *rest = a["num"]
+            return type(rel)(rel.coeffs, dict(a, num=[(q, e + 1)] + rest),
+                             rel.side_b, rel.witness)
+        assert kind == "other-coeffs"
+        return type(rel)(other.coeffs, a, rel.side_b, rel.witness)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["unit", "witness", "class-exponent", "num-exponent", "other-coeffs"],
+    )
+    def test_tampered_relation_fails(self, ee11, sieved, kind):
+        # each tamper breaks a different claim: the norm (unit, a factor's
+        # exponent, the section), the class sums, or the shared value
         _, restr, rels = sieved
-        rel = rels[0]
-        bad = type(rel)(
-            rel.coeffs,
-            dict(rel.side_a, unit=rel.side_a["unit"] * 2 % 11),
-            rel.side_b,
-            rel.witness,
-        )
+        rel = next(r for r in rels if r.side_a["num"] and r.side_a["classes"])
+        other = next(r for r in rels if r.coeffs != rel.coeffs)
+        assert verify_ee_relation(restr, rel)
+        bad = self._tamper(kind, ee11.ring, rel, other)
         assert not verify_ee_relation(restr, bad)
 
     def test_timeout_carries_partial(self, ee11, sieved):
@@ -604,6 +629,33 @@ class TestEESieve:
         assert set(data) == {"coeffs", "side_a", "side_b", "witness"}
         for side in (data["side_a"], data["side_b"]):
             assert set(side) == {"unit", "num_factors", "den_factors", "classes"}
+
+
+class TestEERestrictionCommonForm:
+    def test_matches_generic_evaluation(self, sieved):
+        # the oracle restricts through the function-field adapter, term by
+        # term in reduced rational functions; the restriction under test
+        # combines fixed numerators over one common denominator per side
+        _, restr, _ = sieved
+        ff = restr.ffops
+        kernel = restr.lin.kernel
+        rng = random.Random(17)
+        sections = [[0] * len(kernel[0])]  # its restriction is zero
+        for _ in range(50):
+            weights = [rng.randrange(11) for _ in kernel]
+            sections.append(
+                [sum(w * c for w, c in zip(weights, col)) % 11 for col in zip(*kernel)]
+            )
+        for side, curve in (("a", restr.curve_a), ("b", restr.curve_b)):
+            den = restr.common[side][0]
+            assert den.lc() == 1
+            for coeffs in sections:
+                expect = restr.lin.function(coeffs).evaluate(ff, *curve)
+                uv = restr.restrict(coeffs, side)
+                assert ff.eq(restr.element(uv, side), expect)
+                assert restr.norm(uv, side) == ff.norm(expect)
+            zero = restr.restrict(sections[0], side)
+            assert zero[0].is_zero() and zero[1].is_zero()
 
 
 class TestEESetup:
