@@ -205,6 +205,12 @@ def cmd_orbits(args) -> int:
 
 def cmd_dlog(args) -> int:
     rep = _load_rep(args.rep)
+    target = None
+    if args.target:
+        # parse and reject a bad target before paying for the table
+        target = rep.ring.el([int(c) for c in args.target.split(",")])
+        if target.is_zero():
+            raise ValueError("zero has no logarithm")
     fb, g, relations, table = compute_logs(rep, args.kappa, seed=args.seed)
     doc = {
         "manifest": _manifest("dlog", args),
@@ -215,9 +221,7 @@ def cmd_dlog(args) -> int:
         "relations": len(relations),
         "table": table.to_json(),
     }
-    if args.target:
-        coeffs = [int(c) for c in args.target.split(",")]
-        target = rep.ring.el(coeffs)
+    if target is not None:
         lam = individual_log(rep, fb, table, target, seed=args.seed)
         doc["target"] = target.to_list()
         doc["log"] = _num(lam)

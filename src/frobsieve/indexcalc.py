@@ -682,6 +682,26 @@ def build_log_table(
     return table
 
 
+def _rational_split(modulus: Poly, z: Poly, bound: int):
+    """(num, den) with z * den = num mod modulus, deg num <= bound and
+    deg den <= deg modulus - 1 - bound, for z reduced below the modulus and
+    0 <= bound < deg modulus.
+
+    Extended Euclid on (modulus, z) keeps r_i = t_i * z mod modulus and
+    stops at the first remainder r_i of degree <= bound.  Then
+    deg t_i = deg modulus - deg r_{i-1} and deg r_{i-1} > bound.  With an
+    irreducible modulus and z != 0 the remainders end at a nonzero
+    constant, so the loop stops and num, den are both nonzero.
+    """
+    r0, r1 = modulus, z
+    t0, t1 = Poly([], z.p), Poly([1], z.p)
+    while r1.degree > bound:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    return r1, t1
+
+
 def individual_log(
     rep: Representation,
     fb: FactorBase,
@@ -690,28 +710,43 @@ def individual_log(
     seed: int = 0,
     max_trials: int = 10**5,
 ) -> int:
-    """log_g(target), by randomizing with known powers until smooth."""
+    """log_g(target), by randomizing with known powers until smooth.
+
+    Trial e writes z = target * g^e as num / den with both halves of degree
+    about d/2 (Blake, Fuji-Hara, Mullin and Vanstone, 1984) and needs both
+    to be smooth, which happens far more often than for the one degree
+    d - 1 polynomial z.  Then log target = -e + log num - log den.  The
+    split only changes which trial succeeds, not the answer: for a fixed
+    g the log is unique mod N, and no result is returned before
+    g^result == target has been checked by exponentiation.
+    """
     ring = rep.ring
     N = rep.order()
     target = ring.el(target)
     if target.is_zero():
         raise ValueError("zero has no logarithm")
     powers = table.powers(ring)
+    log_g0 = table.log(ring.embed(fb.g0))
+
+    def table_log(hit):
+        cols, const = hit
+        return const * log_g0 + sum(
+            exp * table.log(fb.column_value(col)) for col, exp in cols.items()
+        )
+
     rng = random.Random(_mix(seed, 0x517CC1B7))
     for trial in range(max_trials):
         e = 0 if trial == 0 else rng.randrange(N)
-        z = ring.mul(target, powers.pow(e))
-        if z.is_zero():
+        num, den = _rational_split(
+            ring.modulus, ring.mul(target, powers.pow(e)), rep.d // 2
+        )
+        num_hit = smooth_factor(fb, num)
+        if num_hit is None:
             continue
-        hit = smooth_factor(fb, z)
-        if hit is None:
+        den_hit = smooth_factor(fb, den)
+        if den_hit is None:
             continue
-        cols, const = hit
-        result = -e
-        for col, exp in cols.items():
-            result += exp * table.log(fb.column_value(col))
-        result += const * table.log(ring.embed(fb.g0))
-        result %= N
+        result = (-e + table_log(num_hit) - table_log(den_hit)) % N
         if powers.pow(result) != target:
             continue  # table inconsistency would surface here; keep trying
         return result

@@ -209,6 +209,17 @@ class TestDlog:
         value = ring.el([int(c) for c in key.split(",")])
         assert ring.pow(ring.el(g), int(lam)) == value
 
+    @pytest.mark.parametrize("target", ["5,x", "0,0"])
+    def test_bad_target_fails_before_table(self, rep_files, monkeypatch, capsys, target):
+        def no_table(*args, **kwargs):
+            raise AssertionError("compute_logs ran for a bad target")
+
+        monkeypatch.setattr("frobsieve.cli.compute_logs", no_table)
+        code = main(["dlog", str(rep_files["kummer"]), "--kappa", "2",
+                     "--target", target])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "ValueError"
+
     def test_workers_flag_gone(self, rep_files):
         with pytest.raises(SystemExit) as exc:
             main(["dlog", str(rep_files["kummer"]), "--kappa", "2", "--workers", "2"])

@@ -17,6 +17,7 @@ from frobsieve.elliptic import build_elliptic_residue
 from frobsieve.indexcalc import (
     LogTable,
     Relation,
+    _rational_split,
     build_factor_base,
     build_log_table,
     collect_relations,
@@ -65,6 +66,21 @@ def as_rep():
 @pytest.fixture(scope="module")
 def elliptic_ext():
     return build_elliptic_residue(11, 7)
+
+
+@pytest.fixture(scope="module")
+def elliptic_rep(elliptic_ext):
+    return elliptic_ext.rep
+
+
+@pytest.fixture(scope="module")
+def as_run(as_rep):
+    return compute_logs(as_rep, 2, seed=0)
+
+
+@pytest.fixture(scope="module")
+def elliptic_run(elliptic_rep):
+    return compute_logs(elliptic_rep, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +457,69 @@ def check_pipeline(rep, run, targets_seed):
         assert ring.pow(g, lam) == t
 
 
+# one field of each kind, as (representation fixture, log table fixture)
+KINDS = [
+    ("kummer_rep", "kummer_run"),
+    ("torus_rep", "torus_run"),
+    ("as_rep", "as_run"),
+    ("elliptic_rep", "elliptic_run"),
+]
+
+
+class TestRationalSplit:
+    @pytest.mark.parametrize("rep_name", [rep for rep, _ in KINDS])
+    def test_random_targets(self, request, rep_name):
+        rep = request.getfixturevalue(rep_name)
+        ring = rep.ring
+        d, half = rep.d, rep.d // 2
+        rng = random.Random(rep_name)
+        for _ in range(100):
+            z = ring.random_el(rng)
+            while z.is_zero():
+                z = ring.random_el(rng)
+            num, den = _rational_split(ring.modulus, z, half)
+            assert not den.is_zero()
+            assert ring.mul(z, den) == num
+            assert num.degree <= half
+            assert den.degree <= d - 1 - half
+
+    @pytest.mark.parametrize("rep_name", [rep for rep, _ in KINDS])
+    def test_low_degree_comes_back_whole(self, request, rep_name):
+        rep = request.getfixturevalue(rep_name)
+        ring = rep.ring
+        half = rep.d // 2
+        low = ring.el([3] + [1] * half)
+        assert low.degree == half
+        for z in (ring.embed(5), low):
+            assert _rational_split(ring.modulus, z, half) == (z, ring.one())
+
+
 class TestPipelines:
+    @pytest.mark.parametrize("rep_name, run_name", KINDS)
+    def test_edge_targets(self, request, rep_name, run_name):
+        rep = request.getfixturevalue(rep_name)
+        fb, g, _rels, table = request.getfixturevalue(run_name)
+        ring = rep.ring
+        targets = [
+            ring.embed(rep.p - 2),  # an F_p constant
+            fb.column_value(len(fb.orbits) // 2),  # a column value
+            ring.pow(ring.x(), rep.d + 3),  # x^k for some k > d
+        ]
+        for seed, z in enumerate(targets):
+            lam = individual_log(rep, fb, table, z, seed=seed)
+            assert ring.pow(g, lam) == z
+
     def test_kummer_end_to_end(self, kummer_rep, kummer_run):
         check_pipeline(kummer_rep, kummer_run, 11)
 
     def test_torus_end_to_end(self, torus_rep, torus_run):
         check_pipeline(torus_rep, torus_run, 12)
 
-    def test_artin_schreier_end_to_end(self, as_rep):
-        run = compute_logs(as_rep, 2, seed=0)
-        check_pipeline(as_rep, run, 13)
+    def test_artin_schreier_end_to_end(self, as_rep, as_run):
+        check_pipeline(as_rep, as_run, 13)
 
-    def test_elliptic_end_to_end(self, elliptic_ext):
-        run = compute_logs(elliptic_ext.rep, 2, seed=0)
-        check_pipeline(elliptic_ext.rep, run, 14)
+    def test_elliptic_end_to_end(self, elliptic_rep, elliptic_run):
+        check_pipeline(elliptic_rep, elliptic_run, 14)
 
     def test_pipeline_deterministic(self, as_rep):
         a = compute_logs(as_rep, 2, seed=4)
@@ -470,6 +535,9 @@ class TestPipelines:
         1: "a5e57a2972a32edb91c195f26770459e0a5412a5721ca38b906d3069ad7eb41c",
     }
     ILOG_DIGEST = "c7d7a290912186afc196dcda22b53a0e0405a68eda429c84dcdccc73c0cf46f5"
+    # the same recipe against the seed-0 torus 13^7 table, as individual_log
+    # computed it before it split targets into numerator and denominator
+    TORUS_ILOG_DIGEST = "7cf25327d6031210a4e9b0356404608d3b9a4d290a6d7497aa50c7e2f21f7d7c"
 
     @staticmethod
     def _digest(obj):
@@ -493,6 +561,18 @@ class TestPipelines:
                 z = ring.random_el(rng)
             answers.append(str(individual_log(kummer_rep, fb, table, z, seed=j)))
         assert self._digest(answers) == self.ILOG_DIGEST
+
+    def test_torus_individual_logs_pinned(self, torus_rep):
+        fb, _g, _rels, table = compute_logs(torus_rep, 2, seed=0)
+        ring = torus_rep.ring
+        answers = []
+        for j in range(200):
+            rng = random.Random(j)
+            z = ring.random_el(rng)
+            while z.is_zero():
+                z = ring.random_el(rng)
+            answers.append(str(individual_log(torus_rep, fb, table, z, seed=j)))
+        assert self._digest(answers) == self.TORUS_ILOG_DIGEST
 
     def test_frobenius_log_consistency(self, kummer_rep, kummer_run):
         # log(x^p) read through the table equals p*log(x)
