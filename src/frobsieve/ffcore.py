@@ -33,6 +33,7 @@ import operator
 import random
 import struct
 from itertools import compress
+from math import isqrt
 
 from .errors import NonInvertible
 
@@ -814,27 +815,27 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-def bsgs_dlog(target: int, base: int, p: int, order: int | None = None) -> int:
-    """Discrete log in F_p^* by baby-step giant-step."""
-    if order is None:
-        order = p - 1
-    target %= p
-    if target == 0:
+def bsgs_dlog(ops, base, target, order: int) -> int:
+    """x in [0, order) with base^x = target, by baby-step giant-step.
+
+    ops is a field adapter (PrimeOps, QuotientField) and order a multiple
+    of the order of base, so the work is about sqrt(order) products.
+    """
+    target = ops.el(target)
+    if ops.is_zero(target):
         raise ValueError("0 has no discrete log")
-    m = 1
-    while m * m < order:
-        m += 1
+    m = isqrt(order - 1) + 1
     table = {}
-    e = 1
+    e = ops.one()
     for j in range(m):
         table.setdefault(e, j)
-        e = e * base % p
-    giant = pow(base, (p - 1 - m) % (p - 1), p)  # base^(-m)
+        e = ops.mul(e, base)
+    giant = ops.pow(base, order - m)  # base^(-m)
     gamma = target
     for i in range(m + 1):
         if gamma in table:
             return (i * m + table[gamma]) % order
-        gamma = gamma * giant % p
+        gamma = ops.mul(gamma, giant)
     raise ValueError(f"{target} is not in the subgroup generated by {base}")
 
 

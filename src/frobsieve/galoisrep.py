@@ -155,6 +155,7 @@ class Representation:
         self.ext = None  # elliptic builder attaches its curve data here
         self._image_cache = {}
         self._step_basis = {}  # torus orbit walk, see _torus_step_basis
+        self._order_factors = None
 
     def __repr__(self):
         return f"Representation({self.kind}, p={self.p}, d={self.d})"
@@ -162,6 +163,12 @@ class Representation:
     def order(self) -> int:
         """Order of the multiplicative group."""
         return self.p ** self.d - 1
+
+    def order_factors(self) -> dict[int, int]:
+        """{prime: multiplicity} of the group order, factored on first use."""
+        if self._order_factors is None:
+            self._order_factors = factorize_int(self.order())
+        return self._order_factors
 
     def frobenius_image(self, k: int) -> Poly:
         """The residue x^{p^k}, computed from structure rather than powering."""

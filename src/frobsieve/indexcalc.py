@@ -1,9 +1,14 @@
 """Index-calculus discrete logarithms over structured residue fields.
 
 The engine is the classical linear sieve: fix a smoothness bound kappa,
-collect multiplicative relations among the monic irreducibles of degree
-<= kappa, solve the resulting linear system modulo p^d - 1, then peel
-individual logarithms off the table.
+collect multiplicative relations g^e = product of monic irreducibles of
+degree <= kappa, find the log of every base column, then peel individual
+logarithms off the table.  The column logs are found modulo each prime
+power l^k of N = p^d - 1 and combined by CRT.  Below SMALL_PRIME_BOUND
+(2^20) Pohlig-Hellman reads them from the subgroup of order l^k, exactly
+and without relations; modulo each larger l the relations are solved by
+one elimination over F_l.  Every log is checked by exponentiation, and a
+column the relations leave undetermined is patched by descent.
 
 What the structural Frobenius buys is column count: polynomials in one
 orbit have logarithms that differ by powers of p and explicit scalars, so
@@ -18,14 +23,15 @@ from .errors import NotFound, RankDeficient, SieveTimeout
 from .ffcore import (
     FixedBasePowers,
     Poly,
+    PrimeOps,
     bsgs_dlog,
     crt,
     factor,
-    factorize_int,
     is_smooth,
     monic_irreducibles,
     primitive_root,
     resultant,
+    solve_mod_prime,
 )
 from .galoisrep import ELLIPTIC, Representation, orbit_partition
 
@@ -82,7 +88,8 @@ class FactorBase:
         """Discrete log of s in F_p^* base g0."""
         s %= self.rep.p
         if s not in self._scalar_logs:
-            self._scalar_logs[s] = bsgs_dlog(s, self.g0, self.rep.p)
+            p = self.rep.p
+            self._scalar_logs[s] = bsgs_dlog(PrimeOps(p), self.g0, s, p - 1)
         return self._scalar_logs[s]
 
     def free_relations(self):
@@ -239,7 +246,7 @@ def find_generator(rep: Representation) -> Poly:
     Ring powers are left for the primes l that do not divide p - 1.
     """
     N = rep.order()
-    facs = factorize_int(N)
+    facs = rep.order_factors()
     ring = rep.ring
     p = rep.p
     small = [ell for ell in facs if (p - 1) % ell == 0]
@@ -334,236 +341,82 @@ def collect_relations(
 
 
 # ---------------------------------------------------------------------------
-# Solving modulo N = p^d - 1.
+# Solving for the column logs.
+
+# Primes of N below this bound are read by Pohlig-Hellman; each digit is
+# one BSGS of at most about 2^10 products.
+SMALL_PRIME_BOUND = 1 << 20
+
+# Descent tries per unresolved column and pass.
+_PATCH_TRIALS = 500
 
 
-class _Overflow(Exception):
-    pass
+def _order_split(rep: Representation):
+    """({l: k} read by Pohlig-Hellman, [l] solved from relations).
 
-
-def _valuation(a: int, ell: int) -> int:
-    v = 0
-    while a % ell == 0:
-        a //= ell
-        v += 1
-    return v
-
-
-def _echelon_mod_prime_power(rows, rhs, ell, k, ncols):
-    """Row-echelon with minimal-valuation pivots over Z/ell^k.
-
-    Returns (aug, pivots, spare) where pivots maps col -> (row index,
-    pivot valuation) and spare lists rows left without a pivot.  A pivot
-    row ends up with zeros at every lower pivot column, which is what the
-    downstream back-substitution and propagation rely on.
+    The relations are solved modulo the primes l >= SMALL_PRIME_BOUND that
+    divide N exactly once; every other prime power l^k of N goes to
+    Pohlig-Hellman, which needs no relations.
     """
-    mod = ell**k
-    m = len(rows)
-    aug = [[rows[i][j] % mod for j in range(ncols)] + [rhs[i] % mod] for i in range(m)]
-    used = [False] * m
-    pivots = {}
-    for col in range(ncols):
-        best = None
-        for i in range(m):
-            if used[i] or aug[i][col] == 0:
-                continue
-            v = _valuation(aug[i][col], ell)
-            if best is None or v < best[1]:
-                best = (i, v)
-                if v == 0:
-                    break
-        if best is None:
-            continue
-        i, v = best
-        used[i] = True
-        pivots[col] = (i, v)
-        unit = aug[i][col] // ell**v
-        uinv = pow(unit, -1, mod)
-        aug[i] = [a * uinv % mod for a in aug[i]]
-        for j in range(m):
-            if used[j] or aug[j][col] == 0:
-                continue
-            factor_ = aug[j][col] // ell**v  # valuation >= v by minimality
-            aug[j] = [(a - factor_ * b) % mod for a, b in zip(aug[j], aug[i])]
-    spare = [i for i in range(m) if not used[i]]
-    return aug, pivots, spare
-
-
-def _enumerate_component(aug, pivots, spare, ell, k, ncols, cap):
-    """All solutions mod ell^k as vectors; raises _Overflow past cap."""
-    mod = ell**k
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    total = 1
-    for c in pivots:
-        total *= ell ** pivots[c][1]
-    for _ in free_cols:
-        total *= mod
-    if total > cap:
-        raise _Overflow
-
-    sols = []
-    # free columns first, then pivots highest-to-lowest: a pivot row has
-    # zeros at every lower pivot column, so all its other terms are
-    # already assigned when its turn comes
-    order = free_cols + sorted(pivots, reverse=True)
-
-    def descend(pos, assign):
-        if len(sols) > cap:
-            raise _Overflow
-        if pos == ncols:
-            for i in spare:
-                s = sum(aug[i][c] * assign[c] for c in range(ncols)) % mod
-                if s != aug[i][ncols]:
-                    return
-            sols.append(assign[:])
-            return
-        col = order[pos]
-        if col in pivots:
-            i, v = pivots[col]
-            acc = aug[i][ncols]
-            for c in range(ncols):
-                if c != col and aug[i][c]:
-                    acc -= aug[i][c] * assign[c]
-            acc %= mod
-            if acc % ell**v != 0:
-                return  # this branch of earlier choices is inconsistent
-            base = acc // ell**v % (mod // ell**v)
-            step = mod // ell**v
-            for t in range(ell**v):
-                assign[col] = base + t * step
-                descend(pos + 1, assign)
-            assign[col] = 0
+    small, large = {}, []
+    for ell, k in sorted(rep.order_factors().items()):
+        if ell >= SMALL_PRIME_BOUND and k == 1:
+            large.append(ell)
         else:
-            for val in range(mod):
-                assign[col] = val
-                descend(pos + 1, assign)
-            assign[col] = 0
-
-    descend(0, [0] * ncols)
-    if not sols:
-        raise ValueError(f"relations are inconsistent modulo {ell}^{k}")
-    return sols
+            small[ell] = k
+    return small, large
 
 
-def _propagate_component(aug, pivots, ell, k, ncols, cap):
-    """Per-column candidates when the solution set is too big to enumerate.
+def pohlig_hellman(rep: Representation, g: Poly, targets, prime_powers):
+    """log_g of each target modulo each l^k in prime_powers {l: k}, one
+    list of residues per prime power (Pohlig and Hellman, 1978).
 
-    Unit propagation over the pivot rows: a row whose other columns are
-    all pinned determines its pivot column exactly (valuation 0) or up to
-    a coset of size ell^v.  Columns depending on a genuinely free column
-    stay None.  Candidate lists always contain the true value; they are
-    just not always available.
+    Each target is projected into the subgroup of order l^k and its log
+    read there one base-l digit at a time, each digit by one BSGS in the
+    subgroup of order l.  Exact, and independent of any relation.
     """
-    mod = ell**k
-    known = {}
-    cosets = {}
-    changed = True
-    while changed:
-        changed = False
-        for col, (i, v) in pivots.items():
-            if col in known or col in cosets:
-                continue
-            acc = aug[i][ncols]
-            blocked = False
-            for c in range(ncols):
-                if c == col or aug[i][c] == 0:
-                    continue
-                if c in known:
-                    acc -= aug[i][c] * known[c]
-                else:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            acc %= mod
-            if acc % ell**v != 0:
-                raise ValueError(f"relations are inconsistent modulo {ell}^{k}")
-            base = acc // ell**v % (mod // ell**v)
-            step = mod // ell**v
-            if v == 0:
-                known[col] = base
-            elif ell**v <= cap:
-                cosets[col] = [base + t * step for t in range(ell**v)]
-            else:
-                continue
-            changed = True
-    out = []
-    for col in range(ncols):
-        if col in known:
-            out.append([known[col]])
-        elif col in cosets:
-            out.append(cosets[col])
-        else:
-            out.append(None)
-    return out
+    ring = rep.ring
+    N = rep.order()
+    parts = []
+    for ell, k in sorted(prime_powers.items()):
+        q = ell**k
+        g_q = ring.pow(g, N // q)
+        gamma = ring.pow(g_q, q // ell)  # order l
+        logs = []
+        for z in targets:
+            z_q = ring.pow(z, N // q)
+            x = 0
+            for i in range(k):
+                h = ring.pow(ring.mul(z_q, ring.pow(g_q, q - x)), ell ** (k - 1 - i))
+                x += bsgs_dlog(ring, gamma, h, ell) * ell**i
+            logs.append(x)
+        parts.append(logs)
+    return parts
 
 
-def solve_log_system(relations, N: int, ncols: int, verifier=None, cap: int = 4096):
-    """Solve the stacked relation rows for all column logs mod N.
+def solve_log_system(rep: Representation, relations, g: Poly, targets):
+    """Candidate log_g of each target mod N, where targets are the column
+    values in column order and relations are rows over those columns.
 
-    Per prime power of N: valuation-aware elimination, then either exact
-    enumeration of the solution set (small systems) or unit propagation
-    (large ones), giving per-column candidate lists.  Components are
-    CRT-combined; a column left ambiguous is settled by the
-    verifier(col, candidate) callback when one is supplied, otherwise the
-    smallest candidate is taken and the column lands in the uncertain set.
+    Each prime power of N takes one exact path (see _order_split):
+    Pohlig-Hellman for the small ones, and for each large prime l one RREF
+    of the stacked rows over F_l (LaMacchia and Odlyzko, 1990: sieved
+    relations only have to be solved modulo the large primes of N).  CRT
+    combines the pieces.  A column the rows leave free mod l reads 0
+    there, and so may a pivot column that depends on it, so the caller
+    checks every candidate by exponentiation.  Raises ValueError if the
+    rows are inconsistent modulo some l.
     """
-    rows = [r.dense_row(ncols) for r in relations]
+    small, large = _order_split(rep)
+    parts = pohlig_hellman(rep, g, targets, small)
     rhs = [r.e for r in relations]
-    components = []  # (modulus, per-col candidate list or None)
-    for ell, k in sorted(factorize_int(N).items()):
-        mod = ell**k
-        aug, pivots, spare = _echelon_mod_prime_power(rows, rhs, ell, k, ncols)
-        try:
-            sols = _enumerate_component(aug, pivots, spare, ell, k, ncols, cap)
-            cands = [sorted({s[col] for s in sols}) for col in range(ncols)]
-        except _Overflow:
-            cands = _propagate_component(aug, pivots, ell, k, ncols, cap)
-        components.append((mod, cands))
-
-    values = []
-    uncertain = set()
-    moduli = [mod for mod, _ in components]
-    for col in range(ncols):
-        parts = [cands[col] for _, cands in components]
-        if all(p is not None and len(p) == 1 for p in parts):
-            values.append(crt([p[0] for p in parts], moduli))
-            continue
-        resolved = None
-        if verifier is not None:
-            options = []
-            total = 1
-            for mod, part in zip(moduli, parts):
-                opt = part if part is not None else (
-                    list(range(mod)) if mod <= cap else None
-                )
-                if opt is None:
-                    total = cap + 1
-                    break
-                total *= len(opt)
-                options.append(opt)
-            if total <= cap:
-                for combo in _cartesian(options):
-                    lam = crt(list(combo), moduli)
-                    if verifier(col, lam):
-                        resolved = lam
-                        break
-        if resolved is None:
-            minimal = [(p[0] if p else 0) for p in parts]
-            values.append(crt(minimal, moduli))
-            uncertain.add(col)
-        else:
-            values.append(resolved)
-    return values, uncertain
-
-
-def _cartesian(options):
-    if not options:
-        yield ()
-        return
-    for head in options[0]:
-        for rest in _cartesian(options[1:]):
-            yield (head,) + rest
+    for ell in large:
+        sol = solve_mod_prime([r.dense_row(len(targets)) for r in relations], rhs, ell)
+        if sol is None:
+            raise ValueError(f"relations are inconsistent modulo {ell}")
+        parts.append(sol[0])
+    moduli = [ell**k for ell, k in sorted(small.items())] + large
+    return [crt([part[i] for part in parts], moduli) for i in range(len(targets))]
 
 
 class LogTable:
@@ -620,42 +473,34 @@ def build_log_table(
     fb: FactorBase,
     relations,
     g: Poly,
-    cap: int = 4096,
+    *,
     seed: int = 0,
-    patch_trials: int = 500,
 ) -> LogTable:
-    """Solve the relation system and package verified logs for every column.
+    """Solve for every column log and package them, each verified.
 
-    Columns the sieve never touched (the tail of rare orbits) cannot come
-    out of the linear algebra; they are patched afterwards by descent:
-    randomize the anchor by known powers of g until it factors over
-    already-resolved columns.  Every log is confirmed by exponentiation
-    before it enters the table.
+    solve_log_system gives one candidate per column, and every candidate
+    is checked by exponentiation.  A column that fails the check (one the
+    relations left undetermined modulo some large prime of N) is patched
+    by descent: randomize its value by known powers of g until it factors
+    over already-resolved columns.
     """
     N = rep.order()
     ring = rep.ring
     table = LogTable(g, N, {})
     powers = table.powers(ring)
-
-    def verifier(col, lam):
-        return powers.pow(lam) == fb.column_value(col)
-
-    values, uncertain = solve_log_system(relations, N, fb.ncols, verifier, cap)
-    resolved = set()
-    for col in range(fb.ncols):
-        if col not in uncertain and verifier(col, values[col]):
-            resolved.add(col)
+    targets = [fb.column_value(col) for col in range(fb.ncols)]
+    values = solve_log_system(rep, relations, g, targets)
+    resolved = {col for col in range(fb.ncols) if powers.pow(values[col]) == targets[col]}
 
     while len(resolved) < fb.ncols:
         progress = False
         for col in range(fb.ncols):
             if col in resolved or fb.const_col not in resolved:
                 continue
-            anchor_el = fb.column_value(col)
             rng = random.Random(_mix(seed, 0x85EBCA77 + col))
-            for trial in range(patch_trials):
+            for trial in range(_PATCH_TRIALS):
                 e = 0 if trial == 0 else rng.randrange(1, N)
-                z = ring.mul(anchor_el, powers.pow(e))
+                z = ring.mul(targets[col], powers.pow(e))
                 hit = smooth_factor(fb, z)
                 if hit is None:
                     continue
@@ -666,7 +511,7 @@ def build_log_table(
                 for c, exp in cols.items():
                     lam += exp * values[c]
                 lam %= N
-                if verifier(col, lam):
+                if powers.pow(lam) == targets[col]:
                     values[col] = lam
                     resolved.add(col)
                     progress = True
@@ -678,7 +523,7 @@ def build_log_table(
             )
 
     for col in range(fb.ncols):
-        table.logs[fb.column_value(col)] = values[col]
+        table.logs[targets[col]] = values[col]
     return table
 
 

@@ -292,7 +292,21 @@ def test_bsgs_dlog():
     g = 17
     for _ in range(20):
         e = rng.randrange(p - 1)
-        assert bsgs_dlog(pow(g, e, p), g, p) == e
+        assert bsgs_dlog(PrimeOps(p), g, pow(g, e, p), p - 1) == e
+
+
+def test_bsgs_dlog_in_subgroup_of_extension():
+    # the same routine over F_43[X]/(X^6 - 3), in the subgroup of order 631
+    ring = QuotientField(Poly([-3, 0, 0, 0, 0, 0, 1], 43))
+    N = 43**6 - 1
+    gamma = ring.pow(ring.el([2, 1]), N // 631)
+    assert gamma != ring.one() and ring.pow(gamma, 631) == ring.one()
+    rng = random.Random(2)
+    for _ in range(10):
+        e = rng.randrange(631)
+        assert bsgs_dlog(ring, gamma, ring.pow(gamma, e), 631) == e
+    with pytest.raises(ValueError):
+        bsgs_dlog(ring, gamma, ring.x(), 631)  # x has order N, not 631
 
 
 def test_is_prime_and_factorize():

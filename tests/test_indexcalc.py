@@ -7,7 +7,7 @@ import random
 import pytest
 
 from frobsieve.errors import SieveTimeout
-from frobsieve.ffcore import Poly, factor, factorize_int, monic_irreducibles, resultant
+from frobsieve.ffcore import Poly, crt, factor, factorize_int, monic_irreducibles, resultant
 from frobsieve.galoisrep import (
     build_artin_schreier,
     build_kummer,
@@ -17,6 +17,7 @@ from frobsieve.elliptic import build_elliptic_residue
 from frobsieve.indexcalc import (
     LogTable,
     Relation,
+    _order_split,
     _rational_split,
     build_factor_base,
     build_log_table,
@@ -24,6 +25,7 @@ from frobsieve.indexcalc import (
     compute_logs,
     find_generator,
     individual_log,
+    pohlig_hellman,
     smooth_factor,
     solve_log_system,
 )
@@ -134,6 +136,12 @@ class TestFactorBase:
             build_factor_base(as_rep, 0)
         with pytest.raises(ValueError):
             build_factor_base(as_rep, 7)
+
+    def test_scalar_log_matches_sympy(self, kummer_rep):
+        sympy = pytest.importorskip("sympy")
+        fb = build_factor_base(kummer_rep, 1)
+        for s in range(1, 43):
+            assert fb.scalar_log(s) == sympy.discrete_log(43, s, fb.g0)
 
     def test_elliptic_orbits_are_singletons(self, elliptic_ext):
         ext = elliptic_ext
@@ -344,6 +352,21 @@ class TestCollectRelations:
         for ell in factorize_int(N):
             assert ring.pow(g, N // ell) != ring.one()
 
+    def test_order_factored_once(self, monkeypatch):
+        import frobsieve.galoisrep as gr
+
+        rep = build_torus(13, 7)
+        calls = []
+        real = gr.factorize_int
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(gr, "factorize_int", counting)
+        assert find_generator(rep) == find_generator(rep)
+        assert calls == [rep.order()]
+
     @pytest.mark.parametrize(
         "build, expected",
         [
@@ -376,55 +399,96 @@ class TestCollectRelations:
 
 
 # ---------------------------------------------------------------------------
-# The linear solver.
+# The log solver.
 
 
 class TestSolver:
-    def test_two_by_two_toy(self):
+    # torus 13^7: N = 2^2 * 3 * 5229043, so Pohlig-Hellman reads each log
+    # mod 12 and the relations are solved mod the large prime
+    ELL = 5229043
+
+    def test_two_by_two_toy(self, torus_rep):
+        g = find_generator(torus_rep)
+        truth = [2, 1, 0]  # g^2, g and the constant column's 1
+        targets = [torus_rep.ring.pow(g, t) for t in truth]
         rels = [Relation({0: 1, 1: 1}, 0, 3), Relation({0: 1, 1: -1}, 0, 1)]
-        values, uncertain = solve_log_system(rels, 8, 3)
-        assert values[:2] == [2, 1]
-        # without a verifier the modulo-2 ambiguity is reported honestly
-        assert 0 in uncertain and 1 in uncertain
+        assert solve_log_system(torus_rep, rels, g, targets) == truth
 
-    def test_toy_with_verifier_resolves(self):
-        rels = [Relation({0: 1, 1: 1}, 0, 3), Relation({0: 1, 1: -1}, 0, 1)]
-        truth = {0: 6, 1: 5}
-
-        def verifier(col, lam):
-            return truth.get(col) == lam
-
-        values, uncertain = solve_log_system(rels, 8, 3, verifier)
-        assert values[0] == 6 and values[1] == 5
-        assert 0 not in uncertain and 1 not in uncertain
-
-    def test_random_full_rank_systems(self):
+    def test_random_full_rank_systems(self, torus_rep):
+        assert _order_split(torus_rep)[1] == [self.ELL]
+        g = find_generator(torus_rep)
+        N = torus_rep.order()
         rng = random.Random(5)
-        for N in (24, 360, 2 ** 3 * 9 * 35):
-            for _ in range(8):
-                n = rng.randrange(2, 6)
-                truth = [rng.randrange(N) for _ in range(n)]
-                rels = []
-                for _ in range(n + 3):
-                    coeffs = {c: rng.randrange(N) for c in range(n)}
-                    e = sum(coeffs[c] * truth[c] for c in range(n)) % N
-                    rels.append(Relation(coeffs, 0, e))
-                values, uncertain = solve_log_system(
-                    rels, N, n + 1,
-                    lambda col, lam: col < len(truth) and truth[col] == lam,
-                )
-                assert values[:n] == truth
+        for _ in range(8):
+            n = rng.randrange(2, 6)
+            truth = [rng.randrange(N) for _ in range(n)] + [0]
+            targets = [torus_rep.ring.pow(g, t) for t in truth]
+            rels = []
+            for _ in range(n + 3):
+                coeffs = {c: rng.randrange(N) for c in range(n)}
+                e = sum(coeffs[c] * truth[c] for c in range(n))
+                rels.append(Relation(coeffs, 0, e))
+            assert solve_log_system(torus_rep, rels, g, targets) == truth
 
-    def test_inconsistent_system_raises(self):
+    def test_inconsistent_system_raises(self, torus_rep):
+        g = find_generator(torus_rep)
         rels = [Relation({0: 1}, 0, 1), Relation({0: 1}, 0, 2)]
         with pytest.raises(ValueError):
-            solve_log_system(rels, 15, 2)
+            solve_log_system(torus_rep, rels, g, [g, torus_rep.ring.one()])
 
-    def test_undetermined_column_flagged(self):
-        rels = [Relation({0: 1}, 0, 4)]
-        values, uncertain = solve_log_system(rels, 15, 3)
-        assert values[0] == 4
-        assert 1 in uncertain and 2 in uncertain
+    def test_order_split(self):
+        class Stub:
+            def order_factors(self):
+                return {2: 3, 631: 1, 1048583: 2, 2147483647: 1}
+
+        # a large prime dividing N twice goes to Pohlig-Hellman too
+        small, large = _order_split(Stub())
+        assert small == {2: 3, 631: 1, 1048583: 2}
+        assert large == [2147483647]
+
+    def test_pohlig_hellman_matches_individual_log(self, kummer_rep, kummer_run):
+        # every prime of 43^6 - 1 is below the bound, so Pohlig-Hellman
+        # alone gives full logs; individual_log is an independent algorithm
+        fb, g, _rels, table = kummer_run
+        ring, N = kummer_rep.ring, kummer_rep.order()
+        small, large = _order_split(kummer_rep)
+        assert large == [] and max(small) == 631
+        moduli = [ell**k for ell, k in sorted(small.items())]
+        targets = []
+        for j in range(50):
+            z = ring.random_el(random.Random(1000 + j))
+            targets.append(z if not z.is_zero() else ring.one())
+        parts = pohlig_hellman(kummer_rep, g, targets, small)
+        for j, z in enumerate(targets):
+            lam = crt([part[j] for part in parts], moduli)
+            assert lam == individual_log(kummer_rep, fb, table, z, seed=j)
+            assert ring.pow(g, lam) == z
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_stalled_seeds_complete(self, kummer_rep, kummer_run, seed):
+        # these seeds used to spend minutes in the descent
+        _fb, g, _rels, table = compute_logs(kummer_rep, 2, seed=seed)
+        assert g == kummer_run[1]
+        assert table.verify_all(kummer_rep)
+        assert table.logs == kummer_run[3].logs
+
+    def test_more_relations_same_table(self, torus_rep):
+        fb = build_factor_base(torus_rep, 2)
+        g = find_generator(torus_rep)
+        free = fb.free_relations()
+        once = fb.ncols + 10
+        sieved = collect_relations(torus_rep, fb, 3 * once, seed=0, g=g)
+        a = build_log_table(torus_rep, fb, free + sieved[:once], g)
+        b = build_log_table(torus_rep, fb, free + sieved, g)
+        assert a.logs == b.logs
+        assert a.verify_all(torus_rep)
+
+    def test_inconsistent_relations_raise(self, torus_rep, torus_run):
+        fb, g, relations, _ = torus_run
+        bad = relations[-1]
+        tampered = relations + [Relation(bad.columns, bad.const_exp, bad.e + 1)]
+        with pytest.raises(ValueError):
+            build_log_table(torus_rep, fb, tampered, g)
 
 
 # ---------------------------------------------------------------------------
