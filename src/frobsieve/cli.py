@@ -99,8 +99,11 @@ def _error(code: str, message: str, context: dict = None) -> None:
 
 def _load_rep(path: str) -> Representation:
     with open(path) as fh:
-        data = json.load(fh)
-    if "rep" in data:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InconsistentFrobenius(f"{path} is not a JSON document: {exc}") from exc
+    if isinstance(data, dict) and "rep" in data:
         data = data["rep"]
     return rep_from_json(data)
 

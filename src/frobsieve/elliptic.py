@@ -400,7 +400,10 @@ class EllipticResidueRep:
 
 def translate_point(ext: EllipticResidueRep, P, t):
     """P (+) t for P with coordinates in L and t a rational point."""
-    ring = ext.ring
+    return _translate(ext.ring, P, t)
+
+
+def _translate(ring, P, t):
     if t is None:
         return P
     x, y = P
@@ -477,42 +480,31 @@ def _fiber_scan(crv: Curve, iso: Isogeny, T_gen, gen):
             continue
 
         subgroup = [ec_scalar(crv.ops, crv.a4, k, T_gen) for k in range(d)]
+        B = (ring.x(), Y)
+        x_p = poly_pow_mod(ring.x(), p, A)
+        t_star = next((t for t in subgroup
+                       if t is not None and _translate(ring, B, t)[0] == x_p), None)
+        if t_star is None:
+            raise InconsistentFrobenius(
+                "no kernel translation matches x^p on an irreducible fiber"
+            )
+        # the images x^(p^k) are the x-coordinates of B (+) k t*
+        points = [B]
+        for _ in range(d - 1):
+            points.append(_translate(ring, points[-1], t_star))
+        # the y-coordinate must follow along: Frobenius of B is (x^p, Y^p)
+        if points[1][1] != ring.pow(Y, p):
+            raise InconsistentFrobenius("translation matches x^p but not y^p")
         rep = Representation(
             ELLIPTIC,
             field,
             d,
             A,
-            CurveFrobenius([ring.x()] * d),  # placeholder, replaced below
-            {"a4": crv.a4, "a6": crv.a6, "x_a": a[0], "y_a": a[1]},
+            CurveFrobenius([P[0] for P in points]),
+            {"a4": crv.a4, "a6": crv.a6, "x_a": a[0], "y_a": a[1],
+             "t_star": list(t_star)},
         )
-        ext = EllipticResidueRep(rep, crv, iso, a, Y, None, subgroup, gen)
-
-        x_p = poly_pow_mod(ring.x(), p, A)
-        t_star = None
-        for t in subgroup:
-            if t is not None and translate_x(ext, t) == x_p:
-                t_star = t
-                break
-        if t_star is None:
-            raise InconsistentFrobenius(
-                "no kernel translation matches x^p on an irreducible fiber"
-            )
-        ext.t_star = t_star
-        rep.params["t_star"] = list(t_star)
-
-        images = []
-        B = ext.point()
-        cur = B
-        for _ in range(d):
-            images.append(cur[0])
-            cur = translate_point(ext, cur, t_star)
-        rep.frobenius = CurveFrobenius(images)
-        rep._image_cache = {}
-        # the y-coordinate must follow along: Frobenius of B is (x^p, Y^p)
-        B1 = translate_point(ext, B, t_star)
-        if B1[1] != ring.pow(Y, p):
-            raise InconsistentFrobenius("translation matches x^p but not y^p")
-        return ext
+        return EllipticResidueRep(rep, crv, iso, a, Y, t_star, subgroup, gen)
     return None
 
 

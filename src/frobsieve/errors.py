@@ -45,10 +45,6 @@ class InvalidPoint(FrobsieveError):
     """Coordinates do not satisfy the defining equation of the group."""
 
 
-class DegenerateOrbit(FrobsieveError):
-    """An orbit walk left the polynomial factor base."""
-
-
 class InsufficientPoints(FrobsieveError):
     """Not enough rational structure to run the requested computation."""
 

@@ -360,19 +360,6 @@ class Poly:
             acc = acc * inner + c
         return acc
 
-    def shift_arg(self, a: int) -> "Poly":
-        """self(X + a)."""
-        return self.compose(Poly([a, 1], self.p))
-
-    def scale_arg(self, a: int) -> "Poly":
-        """self(a*X)."""
-        mult = 1
-        out = []
-        for c in self.coeffs:
-            out.append(c * mult)
-            mult = mult * a % self.p
-        return Poly(out, self.p)
-
     def pth_root(self) -> "Poly":
         """For f = g(X^p), recover g.  Coefficients are F_p-fixed under x -> x^p."""
         p = self.p

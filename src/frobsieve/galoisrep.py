@@ -1,24 +1,28 @@
 """Explicit finite field models carrying a structural Frobenius action.
 
 A representation packages F_{p^d} = F_p[X]/(A) together with a closed form
-for x |-> x^p on the residue class of X.  Three families are built here:
+for x |-> x^p on the residue class of X.  Three families are built here,
+and in each x^p = (a x + b)/(c x + d) for one matrix of PGL_2(F_p):
 
 * Kummer: A = X^d - r with r a primitive root mod p and d | p-1; Frobenius
-  scales x by a root of unity.
-* Artin-Schreier: A = X^p - X - a with d = p; Frobenius translates x by a.
+  scales x by a root of unity zeta, the matrix [[zeta, 0], [0, 1]].
+* Artin-Schreier: A = X^p - X - a with d = p; Frobenius translates x by a,
+  the matrix [[1, a], [0, 1]].
 * Norm-one torus: d | p+1; the residue x is a coordinate on a rank-one
-  torus and Frobenius acts by a degree-one rational map (a homography).
+  torus and Frobenius is the non-split homography [[tau, D], [1, tau]].
 
 The elliptic-curve family reuses the same Representation container but is
 constructed in the elliptic module, which stores precomputed power images.
 
 Knowing Frobenius structurally lets p-th powering of polynomials in x be
 read off combinatorially, which is what the orbit machinery below exploits:
-the monic irreducibles of small degree fall into short Frobenius orbits,
+the homography permutes the monic polynomials of each degree up to scalars,
+so the monic irreducibles of small degree fall into short Frobenius orbits,
 and each orbit contributes one unknown (plus bookkeeping) instead of one
 unknown per polynomial.
 """
 
+from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -48,75 +52,48 @@ ELLIPTIC = "elliptic-residue"
 # Frobenius action on the residue class of X, in closed form.
 
 
-class AffineFrobenius:
-    """x^p = u*x + v."""
+class HomographyFrobenius:
+    """x^p = (a*x + b) / (c*x + d) for one matrix (a, b, c, d) of PGL_2(F_p),
+    normalised to c = 1 when c != 0 and to d = 1 otherwise.
 
-    variant = "affine"
+    Kummer is [[zeta, 0], [0, 1]], Artin-Schreier [[1, a], [0, 1]] and the
+    rank-one torus [[tau, D], [1, tau]].  Stored as `affine` {u, v} when
+    c = 0 (x^p = u*x + v) and as `homography` {tau, D} otherwise.
+    """
 
-    def __init__(self, u: int, v: int, p: int):
-        self.u = u % p
-        self.v = v % p
+    def __init__(self, a: int, b: int, c: int, d: int, p: int):
+        s = pow(c % p or d % p, -1, p)
+        self.matrix = (a * s % p, b * s % p, c * s % p, d * s % p)
         self.p = p
 
     def __repr__(self):
-        return f"AffineFrobenius(u={self.u}, v={self.v})"
+        return f"HomographyFrobenius{self.matrix}"
+
+    @property
+    def variant(self):
+        return "homography" if self.matrix[2] else "affine"
 
     def image(self, k: int, ring: QuotientField) -> Poly:
-        # k-fold iterate: u^k x + v(u^{k-1} + ... + 1)
-        p = self.p
-        uk = pow(self.u, k, p)
-        if self.u == 1:
-            shift = k * self.v % p
-        else:
-            shift = self.v * (uk - 1) % p * pow(self.u - 1, -1, p) % p
-        return ring.el([shift, uk])
-
-    def to_json(self):
-        return {"variant": self.variant, "u": self.u, "v": self.v}
-
-
-class HomographyFrobenius:
-    """x^p = (tau*x + D) / (x + tau)."""
-
-    variant = "homography"
-
-    def __init__(self, tau: int, D: int, p: int):
-        self.tau = tau % p
-        self.D = D % p
-        self.p = p
-
-    def __repr__(self):
-        return f"HomographyFrobenius(tau={self.tau}, D={self.D})"
-
-    def matrix_power(self, k: int):
+        """x^(p^k), from the k-th power of the matrix."""
         p = self.p
         a, b, c, d = 1, 0, 0, 1
-        ma, mb, mc, md = self.tau, self.D, 1, self.tau
-        while k:
-            if k & 1:
-                a, b, c, d = (
-                    (a * ma + b * mc) % p,
-                    (a * mb + b * md) % p,
-                    (c * ma + d * mc) % p,
-                    (c * mb + d * md) % p,
-                )
-            ma, mb, mc, md = (
-                (ma * ma + mb * mc) % p,
-                (ma * mb + mb * md) % p,
-                (mc * ma + md * mc) % p,
-                (mc * mb + md * md) % p,
-            )
-            k >>= 1
-        return a, b, c, d
-
-    def image(self, k: int, ring: QuotientField) -> Poly:
-        a, b, c, d = self.matrix_power(k)
-        num = ring.el([b, a])
-        den = ring.el([d, c])
-        return ring.mul(num, ring.inv(den))
+        ma, mb, mc, md = self.matrix
+        for _ in range(k):
+            a, b, c, d = ((a * ma + b * mc) % p, (a * mb + b * md) % p,
+                          (c * ma + d * mc) % p, (c * mb + d * md) % p)
+        if c == 0:
+            # a constant denominator is inverted in F_p
+            s = pow(d, -1, p)
+            return ring.el([b * s, a * s])
+        return ring.mul(ring.el([b, a]), ring.inv(ring.el([d, c])))
 
     def to_json(self):
-        return {"variant": self.variant, "tau": self.tau, "D": self.D}
+        a, b, c, d = self.matrix
+        if c == 0:
+            return {"variant": "affine", "u": a, "v": b}
+        if a != d:
+            raise ValueError(f"{self!r} has no stored form: a homography needs a = d")
+        return {"variant": "homography", "tau": a, "D": b}
 
 
 class CurveFrobenius:
@@ -154,7 +131,7 @@ class Representation:
         self.ring = QuotientField(A)
         self.ext = None  # elliptic builder attaches its curve data here
         self._image_cache = {}
-        self._step_basis = {}  # torus orbit walk, see _torus_step_basis
+        self._step_basis = {}  # orbit walk, see _step_basis
         self._order_factors = None
 
     def __repr__(self):
@@ -190,24 +167,38 @@ class Representation:
         }
 
 
+def _read(data, key, convert):
+    """convert(data[key]); a missing key, a wrong type or an out-of-range
+    value raises InconsistentFrobenius naming the key."""
+    try:
+        return convert(data[key])
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InconsistentFrobenius(f"bad representation field {key!r}: {exc!r}") from exc
+
+
 def rep_from_json(data) -> Representation:
-    p = int(data["p"])
-    field = PrimeField(p)
-    A = field.poly([int(c) for c in data["A"]])
-    fr = data["frobenius"]
-    variant = fr["variant"]
+    field = _read(data, "p", lambda v: PrimeField(int(v)))
+    p = field.p
+    d = _read(data, "d", int)
+    A = _read(data, "A", lambda v: field.poly([int(c) for c in v]))
+    if d < 1 or A.degree != d:
+        raise InconsistentFrobenius(f"A has degree {A.degree} but d is {d}")
+    fr = _read(data, "frobenius", dict)
+    variant = _read(fr, "variant", str)
     if variant == "affine":
-        frob = AffineFrobenius(int(fr["u"]), int(fr["v"]), p)
+        frob = HomographyFrobenius(_read(fr, "u", int), _read(fr, "v", int), 0, 1, p)
     elif variant == "homography":
-        frob = HomographyFrobenius(int(fr["tau"]), int(fr["D"]), p)
+        tau = _read(fr, "tau", int)
+        frob = HomographyFrobenius(tau, _read(fr, "D", int), 1, tau, p)
     elif variant == "curve-translation":
-        ring = QuotientField(A)
-        frob = CurveFrobenius([ring.el([int(c) for c in img]) for img in fr["images"]])
+        frob = CurveFrobenius(_read(fr, "images", lambda v: [
+            field.poly([int(c) for c in img]) % A for img in v]))
     else:
-        raise ValueError(f"unknown frobenius variant {variant!r}")
-    params = {k: (int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v)
-              for k, v in data.get("params", {}).items()}
-    rep = Representation(data["kind"], field, int(data["d"]), A, frob, params)
+        raise InconsistentFrobenius(f"unknown frobenius variant {variant!r}")
+    params = _read(data, "params", lambda v: {
+        k: (int(x) if isinstance(x, str) and x.lstrip("-").isdigit() else x)
+        for k, x in v.items()}) if "params" in data else {}
+    rep = Representation(_read(data, "kind", str), field, d, A, frob, params)
     verify_representation(rep)
     return rep
 
@@ -224,19 +215,20 @@ def _stored_twice(rep: Representation):
     """(name, stored value, the value it must equal) for every value the
     representation stores twice: once in params and once in its Frobenius
     object or modulus."""
-    frob, params = rep.frobenius, rep.params
+    params = rep.params
+    if rep.kind == ELLIPTIC:
+        return []
+    a, b, _c, _d = rep.frobenius.matrix
     if rep.kind == KUMMER:
         r = params.get("r")
         A = rep.field.poly([-r] + [0] * (rep.d - 1) + [1]) if isinstance(r, int) else None
-        return [("params.zeta", params.get("zeta"), frob.u),
-                ("frobenius.v", frob.v, 0),
+        return [("params.zeta", params.get("zeta"), a),
+                ("frobenius.v", b, 0),
                 ("A = X^d - params.r", rep.A, A)]
     if rep.kind == ARTIN_SCHREIER:
-        return [("params.a", params.get("a"), frob.v)]
-    if rep.kind == TORUS:
-        return [("params.tau", params.get("tau"), frob.tau),
-                ("params.D", params.get("D"), frob.D)]
-    return []
+        return [("params.a", params.get("a"), b)]
+    return [("params.tau", params.get("tau"), a),
+            ("params.D", params.get("D"), b)]
 
 
 def verify_representation(rep: Representation):
@@ -383,7 +375,7 @@ def build_kummer(p: int, d: int, r=None) -> Representation:
     if not is_irreducible(A):
         raise InconsistentFrobenius(f"X^{d} - {r} is not irreducible mod {p}")
     rep = Representation(
-        KUMMER, field, d, A, AffineFrobenius(zeta, 0, p), {"r": r, "zeta": zeta}
+        KUMMER, field, d, A, HomographyFrobenius(zeta, 0, 0, 1, p), {"r": r, "zeta": zeta}
     )
     verify_representation(rep)
     return rep
@@ -400,7 +392,7 @@ def build_artin_schreier(p: int, a: int = 1) -> Representation:
     if not is_irreducible(A):
         raise InconsistentFrobenius(f"X^{p} - X - {a} is not irreducible mod {p}")
     rep = Representation(
-        ARTIN_SCHREIER, field, d, A, AffineFrobenius(1, a, p), {"a": a}
+        ARTIN_SCHREIER, field, d, A, HomographyFrobenius(1, a, 0, 1, p), {"a": a}
     )
     verify_representation(rep)
     return rep
@@ -485,7 +477,7 @@ def build_torus(p: int, d: int, u_r=None) -> Representation:
             field,
             d,
             A,
-            HomographyFrobenius(tau_s, D, p),
+            HomographyFrobenius(tau_s, D, 1, tau_s, p),
             {"D": D, "u_r": u_r, "m": m, "tau": tau_s, "sign": sign},
         )
         try:
@@ -504,17 +496,18 @@ def build_torus(p: int, d: int, u_r=None) -> Representation:
 # ---------------------------------------------------------------------------
 # Frobenius orbits of monic irreducible polynomials in the residue x.
 #
-# For a monic irreducible q of degree n, q(x)^p factors through a single
-# "successor" polynomial sigma(q):
+# For a monic irreducible q of degree n and x^p = (a x + b)/(c x + d),
+# q(x)^p factors through a single "successor" polynomial sigma(q):
 #
-#   kummer          q(x)^p = s * sigma(q)(x)              sigma(q) = monic q(zeta X)
-#   artin-schreier  q(x)^p =     sigma(q)(x)              sigma(q) = q(X + a)
-#   torus           q(x)^p = s * sigma(q)(x) / (x+tau)^n  sigma(q) = monic numerator
+#   q(x)^p = s * sigma(q)(x) / (c x + d)^n,
+#   sigma(q) = monic sum_i q_i (aX + b)^i (cX + d)^(n-i),
 #
 # with s in F_p^*.  Iterating walks a finite orbit; all logarithms inside an
-# orbit reduce to the anchor's plus explicit scalar and (x+tau) weights.
-# On the torus the orbit through X + tau is special: it ends at X - tau,
-# whose image degenerates to a constant (the successor lives at infinity).
+# orbit reduce to the anchor's plus explicit scalar and pole weights.  When
+# c = 0 (Kummer, Artin-Schreier) the pole c x + d is 1 and carries no
+# weight.  When c != 0 (the torus, c x + d = x + tau) the orbit through the
+# pole X + d is special: it ends at X - a, whose image degenerates to a
+# constant (the successor lives at infinity).
 
 
 class OrbitMember:
@@ -574,19 +567,16 @@ class Orbit:
         return f"Orbit({tag}anchor={self.anchor!r}, size={self.size})"
 
 
-def _torus_step_basis(rep: Representation, n: int):
-    """Columns of the powers (tau X + D)^i (X + tau)^(n-i), i = 0..n: entry
-    [j][i] is the X^j coefficient of the i-th power.  Cached per degree n."""
+def _step_basis(rep: Representation, n: int):
+    """Columns of the powers (aX + b)^i (cX + d)^(n-i), i = 0..n, for the
+    Frobenius matrix (a, b, c, d): entry [j][i] is the X^j coefficient of
+    the i-th power.  Cached per degree n."""
     cols = rep._step_basis.get(n)
     if cols is None:
-        fld = rep.field
-        num = fld.poly([rep.params["D"], rep.params["tau"]])  # tau X + D
-        den = fld.poly([rep.params["tau"], 1])                # X + tau
-        num_pows = [fld.poly([1])]
-        den_pows = [fld.poly([1])]
-        for _ in range(n):
-            num_pows.append(num_pows[-1] * num)
-            den_pows.append(den_pows[-1] * den)
+        a, b, c, d = rep.frobenius.matrix
+        one = rep.field.poly([1])
+        num_pows = list(accumulate([rep.field.poly([b, a])] * n, mul, initial=one))
+        den_pows = list(accumulate([rep.field.poly([d, c])] * n, mul, initial=one))
         rows = [(num_pows[i] * den_pows[n - i]).coeffs for i in range(n + 1)]
         cols = [tuple(row[j] if j < len(row) else 0 for row in rows)
                 for j in range(n + 1)]
@@ -596,31 +586,21 @@ def _torus_step_basis(rep: Representation, n: int):
 
 def frobenius_step(rep: Representation, q: Poly):
     """One step of the orbit walk: (sigma(q), scalar) with
-    q(x)^p = scalar * sigma(q)(x) * (x+tau)^{-deg q} (torus)
-    q(x)^p = scalar * sigma(q)(x)                    (otherwise).
+    q(x)^p = scalar * sigma(q)(x) * (c x + d)^(-deg q).
 
-    On the torus, q = X - tau degenerates: the numerator drops degree and
-    the function returns (None, constant) with q(x)^p = constant/(x+tau).
+    The numerator sum_i q_i (aX + b)^i (cX + d)^(n-i) is an F_p-combination
+    of the cached power basis.  Only q = X - a/c (c != 0) makes it drop
+    degree; then it is a constant and the function returns (None, constant)
+    with q(x)^p = constant / (c x + d).
     """
-    n = q.degree
-    if rep.kind == KUMMER:
-        zeta = rep.params["zeta"]
-        img = q.scale_arg(zeta)
-        s = img.lc()
-        return img.monic(), s
-    if rep.kind == ARTIN_SCHREIER:
-        return q.shift_arg(rep.params["a"]), 1
-    if rep.kind == TORUS:
-        # sum_i q_i (tau X + D)^i (X + tau)^(n-i), an F_p-combination of
-        # the cached power basis
-        cols = _torus_step_basis(rep, n)
-        acc = Poly([sum(map(mul, q.coeffs, col)) for col in cols], rep.p)
-        if acc.degree < n:
-            # only X - tau does this; the successor is the infinite place
-            return None, acc.constant_value()
-        s = acc.lc()
-        return acc.monic(), s
-    raise ValueError(f"no orbit action for kind {rep.kind!r}")
+    p = rep.p
+    acc = [sum(map(mul, q.coeffs, col)) for col in _step_basis(rep, q.degree)]
+    s = acc[-1] % p
+    if s == 0:
+        # the successor is the place at infinity
+        return None, Poly(acc, p).constant_value()
+    inv = pow(s, -1, p)
+    return Poly([c * inv for c in acc], p), s
 
 
 def _walk(rep: Representation, q: Poly):
@@ -628,9 +608,10 @@ def _walk(rep: Representation, q: Poly):
 
     Returns (members, scalar, weight, degenerate): scalar and weight are
     the running products after the last step, which give the closure.
+    Weights count powers of the pole c x + d, which is 1 when c = 0.
     """
     p = rep.p
-    track_weight = rep.kind == TORUS
+    track_weight = rep.frobenius.matrix[2] != 0
     members = []
     cur, scalar, weight, shift = q, 1, 0, 0
     while True:
@@ -654,11 +635,10 @@ def _walk(rep: Representation, q: Poly):
 def frobenius_orbit(rep: Representation, q: Poly) -> Orbit:
     """The full Frobenius orbit through the monic irreducible q.
 
-    One walk from q records the members as it goes.  Kummer and
-    Artin-Schreier orbits cycle back to the anchor.  A torus walk either
-    cycles too or runs into the degenerate step at X - tau; then q lies on
-    the kernel orbit, which is walked again from X + tau (unless q is
-    X + tau already) so that its bookkeeping is uniform.
+    One walk from q records the members as it goes.  It either cycles back
+    to the anchor or, when c != 0, runs into the degenerate step at X - a;
+    then q lies on the kernel orbit, which is walked again from the pole
+    X + d (unless q is X + d already) so that its bookkeeping is uniform.
     """
     q = q.monic()
     p = rep.p
@@ -672,7 +652,7 @@ def frobenius_orbit(rep: Representation, q: Poly) -> Orbit:
     members, scalar, weight, degenerate = _walk(rep, q)
     if not degenerate:
         return Orbit(rep, members, False, scalar, closure_ker_weight=weight)
-    ker_anchor = rep.field.poly([rep.params["tau"], 1])
+    ker_anchor = rep.field.poly([rep.frobenius.matrix[3], 1])  # the pole X + d
     if q != ker_anchor:
         members, scalar, _weight, degenerate = _walk(rep, ker_anchor)
         if not degenerate:

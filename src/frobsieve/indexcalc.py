@@ -122,10 +122,8 @@ class FactorBase:
                 const = -self.scalar_log(orb.closure_scalar) % N
                 check = ring.pow(ring.el(orb.anchor), p ** orb.size - 1)
                 if orb.closure_ker_weight:
-                    tau = rep.params["tau"]
-                    check = ring.mul(
-                        check, ring.pow(ring.el([tau, 1]), orb.closure_ker_weight)
-                    )
+                    check = ring.mul(check, ring.pow(self.column_value(kcol),
+                                                     orb.closure_ker_weight))
                 expected = ring.embed(orb.closure_scalar)
             if check != expected:
                 raise RankDeficient(

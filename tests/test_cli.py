@@ -162,6 +162,38 @@ class TestCheck:
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["rep"].pop("frobenius"),
+            lambda doc: doc["rep"]["frobenius"].update(variant="curve-translation"),
+            lambda doc: doc["rep"].update(p=44),
+            lambda doc: doc["rep"].update(A=[3]),
+            None,  # truncated JSON
+        ],
+        ids=["no-frobenius", "curve-variant", "p-44", "constant-A", "truncated"],
+    )
+    @pytest.mark.parametrize("command", ["check", "orbits", "dlog"])
+    def test_malformed_rep_exits_4(self, rep_files, tmp_path, capsys, edit, command):
+        text = rep_files["kummer"].read_text()
+        if edit is None:
+            text = text[: len(text) // 2]
+        else:
+            doc = json.loads(text)
+            edit(doc)
+            text = json.dumps(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        extra = [] if command == "check" else ["--kappa", "2"]
+        assert main([command, str(bad)] + extra) == 4
+        out, err = capsys.readouterr()
+        if command == "check":
+            report = json.loads(out)
+            assert report["ok"] is False
+            assert [c["name"] for c in report["checks"]] == ["frobenius-consistency"]
+        else:
+            assert json.loads(err)["code"] == "InconsistentFrobenius"
+
 
 class TestOrbits:
     def test_additive_single_orbit(self, rep_files, tmp_path):

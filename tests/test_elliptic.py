@@ -1,5 +1,6 @@
 """Tests for curve arithmetic, quotient isogenies, and fiber residue fields."""
 
+import hashlib
 import json
 import random
 import time
@@ -437,6 +438,13 @@ class TestJson:
         assert data["kind"] == "elliptic-residue"
         assert len(data["A"]) == 8
         assert data["isogeny"]["degree"] == 7
+
+    def test_residue_rep_pinned(self):
+        # sha256 of the stored form as the builder wrote it when it still
+        # patched a placeholder Representation after finding t*
+        text = json.dumps(build_elliptic_residue(11, 7).to_json(), sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "8827c022b12628f7581291f14639784445bcdd1951ac095ebd5587789ac93dd3")
 
     @pytest.mark.parametrize("k", [0, 2, 3, 6])
     def test_corrupted_image_detected(self, k):

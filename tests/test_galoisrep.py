@@ -14,6 +14,7 @@ from frobsieve.errors import (
 from frobsieve.ffcore import monic_irreducibles
 from frobsieve.galoisrep import (
     NEUTRAL,
+    HomographyFrobenius,
     apply_frobenius,
     build_artin_schreier,
     build_kummer,
@@ -31,6 +32,7 @@ from frobsieve.galoisrep import (
     torus_scalar,
     torus_u,
 )
+from frobsieve.indexcalc import build_factor_base
 
 
 def orbit_identity_oracle(rep, orb):
@@ -370,13 +372,15 @@ class TestOrbits:
              "9b1d3a8999f2802cef6eecf21c88a9de9d3d2e52437a80b0a45901abc8d12bbd"),
             (lambda: build_torus(13, 7),
              "e72b49453b500cc11a6c900109705ccdce7ae8b10da61a2e403c10e490cb5ad0"),
+            (lambda: build_artin_schreier(7),
+             "9c1c6297d3b6e5c2226ee86d507ec34c7a774624f42684672c9b2a11e6a76281"),
         ],
-        ids=["kummer-43x6", "torus-13x7-u8", "torus-13x7"],
+        ids=["kummer-43x6", "torus-13x7-u8", "torus-13x7", "artin-schreier-7"],
     )
     def test_partition_pinned(self, build, digest):
         # sha256 of every orbit at kappa = 2 (members, shifts, scalars,
-        # kernel weights, closure), as the filter-and-double-walk code
-        # computed it
+        # kernel weights, closure), as the filter-and-double-walk code and
+        # the per-kind orbit steps computed it
         rep = build()
         rows = [(o.is_kernel, o.closure_scalar, o.closure_ker_weight, o.closure_exponent,
                  tuple((m.poly.coeffs, m.shift, m.scalar, m.ker_weight) for m in o.members))
@@ -391,6 +395,21 @@ class TestOrbits:
         for o in orbits:
             assert rep.d % o.full_size == 0
             orbit_identity_oracle(rep, o)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_kummer(43, 6), lambda: build_artin_schreier(7),
+         lambda: build_torus(13, 7)],
+        ids=["kummer", "artin-schreier", "torus"],
+    )
+    def test_walk_reads_only_the_matrix(self, build):
+        # params are build provenance; the orbits and their closure rows
+        # come from the Frobenius matrix alone
+        rep = build()
+        before = build_factor_base(rep, 2).free_relations()
+        rep.params.clear()
+        rep._step_basis.clear()
+        assert build_factor_base(rep, 2).free_relations() == before
 
     def test_free_relation_shape(self):
         # the member identity log q_j = p^j log q_0 - log s + w log(x+tau)
@@ -493,6 +512,61 @@ class TestJson:
         assert back.kind == rep.kind
         assert back.A == rep.A
         assert back.frobenius_image(1) == rep.frobenius_image(1)
+        assert back.to_json() == data
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: build_kummer(43, 6),
+             "15afe09d9a0ef49d54059f70b3b018e76759938d80703e0a1e907ecd36d5c605"),
+            (lambda: build_artin_schreier(7),
+             "e692c284bcf7b6455c95c266de5e8a5a398ec07abbccab51832cd1a5f301a720"),
+            (lambda: build_torus(13, 7, u_r=8),
+             "a2527a465414c91664d35bbf7edf5de477dad6de0229fdc8171f217340966b52"),
+        ],
+        ids=["kummer-43x6", "artin-schreier-7", "torus-13x7-u8"],
+    )
+    def test_to_json_pinned(self, build, digest):
+        # sha256 of the stored form as the per-kind Frobenius classes wrote it
+        text = json.dumps(build().to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_matrix_normalised(self):
+        # one projective matrix, whatever scalar it is given with
+        a = HomographyFrobenius(3 * 4, 3 * 2, 3, 3 * 4, 13)
+        assert a.matrix == (4, 2, 1, 4)
+        assert a.to_json() == {"variant": "homography", "tau": 4, "D": 2}
+        b = HomographyFrobenius(5 * 7, 0, 0, 5, 43)
+        assert b.matrix == (7, 0, 0, 1)
+        assert b.to_json() == {"variant": "affine", "u": 7, "v": 0}
+        with pytest.raises(ValueError, match="a = d"):
+            HomographyFrobenius(1, 2, 1, 3, 13).to_json()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.pop("frobenius"), "frobenius"),
+            (lambda d: d["frobenius"].pop("u"), "u"),
+            (lambda d: d["frobenius"].update(variant="curve-translation"), "images"),
+            (lambda d: d.update(p=44), "p"),
+            (lambda d: d.update(d="six"), "d"),
+            (lambda d: d.update(A=[[1]]), "A"),
+            (lambda d: d.update(params=[1, 2]), "params"),
+        ],
+        ids=["no-frobenius", "no-u", "curve-variant", "p-composite", "d-text",
+             "A-nested", "params-list"],
+    )
+    def test_malformed_field_named(self, edit, field):
+        data = json.loads(json.dumps(build_kummer(43, 6).to_json()))
+        edit(data)
+        with pytest.raises(InconsistentFrobenius, match=rf"field '{field}'"):
+            rep_from_json(data)
+
+    def test_modulus_degree_must_be_d(self):
+        data = json.loads(json.dumps(build_kummer(43, 6).to_json()))
+        data["A"] = [3]
+        with pytest.raises(InconsistentFrobenius, match="degree 0"):
+            rep_from_json(data)
 
     def test_corrupted_modulus_detected(self):
         rep = build_kummer(43, 6)
