@@ -18,13 +18,16 @@ Where a loop runs over every candidate, it avoids the expensive test:
 primality is Miller-Rabin rather than trial division, the monic
 irreducibles of a factor base come from a sieve rather than an
 irreducibility test each, and a sieve candidate is tested for
-kappa-smoothness before it is factored.  `is_smooth` decides it exactly
-without factoring: f is kappa-smooth if and only if f divides F^m for
-F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F is the
-product of the monic irreducibles of degree <= kappa (each at least
-once) and no irreducible divides f more than deg f times.  That is a
-few Frobenius powers and squarings in one packed kernel of f, so
-`factor` runs only on the candidates that pass.
+kappa-smoothness before it is factored.  `frobenius_ladder` decides it
+exactly without factoring: f is kappa-smooth if and only if f divides
+F^m for F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F
+is the product of the monic irreducibles of degree <= kappa (each at
+least once) and no irreducible divides f more than deg f times.  That is
+a few Frobenius powers X^(p^k) mod f and squarings in one packed kernel
+of f.  Only the candidates that pass are factored, and `factor` takes
+their Frobenius powers from the test (von zur Gathen and Shoup, 1992), so
+the distinct-degree split of a passer raises nothing to a p^k-th power
+again; the equal-degree split is Cantor-Zassenhaus either way.
 """
 
 from __future__ import annotations
@@ -578,6 +581,8 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
             out.append((g, m * p))
         return out
     c = poly_gcd(f, deriv)
+    if c.degree == 0:
+        return [(f, 1)]
     w = f // c
     m = 1
     while w.degree != 0:
@@ -594,8 +599,10 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _ddf(f: Poly) -> list[tuple[int, Poly]]:
-    # Distinct-degree split of a squarefree monic polynomial.
+def _ddf(f: Poly, ladder=()) -> list[tuple[int, Poly]]:
+    # Distinct-degree split of a squarefree monic polynomial.  ladder[k-1]
+    # is X^(p^k) modulo a multiple of f, for the first len(ladder) steps;
+    # later steps raise the previous power to the p-th.
     p = f.p
     x = Poly([0, 1], p)
     out = []
@@ -605,8 +612,11 @@ def _ddf(f: Poly) -> list[tuple[int, Poly]]:
     packed = None  # the kernel of rest, built when first needed
     while rest.degree >= 2 * (k + 1):
         k += 1
-        packed = packed or PackedModulus(rest)
-        h = poly_pow_mod(h, p, rest, packed)
+        if k <= len(ladder):
+            h = ladder[k - 1] % rest
+        else:
+            packed = packed or PackedModulus(rest)
+            h = poly_pow_mod(h, p, rest, packed)
         g = poly_gcd(rest, h - x)
         if g.degree != 0:
             out.append((k, g))
@@ -618,12 +628,43 @@ def _ddf(f: Poly) -> list[tuple[int, Poly]]:
     return out
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the square a mod an odd prime p (Tonelli-Shanks)."""
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
     # Cantor-Zassenhaus equal-degree split: every factor of f has degree k.
+    # Two roots (the commonest split piece at kappa = 2) come from the
+    # quadratic formula instead, for odd p.
     if f.degree == k:
         return [f]
     p = f.p
     n = f.degree
+    if n == 2 and p > 2:
+        c, b, _ = f.coeffs  # f = X^2 + bX + c = (X + (b - s)/2)(X + (b + s)/2)
+        s = _sqrt_mod((b * b - 4 * c) % p, p)
+        half = (p + 1) // 2
+        return [Poly([(b - s) * half, 1], p), Poly([(b + s) * half, 1], p)]
     packed = None  # the kernel of f, built when first needed
     while True:
         h = Poly([rng.randrange(p) for _ in range(n)], p)
@@ -644,12 +685,16 @@ def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
             return _edf(g, k, rng) + _edf(f // g, k, rng)
 
 
-def factor(f: Poly, seed: int = 0) -> tuple[int, list[tuple[Poly, int]]]:
+def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
     """Full factorization over F_p.
 
     Returns (unit, factors) with unit in F_p^* and factors a sorted list of
     (monic irreducible, multiplicity).  Deterministic for a given seed: the
     equal-degree stage draws from an RNG keyed on the seed and f itself.
+    `ladder` is what `frobenius_ladder` returned for f, when the caller has
+    it: the distinct-degree split then reads X^(p^k) modulo each squarefree
+    part (a divisor of f) from it instead of raising X to the p^k-th again.
+    The factors do not depend on it.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -663,45 +708,60 @@ def factor(f: Poly, seed: int = 0) -> tuple[int, list[tuple[Poly, int]]]:
     work = f.monic()
     factors: list[tuple[Poly, int]] = []
     for sqf, mult in squarefree_decomposition(work):
-        for k, piece in _ddf(sqf):
+        for k, piece in _ddf(sqf, ladder):
             for irr in _edf(piece, k, rng):
                 factors.append((irr, mult))
     factors.sort(key=lambda t: poly_sort_key(t[0]))
     return unit, factors
 
 
-def is_smooth(f: Poly, kappa: int) -> bool:
-    """Whether every irreducible factor of f has degree <= kappa.
+def frobenius_ladder(f: Poly, kappa: int):
+    """(X^(p^k) mod f for k = 1..kappa) if f is kappa-smooth, else None.
 
-    Exact, and no factoring: with F = prod_{k <= kappa} (X^(p^k) - X),
-    f is kappa-smooth if and only if f divides F^m for some m >= deg f.
-    X^(p^k) - X is the product of the monic irreducibles of degree
-    dividing k, so the irreducibles dividing F are exactly those of degree
-    <= kappa, each at least once.  An irreducible q divides f at most
-    deg f times, so for m >= deg f its whole power in f divides F^m when
-    deg q <= kappa, while a q of degree > kappa never divides F^m.  One
-    packed kernel of f computes h_k = X^(p^k) mod f as h_(k-1)^p,
-    multiplies the (h_k - X) together, and squares the product
-    ceil(log2 deg f) times, stopping once it is zero.  The zero
-    polynomial raises ValueError.
+    The smoothness test, exact and with no factoring: with
+    F = prod_{k <= kappa} (X^(p^k) - X), f is kappa-smooth if and only if
+    f divides F^m for some m >= deg f.  X^(p^k) - X is the product of the
+    monic irreducibles of degree dividing k, so the irreducibles dividing
+    F are exactly those of degree <= kappa, each at least once.  An
+    irreducible q divides f at most deg f times, so for m >= deg f its
+    whole power in f divides F^m when deg q <= kappa, while a q of degree
+    > kappa never divides F^m.  One packed kernel of f computes
+    h_k = X^(p^k) mod f as h_(k-1)^p, multiplies the (h_k - X) together,
+    and squares the product ceil(log2 deg f) times, stopping once it is
+    zero.
+
+    The powers h_k of a passer are returned so that `factor(f,
+    ladder=...)` splits it without computing them again; only passers
+    unpack them.  A constant, or any f of degree <= kappa, is smooth with
+    an empty ladder.  The zero polynomial raises ValueError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no smoothness")
     n = f.degree
     if n <= max(kappa, 0):
-        return True
+        return ()
     p = f.p
     packed = PackedModulus(f)
     h = x = packed.pack(Poly([0, 1], p))
     acc = 1  # the packed constant 1
+    ladder = []
     for _ in range(kappa):
         h = packed.pow(h, p)
+        ladder.append(h)
         acc = packed.mul(acc, packed.sub(h, x))
     for _ in range((n - 1).bit_length()):
         if not acc:
-            return True
+            break
         acc = packed.mul(acc, acc)
-    return not acc
+    if acc:
+        return None
+    return tuple(map(packed.unpack, ladder))
+
+
+def is_smooth(f: Poly, kappa: int) -> bool:
+    """Whether every irreducible factor of f has degree <= kappa: the test
+    of `frobenius_ladder`, without keeping its powers."""
+    return frobenius_ladder(f, kappa) is not None
 
 
 def poly_sort_key(q: Poly):

@@ -27,7 +27,7 @@ from .ffcore import (
     bsgs_dlog,
     crt,
     factor,
-    is_smooth,
+    frobenius_ladder,
     monic_irreducibles,
     primitive_root,
     resultant,
@@ -205,15 +205,22 @@ def smooth_factor(fb: FactorBase, z: Poly):
     Each irreducible factor q is some sigma^j applied to its orbit anchor,
     so its log folds into the anchor column with weight p^j, a scalar
     correction on the constant column, and (torus) a weight on the kernel
-    column.  The leading unit also lands on the constant column.
+    column.  The leading unit also lands on the constant column.  z is
+    tested for smoothness first, and a passer is split from the Frobenius
+    powers the test computed; a z of degree <= kappa that is a scalar
+    times a base polynomial is looked up, not split.
     """
     rep = fb.rep
     N = rep.order()
     if z.is_zero():
         raise ValueError("cannot factor the zero element")
-    if not is_smooth(z, fb.kappa):
+    ladder = frobenius_ladder(z, fb.kappa)
+    if ladder is None:
         return None
-    unit, factors = factor(z)
+    if 0 < z.degree <= fb.kappa and fb.member_of(z.monic()):
+        unit, factors = z.lc(), [(z.monic(), 1)]
+    else:
+        unit, factors = factor(z, ladder=ladder)
     cols = {}
     const = fb.scalar_log(unit)
     for q, mult in factors:

@@ -32,9 +32,9 @@ from .ffcore import (
     QuotientField,
     factor,
     find_irreducible,
+    frobenius_ladder,
     horner,
     is_irreducible,
-    is_smooth,
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
@@ -311,12 +311,16 @@ def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     if lam.is_zero():
         return None
     a_poly = lam.substitute_curve_x(setup.f)
-    if a_poly.is_zero() or not is_smooth(a_poly, kappa):
+    ladder_a = None if a_poly.is_zero() else frobenius_ladder(a_poly, kappa)
+    if ladder_a is None:
         return None
     b_poly = lam.substitute_curve_y(setup.g)
-    if b_poly.is_zero() or not is_smooth(b_poly, kappa):
+    ladder_b = None if b_poly.is_zero() else frobenius_ladder(b_poly, kappa)
+    if ladder_b is None:
         return None
-    rel = JLRelation(lam, factor(a_poly), factor(b_poly))
+    rel = JLRelation(
+        lam, factor(a_poly, ladder=ladder_a), factor(b_poly, ladder=ladder_b)
+    )
     if not rel.verify(setup):
         raise ValueError("relation failed verification; setup inconsistent")
     return rel
@@ -842,19 +846,23 @@ class PlaceClasses:
 
     Orbits are resolved lazily: translating a place by every nonzero
     subgroup element in one pass already yields its whole class, because
-    the translated polynomial covers both sheets over the place.  That
-    keeps large kappa usable; the full enumeration only happens when a
-    count over the whole base is asked for.
+    the translated polynomial covers both sheets over the place.  The
+    sheets also make translation by t_k and by -t_k give one polynomial
+    (P + t_k and -P - t_k share their x), so `translates` keeps one
+    subgroup element per x-coordinate.  That keeps large kappa usable; the
+    full enumeration only happens when a count over the whole base is
+    asked for.
     """
 
     def __init__(self, curve: Curve, kappa: int, t):
         self.curve = curve
         self.kappa = kappa
-        self.translates = []
+        by_x = {}
         tk = t
         while tk is not None:
-            self.translates.append(tk)
+            by_x.setdefault(tk[0], tk)
             tk = ec_add(curve.ops, curve.a4, tk, t)
+        self.translates = list(by_x.values())
         self._canonical = {}
 
     def class_of(self, q: Poly) -> Poly:
@@ -1072,21 +1080,27 @@ class EERelation:
 
 
 def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
-    """(restriction, norm) of one side when the restriction is nonzero and
-    its norm is kappa-smooth in numerator and denominator, else None.
-    Nothing is factored, and only a side that passes is reduced."""
+    """(restriction, norm, ladders) of one side when the restriction is
+    nonzero and its norm is kappa-smooth in numerator and denominator, else
+    None; ladders are the Frobenius powers of the two tests, for
+    `_factor_side`.  Nothing is factored, and only a side that passes is
+    reduced."""
     uv = restr.restrict(coeffs, side)
     if uv[0].is_zero() and uv[1].is_zero():
         return None
     norm = restr.norm(uv, side)
-    if is_smooth(norm.num, kappa) and is_smooth(norm.den, kappa):
-        return restr.element(uv, side), norm
-    return None
+    ladder_n = frobenius_ladder(norm.num, kappa)
+    if ladder_n is None:
+        return None
+    ladder_d = frobenius_ladder(norm.den, kappa)
+    if ladder_d is None:
+        return None
+    return restr.element(uv, side), norm, (ladder_n, ladder_d)
 
 
-def _factor_side(norm: RationalFunction, classes: PlaceClasses):
-    unit_n, facs_n = factor(norm.num)
-    unit_d, facs_d = factor(norm.den)
+def _factor_side(norm: RationalFunction, ladders, classes: PlaceClasses):
+    unit_n, facs_n = factor(norm.num, ladder=ladders[0])
+    unit_d, facs_d = factor(norm.den, ladder=ladders[1])
     by_class = {}
     for q, e in facs_n:
         rep = classes.class_of(q)
@@ -1114,7 +1128,7 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
     hit_b = _smooth_norm(restr, coeffs, "b", kappa)
     if hit_b is None:
         return None
-    (elem_a, norm_a), (elem_b, norm_b) = hit_a, hit_b
+    (elem_a, norm_a, ladders_a), (elem_b, norm_b, ladders_b) = hit_a, hit_b
     try:
         va = restr.value_at_intersection(elem_a, "a")
         vb = restr.value_at_intersection(elem_b, "b")
@@ -1124,8 +1138,8 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
         return None  # the section vanishes at the distinguished point
     if va != vb:
         raise ValueError("restrictions disagree at the intersection point")
-    side_a = _factor_side(norm_a, restr.classes)
-    side_b = _factor_side(norm_b, restr.classes)
+    side_a = _factor_side(norm_a, ladders_a, restr.classes)
+    side_b = _factor_side(norm_b, ladders_b, restr.classes)
     return EERelation(coeffs, side_a, side_b, va)
 
 

@@ -23,6 +23,7 @@ from frobsieve.ffcore import (
     factor,
     factorize_int,
     find_irreducible,
+    frobenius_ladder,
     horner,
     is_irreducible,
     is_prime,
@@ -612,6 +613,78 @@ def test_is_smooth_matches_factor(p, kappa):
         assert is_smooth(f, kappa) == want, (f, kappa)
         seen.add(want)
     assert seen == {True, False}
+
+
+def _ladder_cases(p, kappa, rng):
+    """The smoothness cases plus smooth p-th powers (f' = 0) and smooth
+    products with repeated factors, so that every kind of passer occurs."""
+    cases = _smoothness_cases(p, kappa, rng)
+    for _ in range(3):
+        h = Poly([1], p)
+        for _ in range(rng.randrange(1, 3)):
+            h = h * _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
+        cases.append(_power(h, p) * rng.randrange(1, p))
+        cases.append(_power(h, 2) * _random_irreducible(p, kappa, rng))
+    return cases
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 43])
+def test_ladder_split_matches_factor(p, kappa):
+    # the split of a passer from its ladder is the plain factorization;
+    # the ladder is X^(p^k) mod f, or empty when deg f <= kappa
+    rng = random.Random(p * 11 + kappa)
+    x = Poly([0, 1], p)
+    kinds = set()
+    for f in _ladder_cases(p, kappa, rng):
+        ladder = frobenius_ladder(f, kappa)
+        assert (ladder is not None) == _smooth_by_factor(f, kappa), (f, kappa)
+        if ladder is None:
+            continue
+        if f.degree <= kappa:
+            assert ladder == ()
+            kinds.add("low degree")
+        else:
+            assert ladder == tuple(poly_pow_mod(x, p ** k, f) for k in range(1, kappa + 1))
+        unit, facs = factor(f, ladder=ladder)
+        assert (unit, facs) == factor(f)
+        assert all(is_irreducible(q) and q.degree <= kappa for q, _ in facs)
+        if f.derivative().is_zero() and f.degree > 0:
+            kinds.add("p-th power")
+        if any(m > 1 for _, m in facs):
+            kinds.add("repeated factor")
+    assert kinds == {"low degree", "p-th power", "repeated factor"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97])
+def test_two_roots_split_by_quadratic_formula(p):
+    # every pair of distinct roots, including the p = 1 mod 8 fields where
+    # the square root takes more than one Tonelli-Shanks step
+    rng = random.Random(p)
+    for _ in range(60):
+        r1, r2 = rng.sample(range(p), 2)
+        f = Poly([-r1, 1], p) * Poly([-r2, 1], p)
+        want = sorted([Poly([-r1, 1], p), Poly([-r2, 1], p)], key=lambda q: q.coeffs[0])
+        assert factor(f) == (1, [(q, 1) for q in want])
+
+
+def test_ladder_split_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(17)
+    for p in (2, 3, 5, 43):
+        for kappa in (1, 2, 3, 4):
+            for f in _ladder_cases(p, kappa, rng):
+                ladder = frobenius_ladder(f, kappa)
+                if ladder is None or f.degree == 0:
+                    continue
+                lc, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+                want = sorted(
+                    (tuple(c % p for c in reversed(q.all_coeffs())), m) for q, m in facs
+                )
+                unit, got = factor(f, ladder=ladder)
+                assert unit == int(lc) % p
+                assert sorted((q.coeffs, m) for q, m in got) == want
 
 
 def test_is_smooth_edges():

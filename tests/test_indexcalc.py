@@ -40,6 +40,19 @@ def evaluate_smooth(fb, cols, const):
     return acc
 
 
+def evaluate_fold(fb, idx, mem):
+    """(columns, scalar log) of one base member, folded onto its orbit
+    anchor: weight p^shift on the anchor's column, plus the kernel weight
+    (torus), and the member's scalar."""
+    rep = fb.rep
+    orb = fb.orbits[idx]
+    cols = {idx: rep.p ** mem.shift}
+    if mem.ker_weight:
+        kcol = idx if orb.is_kernel else fb.kernel_index
+        cols[kcol] = cols.get(kcol, 0) + mem.ker_weight
+    return cols, fb.scalar_log(mem.scalar)
+
+
 @pytest.fixture(scope="module")
 def kummer_rep():
     return build_kummer(43, 6)
@@ -269,6 +282,29 @@ class TestSmoothFactor:
         with pytest.raises(ValueError):
             smooth_factor(fb, Poly([], 7))
 
+    @pytest.mark.parametrize("rep_name", ["kummer_rep", "torus_rep"])
+    def test_low_degree_lookup_matches_split(self, request, rep_name):
+        # every z of degree <= kappa, irreducible (looked up in the base)
+        # or not (split), against the fold of its plain factorization
+        rep = request.getfixturevalue(rep_name)
+        fb = build_factor_base(rep, 2)
+        N, p = rep.order(), rep.p
+        rng = random.Random(5)
+        for n in range(p ** 2):
+            z = Poly([n % p, n // p, 1], p) * rng.randrange(1, p)
+            for q in (z, Poly([n % p, 1], p) * rng.randrange(1, p)):
+                unit, facs = factor(q)
+                want, const = {}, fb.scalar_log(unit)
+                for f, m in facs:
+                    idx, mem = fb.member_of(f)
+                    fold = evaluate_fold(fb, idx, mem)
+                    for col, w in fold[0].items():
+                        want[col] = (want.get(col, 0) + w * m) % N
+                    const -= fold[1] * m
+                want = {c: w for c, w in want.items() if w}
+                cols, got_const = smooth_factor(fb, q)
+                assert ({c: w for c, w in cols.items() if w}, got_const) == (want, const % N)
+
 
 # ---------------------------------------------------------------------------
 # Relation collection.
@@ -309,27 +345,33 @@ class TestCollectRelations:
         assert digest == "561cf997618e593698622b9a6319aec5f6f9ec3fac63a916aae18918a37fa296"
 
     def test_rejected_candidates_never_factored(self, as_rep, monkeypatch):
+        # every trial runs the smoothness test; only a passer is split, and
+        # from the Frobenius powers its own test returned
         import frobsieve.indexcalc as ic
 
-        calls = {"trials": 0, "smooth": 0, "factor": 0}
-        real_smooth, real_factor = ic.is_smooth, ic.factor
+        calls = {"trials": 0, "smooth": 0, "split": 0}
+        passed = {}
+        real_ladder, real_factor = ic.frobenius_ladder, ic.factor
 
-        def counting_smooth(f, kappa):
+        def counting_ladder(f, kappa):
             calls["trials"] += 1
-            ok = real_smooth(f, kappa)
-            calls["smooth"] += ok
-            return ok
+            ladder = real_ladder(f, kappa)
+            if ladder is not None:
+                calls["smooth"] += 1
+                passed[id(f)] = ladder
+            return ladder
 
-        def counting_factor(f, *args):
-            calls["factor"] += 1
-            return real_factor(f, *args)
+        def counting_factor(f, *args, ladder=()):
+            calls["split"] += 1
+            assert passed[id(f)] is ladder
+            return real_factor(f, *args, ladder=ladder)
 
-        monkeypatch.setattr(ic, "is_smooth", counting_smooth)
+        monkeypatch.setattr(ic, "frobenius_ladder", counting_ladder)
         monkeypatch.setattr(ic, "factor", counting_factor)
         fb = build_factor_base(as_rep, 2)
         rels = collect_relations(as_rep, fb, 60, seed=0)
         assert len(rels) == 60
-        assert calls["factor"] == calls["smooth"] >= 60
+        assert calls["split"] == calls["smooth"] >= 60
         assert calls["trials"] > 2 * calls["smooth"]
 
     def test_relations_all_sound(self, torus_rep, torus_run):

@@ -213,20 +213,32 @@ class TestJLSieve:
         assert _digest(rels) == "635896dc13569bf7f15edab8166bbca9ed7ed5d89fd28a0fa2e27ba63951b72f"
 
     def test_rejected_candidates_never_factored(self, jl43, monkeypatch):
+        # both sides of a relation are split, each from the Frobenius
+        # powers of its own smoothness test; nothing else is split
         import frobsieve.sieve2d as s2d
 
-        calls = 0
-        real_factor = s2d.factor
+        calls = {"trials": 0, "split": 0}
+        passed = {}
+        real_ladder, real_factor = s2d.frobenius_ladder, s2d.factor
 
-        def counting_factor(f, *args):
-            nonlocal calls
-            calls += 1
-            return real_factor(f, *args)
+        def counting_ladder(f, kappa):
+            calls["trials"] += 1
+            ladder = real_ladder(f, kappa)
+            if ladder is not None:
+                passed[id(f)] = ladder
+            return ladder
 
+        def counting_factor(f, *args, ladder=()):
+            calls["split"] += 1
+            assert passed[id(f)] is ladder
+            return real_factor(f, *args, ladder=ladder)
+
+        monkeypatch.setattr(s2d, "frobenius_ladder", counting_ladder)
         monkeypatch.setattr(s2d, "factor", counting_factor)
         rels = jl_sieve(jl43, 1, 1, 2, budget=400, seed=3)
         assert len(rels) > 0
-        assert calls == 2 * len(rels)
+        assert calls["split"] == 2 * len(rels)
+        assert calls["trials"] > 2 * calls["split"]
 
     def test_rejects_trivial_bidegree(self, jl43):
         with pytest.raises(ValueError):
@@ -462,6 +474,22 @@ class TestPlaceClasses:
                     continue
                 assert pc.class_of(Poly([-moved[0], 1], 11)) == rep
 
+    def test_one_translate_per_x_coordinate(self, ee11):
+        # translating by t_k and by -t_k gives one polynomial, so the
+        # classes from one translate per x-coordinate are those from all
+        curve = ee11.curve
+        pc = build_place_classes(curve, 4, ee11.m0)
+        full = build_place_classes(curve, 4, ee11.m0)
+        full.translates = []
+        tk = ee11.m0
+        while tk is not None:
+            full.translates.append(tk)
+            tk = ec_add(curve.ops, curve.a4, tk, ee11.m0)
+        assert len(pc.translates) == len(full.translates) // 2
+        assert {tk[0] for tk in pc.translates} == {tk[0] for tk in full.translates}
+        for q in monic_irreducibles(11, 3):
+            assert pc.class_of(q) == full.class_of(q)
+
     def test_class_of_is_stable(self, ee11):
         pc = build_place_classes(ee11.curve, 2, ee11.m0)
         groups = {}
@@ -584,27 +612,41 @@ class TestEESieve:
         assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
 
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
-        # four factorizations per relation (numerator and denominator on
-        # each side); the rest come from translating places into classes
+        # four splits per relation (numerator and denominator on each
+        # side), each from the Frobenius powers of its own smoothness test;
+        # the other factorizations come from translating places into classes
         import frobsieve.sieve2d as s2d
 
         c, restr, _ = sieved
-        calls = {"factor": 0, "translate": 0}
-        real_factor, real_translate = s2d.factor, s2d.translate_place
+        calls = {"factor": 0, "split": 0, "translate": 0}
+        passed = {}
+        real_ladder, real_factor = s2d.frobenius_ladder, s2d.factor
+        real_translate = s2d.translate_place
 
-        def counting_factor(f, *args):
+        def counting_ladder(f, kappa):
+            ladder = real_ladder(f, kappa)
+            if ladder is not None:
+                passed[id(f)] = ladder
+            return ladder
+
+        def counting_factor(f, *args, **kwargs):
             calls["factor"] += 1
-            return real_factor(f, *args)
+            if "ladder" in kwargs:
+                calls["split"] += 1
+                assert passed[id(f)] is kwargs["ladder"]
+            return real_factor(f, *args, **kwargs)
 
         def counting_translate(*args):
             calls["translate"] += 1
             return real_translate(*args)
 
+        monkeypatch.setattr(s2d, "frobenius_ladder", counting_ladder)
         monkeypatch.setattr(s2d, "factor", counting_factor)
         monkeypatch.setattr(s2d, "translate_place", counting_translate)
         fresh = EERestriction(ee11, restr.lin, 4)
         rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
         assert len(rels) > 0
+        assert calls["split"] == 4 * len(rels)
         assert calls["factor"] == 4 * len(rels) + calls["translate"]
 
     def test_mismatched_restriction_rejected(self, ee11, sieved):
