@@ -22,12 +22,19 @@ kappa-smoothness before it is factored.  `frobenius_ladder` decides it
 exactly without factoring: f is kappa-smooth if and only if f divides
 F^m for F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F
 is the product of the monic irreducibles of degree <= kappa (each at
-least once) and no irreducible divides f more than deg f times.  That is
-a few Frobenius powers X^(p^k) mod f and squarings in one packed kernel
-of f.  Only the candidates that pass are factored, and `factor` takes
-their Frobenius powers from the test (von zur Gathen and Shoup, 1992), so
-the distinct-degree split of a passer raises nothing to a p^k-th power
-again; the equal-degree split is Cantor-Zassenhaus either way.
+least once) and no irreducible divides f more than deg f times.  That
+takes one p-th power h_1 = X^p mod f in the packed kernel of f, and
+then each further Frobenius step by the p-power matrix, whose rows are
+h_1^i for i < deg f (Berlekamp, 1967): a^p = sum_i a_i h_1^i, since the
+coefficients a_i are fixed by Frobenius.  A step is one sum of those
+rows and one pass mod p, the fold of a product, and its slots stay below
+d(p-1)^2.  A few squarings modulo f finish the test.  Only the
+candidates that pass are factored, and `factor` takes their Frobenius
+powers from the test (von zur Gathen and Shoup, 1992), so the
+distinct-degree split of a passer raises nothing to a p^k-th power
+again; a squarefree quadratic is decided by Euler's criterion on its
+discriminant, and the equal-degree split is the quadratic formula or
+Cantor-Zassenhaus.
 """
 
 from __future__ import annotations
@@ -468,12 +475,15 @@ class PackedModulus:
     S = bit_length(2d(p-1)^2) bits (see the module docstring), rounded up to
     1, 2, 4 or 8 bytes so that struct moves the slots in and out of bytes in
     one call; past 64 bits it is rounded up to whole bytes.  The modulus
-    need not be monic.
+    need not be monic.  `xp` is X^p modulo the modulus, or modulo a
+    multiple of it, when the caller already holds it; `frobenius` computes
+    it otherwise.
     """
 
-    __slots__ = ("modulus", "p", "d", "_full", "_low", "_low_mask", "_zeros", "_rows")
+    __slots__ = ("modulus", "p", "d", "_full", "_low", "_low_mask", "_zeros", "_rows",
+                 "_x", "_xp", "_frob")
 
-    def __init__(self, modulus: Poly):
+    def __init__(self, modulus: Poly, xp: Poly | None = None):
         p, d = modulus.p, modulus.degree
         if d is NEG_INF or d < 1:
             raise ValueError("modulus must have positive degree")
@@ -496,6 +506,9 @@ class PackedModulus:
             self._rows.append(int.from_bytes(self._low.pack(*row), "little"))
             t = row[-1]
             row = [(lo + t * c) % p for lo, c in zip([0] + row[:-1], top)]
+        self._x = 1 << (8 * width) if d > 1 else top[0]  # X, packed
+        self._xp = None if xp is None else self.pack(xp)
+        self._frob = None  # the p-power matrix, built on the first step
 
     def pack(self, f: Poly) -> int:
         if f.p != self.p:
@@ -523,6 +536,29 @@ class PackedModulus:
         us = low.unpack(a.to_bytes(low.size, "little"))
         vs = low.unpack(b.to_bytes(low.size, "little"))
         return int.from_bytes(low.pack(*[(u - v) % p for u, v in zip(us, vs)]), "little")
+
+    def frobenius(self, a: int) -> int:
+        """a^p for a packed element a.
+
+        X^p is one packed power, kept.  Every other a is a linear
+        combination of the rows h^i, h = X^p, i < d (the p-power matrix,
+        built once), with the slots of a as coefficients: a^p = a(X^p)
+        over F_p.  Each slot of the sum stays below d(p-1)^2, and one pass
+        mod p normalises it.
+        """
+        if self._xp is None:
+            self._xp = self.pow(self._x, self.p)
+        if a == self._x:
+            return self._xp
+        if self._frob is None:
+            rows = [1, self._xp]
+            for _ in range(self.d - 2):
+                rows.append(self.mul(rows[-1], self._xp))
+            self._frob = rows[:self.d]
+        low, p = self._low, self.p
+        c = sum(map(operator.mul, low.unpack(a.to_bytes(low.size, "little")), self._frob))
+        slots = low.unpack(c.to_bytes(low.size, "little"))
+        return int.from_bytes(low.pack(*[v % p for v in slots]), "little")
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0, square and multiply from the top bit down."""
@@ -602,11 +638,17 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def _ddf(f: Poly, ladder=()) -> list[tuple[int, Poly]]:
     # Distinct-degree split of a squarefree monic polynomial.  ladder[k-1]
     # is X^(p^k) modulo a multiple of f, for the first len(ladder) steps;
-    # later steps raise the previous power to the p-th.
+    # later steps are Frobenius steps in the packed kernel of what is left,
+    # which reads X^p from the first step.  A quadratic over odd p is
+    # decided by Euler's criterion on its discriminant instead.
     p = f.p
+    if f.degree == 2 and p > 2:
+        c, b, _ = f.coeffs
+        return [(1 if _is_square(b * b - 4 * c, p) else 2, f)]
     x = Poly([0, 1], p)
     out = []
     h = x
+    xp = ladder[0] if ladder else None  # X^p modulo a multiple of rest
     k = 0
     rest = f
     packed = None  # the kernel of rest, built when first needed
@@ -615,8 +657,9 @@ def _ddf(f: Poly, ladder=()) -> list[tuple[int, Poly]]:
         if k <= len(ladder):
             h = ladder[k - 1] % rest
         else:
-            packed = packed or PackedModulus(rest)
-            h = poly_pow_mod(h, p, rest, packed)
+            packed = packed or PackedModulus(rest, xp)
+            h = packed.unpack(packed.frobenius(packed.pack(h)))
+            xp = xp or h
         g = poly_gcd(rest, h - x)
         if g.degree != 0:
             out.append((k, g))
@@ -626,6 +669,11 @@ def _ddf(f: Poly, ladder=()) -> list[tuple[int, Poly]]:
     if rest.degree != 0:
         out.append((rest.degree, rest))
     return out
+
+
+def _is_square(a: int, p: int) -> bool:
+    """Whether a is a square mod an odd prime p (Euler's criterion)."""
+    return pow(a, (p - 1) // 2, p) != p - 1
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -652,22 +700,38 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
-    # Cantor-Zassenhaus equal-degree split: every factor of f has degree k.
-    # Two roots (the commonest split piece at kappa = 2) come from the
-    # quadratic formula instead, for odd p.
-    if f.degree == k:
-        return [f]
-    p = f.p
+# Cantor-Zassenhaus draws before `_edf` gives up on a piece.  A piece of
+# r >= 2 factors of degree k splits on one draw with probability at least
+# 4/9 (r = 2, p^k = 3), so a true piece fails this many draws with
+# probability below 10^-32; a mislabelled piece raises instead of looping.
+_EDF_DRAWS = 128
+
+
+def _edf(f: Poly, k: int, draw) -> list[Poly]:
+    # Equal-degree split: every factor of f has degree k.  Two roots (the
+    # commonest split piece at kappa = 2) come from the quadratic formula
+    # for odd p, any other piece from Cantor-Zassenhaus on random
+    # polynomials, draw(n) giving n random coefficients.  A mislabelled
+    # piece raises ValueError instead of looping: its degree is not a
+    # multiple of k, its discriminant is not a square, or it does not
+    # split in _EDF_DRAWS draws.
     n = f.degree
+    if n == k:
+        return [f]
+    if n % k:
+        raise ValueError(f"a piece of degree {n} has no split into degree {k}")
+    p = f.p
     if n == 2 and p > 2:
         c, b, _ = f.coeffs  # f = X^2 + bX + c = (X + (b - s)/2)(X + (b + s)/2)
-        s = _sqrt_mod((b * b - 4 * c) % p, p)
+        disc = (b * b - 4 * c) % p
+        if not _is_square(disc, p):
+            raise ValueError(f"{f} has no roots in F_{p}")
+        s = _sqrt_mod(disc, p)
         half = (p + 1) // 2
         return [Poly([(b - s) * half, 1], p), Poly([(b + s) * half, 1], p)]
     packed = None  # the kernel of f, built when first needed
-    while True:
-        h = Poly([rng.randrange(p) for _ in range(n)], p)
+    for _ in range(_EDF_DRAWS):
+        h = Poly(draw(n), p)
         if h.degree is NEG_INF or h.degree == 0:
             continue
         if p == 2:
@@ -682,7 +746,8 @@ def _edf(f: Poly, k: int, rng: random.Random) -> list[Poly]:
             g = poly_pow_mod(h, (p ** k - 1) // 2, f, packed) - 1
         g = poly_gcd(f, g)
         if 0 < g.degree < n:
-            return _edf(g, k, rng) + _edf(f // g, k, rng)
+            return _edf(g, k, draw) + _edf(f // g, k, draw)
+    raise ValueError(f"no split of a degree-{n} piece into degree {k} in {_EDF_DRAWS} draws")
 
 
 def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
@@ -690,7 +755,8 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
 
     Returns (unit, factors) with unit in F_p^* and factors a sorted list of
     (monic irreducible, multiplicity).  Deterministic for a given seed: the
-    equal-degree stage draws from an RNG keyed on the seed and f itself.
+    equal-degree stage draws from an RNG keyed on the seed and f itself,
+    built on its first draw (most smooth candidates split without one).
     `ladder` is what `frobenius_ladder` returned for f, when the caller has
     it: the distinct-degree split then reads X^(p^k) modulo each squarefree
     part (a divisor of f) from it instead of raising X to the p^k-th again.
@@ -701,15 +767,23 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
     unit = f.lc()
     if f.degree == 0:
         return unit, []
-    mix = seed
-    for c in f.coeffs:
-        mix = mix * f.p + c + 1
-    rng = random.Random(mix)
+    p = f.p
+    rng = None
+
+    def draw(n):
+        nonlocal rng
+        if rng is None:
+            mix = seed
+            for c in f.coeffs:
+                mix = mix * p + c + 1
+            rng = random.Random(mix)
+        return [rng.randrange(p) for _ in range(n)]
+
     work = f.monic()
     factors: list[tuple[Poly, int]] = []
     for sqf, mult in squarefree_decomposition(work):
         for k, piece in _ddf(sqf, ladder):
-            for irr in _edf(piece, k, rng):
+            for irr in _edf(piece, k, draw):
                 factors.append((irr, mult))
     factors.sort(key=lambda t: poly_sort_key(t[0]))
     return unit, factors
@@ -726,9 +800,9 @@ def frobenius_ladder(f: Poly, kappa: int):
     irreducible q divides f at most deg f times, so for m >= deg f its
     whole power in f divides F^m when deg q <= kappa, while a q of degree
     > kappa never divides F^m.  One packed kernel of f computes
-    h_k = X^(p^k) mod f as h_(k-1)^p, multiplies the (h_k - X) together,
-    and squares the product ceil(log2 deg f) times, stopping once it is
-    zero.
+    h_k = X^(p^k) mod f by Frobenius steps (one p-th power, then the
+    p-power matrix), multiplies the (h_k - X) together, and squares the
+    product ceil(log2 deg f) times, stopping once it is zero.
 
     The powers h_k of a passer are returned so that `factor(f,
     ladder=...)` splits it without computing them again; only passers
@@ -740,13 +814,12 @@ def frobenius_ladder(f: Poly, kappa: int):
     n = f.degree
     if n <= max(kappa, 0):
         return ()
-    p = f.p
     packed = PackedModulus(f)
-    h = x = packed.pack(Poly([0, 1], p))
+    h = x = packed.pack(Poly([0, 1], f.p))
     acc = 1  # the packed constant 1
     ladder = []
     for _ in range(kappa):
-        h = packed.pow(h, p)
+        h = packed.frobenius(h)
         ladder.append(h)
         acc = packed.mul(acc, packed.sub(h, x))
     for _ in range((n - 1).bit_length()):
@@ -756,12 +829,6 @@ def frobenius_ladder(f: Poly, kappa: int):
     if acc:
         return None
     return tuple(map(packed.unpack, ladder))
-
-
-def is_smooth(f: Poly, kappa: int) -> bool:
-    """Whether every irreducible factor of f has degree <= kappa: the test
-    of `frobenius_ladder`, without keeping its powers."""
-    return frobenius_ladder(f, kappa) is not None
 
 
 def poly_sort_key(q: Poly):

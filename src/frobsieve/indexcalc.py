@@ -427,8 +427,9 @@ def solve_log_system(rep: Representation, relations, g: Poly, targets):
 class LogTable:
     """Discrete logs of the factor-base columns, base g, modulo N.
 
-    The fixed-base table of g is built on first use and kept, so every
-    individual log against this table shares one.
+    The fixed-base table of g and the log of each column of a factor
+    base are built on first use and kept, so every individual log against
+    this table shares them.
     """
 
     def __init__(self, g: Poly, N: int, logs):
@@ -436,6 +437,7 @@ class LogTable:
         self.N = N
         self.logs = dict(logs)  # Poly -> int
         self._powers = None
+        self._column_logs = None  # (factor base, log of each of its columns)
 
     def __repr__(self):
         return f"LogTable(entries={len(self.logs)}, N={self.N})"
@@ -448,6 +450,13 @@ class LogTable:
         if self._powers is None or self._powers.ring is not ring:
             self._powers = FixedBasePowers(ring, ring.el(self.g), self.N)
         return self._powers
+
+    def column_logs(self, fb: FactorBase) -> list[int]:
+        """The log of each column of fb, in column order."""
+        if self._column_logs is None or self._column_logs[0] is not fb:
+            logs = [self.log(fb.column_value(col)) for col in range(fb.ncols)]
+            self._column_logs = (fb, logs)
+        return self._column_logs[1]
 
     def verify_all(self, rep: Representation) -> bool:
         ring = rep.ring
@@ -541,15 +550,35 @@ def _rational_split(modulus: Poly, z: Poly, bound: int):
     stops at the first remainder r_i of degree <= bound.  Then
     deg t_i = deg modulus - deg r_{i-1} and deg r_{i-1} > bound.  With an
     irreducible modulus and z != 0 the remainders end at a nonzero
-    constant, so the loop stops and num, den are both nonzero.
+    constant, so the loop stops and num, den are both nonzero.  The
+    remainders and cofactors are plain coefficient lists; only the two
+    results are built as Poly.
     """
-    r0, r1 = modulus, z
-    t0, t1 = Poly([], z.p), Poly([1], z.p)
-    while r1.degree > bound:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    return r1, t1
+    p = z.p
+    r0, r1 = list(modulus.coeffs), list(z.coeffs)
+    t0, t1 = [], [1]
+    while len(r1) > bound + 1:
+        # r0 = q * r1 + r, in place in r0; then t = t0 - q * t1
+        n1 = len(r1)
+        inv = pow(r1[-1], -1, p)
+        q = [0] * (len(r0) - n1 + 1)
+        for i in range(len(q) - 1, -1, -1):
+            c = r0[i + n1 - 1] * inv % p
+            q[i] = c
+            if c:
+                for j, b in enumerate(r1):
+                    r0[i + j] = (r0[i + j] - c * b) % p
+        del r0[n1 - 1:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, c in enumerate(q):
+            if c:
+                for j, b in enumerate(t1):
+                    t[i + j] = (t[i + j] - c * b) % p
+        r0, r1 = r1, r0
+        t0, t1 = t1, t
+    return Poly(r1, p), Poly(t1, p)
 
 
 def individual_log(
@@ -576,13 +605,12 @@ def individual_log(
     if target.is_zero():
         raise ValueError("zero has no logarithm")
     powers = table.powers(ring)
-    log_g0 = table.log(ring.embed(fb.g0))
+    col_logs = table.column_logs(fb)
+    log_g0 = col_logs[fb.const_col]
 
     def table_log(hit):
         cols, const = hit
-        return const * log_g0 + sum(
-            exp * table.log(fb.column_value(col)) for col, exp in cols.items()
-        )
+        return const * log_g0 + sum(exp * col_logs[col] for col, exp in cols.items())
 
     rng = random.Random(_mix(seed, 0x517CC1B7))
     for trial in range(max_trials):

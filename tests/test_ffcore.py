@@ -27,7 +27,6 @@ from frobsieve.ffcore import (
     horner,
     is_irreducible,
     is_prime,
-    is_smooth,
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
@@ -38,6 +37,7 @@ from frobsieve.ffcore import (
     resultant,
     solve_mod_prime,
 )
+from frobsieve.ffcore import _edf
 
 
 def test_kummer_ring_examples():
@@ -465,6 +465,27 @@ def test_packed_pow_matches_schoolbook(p, d):
         assert ring.pow(f, -e) == inv_power
 
 
+@pytest.mark.parametrize("p, d", KERNEL_FIELDS)
+def test_packed_frobenius_matches_schoolbook(p, d):
+    # a^p by the p-power matrix, from X^p computed or handed in
+    rng = random.Random(p * 43 + d)
+    monic = find_irreducible(p, d)
+    non_monic = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)
+    linear = Poly([rng.randrange(p), rng.randrange(1, p)], p)
+    x = Poly([0, 1], p)
+    for m in (monic, non_monic, linear):
+        mods = list(m.coeffs)
+        multiple = m * Poly([rng.randrange(p), 1], p)
+        given = PackedModulus(m, xp=_schoolbook_pow(x, p, list(multiple.coeffs), p))
+        elements = [x, Poly([p - 1] * d, p)] + [
+            Poly([rng.randrange(p) for _ in range(d)], p) for _ in range(10)
+        ]
+        for k in (PackedModulus(m), given):
+            for a in elements:
+                got = k.unpack(k.frobenius(k.pack(a)))
+                assert got == _schoolbook_pow(a, p, mods, p), (m, a)
+
+
 def test_poly_pow_mod_against_sympy():
     pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
@@ -610,7 +631,7 @@ def test_is_smooth_matches_factor(p, kappa):
     seen = set()
     for f in _smoothness_cases(p, kappa, rng):
         want = _smooth_by_factor(f, kappa)
-        assert is_smooth(f, kappa) == want, (f, kappa)
+        assert (frobenius_ladder(f, kappa) is not None) == want, (f, kappa)
         seen.add(want)
     assert seen == {True, False}
 
@@ -625,11 +646,19 @@ def _ladder_cases(p, kappa, rng):
             h = h * _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
         cases.append(_power(h, p) * rng.randrange(1, p))
         cases.append(_power(h, 2) * _random_irreducible(p, kappa, rng))
+    for _ in range(2):
+        # degree >= 10: p-power matrices of many rows, passers and not
+        h = Poly([1], p)
+        while h.degree < 10:
+            h = h * _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
+        cases.append(h)
+        cases.append(h * _random_irreducible(p, kappa + 1, rng))
+        cases.append(Poly([rng.randrange(p) for _ in range(rng.randrange(10, 15))] + [1], p))
     return cases
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
-@pytest.mark.parametrize("p", [2, 3, 5, 43])
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 43, 199])
 def test_ladder_split_matches_factor(p, kappa):
     # the split of a passer from its ladder is the plain factorization;
     # the ladder is X^(p^k) mod f, or empty when deg f <= kappa
@@ -645,7 +674,9 @@ def test_ladder_split_matches_factor(p, kappa):
             assert ladder == ()
             kinds.add("low degree")
         else:
-            assert ladder == tuple(poly_pow_mod(x, p ** k, f) for k in range(1, kappa + 1))
+            packed = PackedModulus(f)
+            want = tuple(poly_pow_mod(x, p ** k, f, packed) for k in range(1, kappa + 1))
+            assert ladder == want
         unit, facs = factor(f, ladder=ladder)
         assert (unit, facs) == factor(f)
         assert all(is_irreducible(q) and q.degree <= kappa for q, _ in facs)
@@ -653,7 +684,9 @@ def test_ladder_split_matches_factor(p, kappa):
             kinds.add("p-th power")
         if any(m > 1 for _, m in facs):
             kinds.add("repeated factor")
-    assert kinds == {"low degree", "p-th power", "repeated factor"}
+        if f.degree >= 10:
+            kinds.add("degree >= 10")
+    assert kinds == {"low degree", "p-th power", "repeated factor", "degree >= 10"}
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97])
@@ -666,6 +699,47 @@ def test_two_roots_split_by_quadratic_formula(p):
         f = Poly([-r1, 1], p) * Poly([-r2, 1], p)
         want = sorted([Poly([-r1, 1], p), Poly([-r2, 1], p)], key=lambda q: q.coeffs[0])
         assert factor(f) == (1, [(q, 1) for q in want])
+
+
+def test_quadratics_against_sympy():
+    # every monic quadratic: two roots, a double root and irreducible ones,
+    # so both outcomes of the discriminant test and the zero discriminant
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p in (3, 5, 13):
+        for c in range(p):
+            for b in range(p):
+                f = Poly([c, b, 1], p)
+                _, facs = sympy.Poly([1, b, c], x, modulus=p).factor_list()
+                want = sorted(
+                    (tuple(v % p for v in reversed(q.all_coeffs())), m) for q, m in facs
+                )
+                unit, got = factor(f)
+                assert unit == 1
+                assert sorted((q.coeffs, m) for q, m in got) == want, f
+
+
+def _mislabelled_edf(f, k):
+    rng = random.Random(5)
+    with pytest.raises(ValueError):
+        _edf(f, k, lambda n: [rng.randrange(f.p) for _ in range(n)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 43])
+def test_edf_rejects_mislabelled_pieces(p):
+    # a piece whose factors are not all of degree k raises ValueError
+    # instead of drawing forever
+    rng = random.Random(p)
+    quad = _random_irreducible(p, 2, rng)
+    lin = [Poly([r, 1], p) for r in range(min(p, 3))]
+    for m in range(len(lin) + 1):
+        piece = quad
+        for q in lin[:m]:
+            piece = piece * q
+        _mislabelled_edf(piece, 1)
+    _mislabelled_edf(_random_irreducible(p, 4, rng), 2)
+    _mislabelled_edf(_random_irreducible(p, 3, rng), 2)  # 2 does not divide 3
+    _mislabelled_edf(quad * _random_irreducible(p, 3, rng), 2)
 
 
 def test_ladder_split_against_sympy():
@@ -688,19 +762,22 @@ def test_ladder_split_against_sympy():
 
 
 def test_is_smooth_edges():
+    def smooth(f, kappa):
+        return frobenius_ladder(f, kappa) is not None
+
     for p in (2, 43):
         with pytest.raises(ValueError):
-            is_smooth(Poly([], p), 2)
-        assert is_smooth(Poly([3], p), 1)
-        assert is_smooth(Poly([3], p), 0)
-        assert not is_smooth(Poly([0, 1], p), 0)
+            smooth(Poly([], p), 2)
+        assert smooth(Poly([3], p), 1)
+        assert smooth(Poly([3], p), 0)
+        assert not smooth(Poly([0, 1], p), 0)
         # degree <= kappa is smooth whatever it is, irreducible or not
         q = find_irreducible(p, 3)
-        assert is_smooth(q, 3) and not is_smooth(q, 2)
+        assert smooth(q, 3) and not smooth(q, 2)
         # a linear factor to a power above p: needs the squarings
         lin = Poly([1, 1], p)
-        assert is_smooth(_power(lin, p + 2), 1)
-        assert not is_smooth(_power(lin, p + 2) * q, 2)
+        assert smooth(_power(lin, p + 2), 1)
+        assert not smooth(_power(lin, p + 2) * q, 2)
 
 
 def test_is_smooth_against_sympy():
@@ -714,4 +791,4 @@ def test_is_smooth_against_sympy():
                     continue
                 _, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
                 want = all(q.degree() <= kappa for q, _ in facs)
-                assert is_smooth(f, kappa) == want
+                assert (frobenius_ladder(f, kappa) is not None) == want

@@ -572,7 +572,32 @@ KINDS = [
 ]
 
 
+def _rational_split_poly(modulus, z, bound):
+    """The split as extended Euclid on Poly values: the reference that
+    the coefficient-list routine must match exactly."""
+    r0, r1 = modulus, z
+    t0, t1 = Poly([], z.p), Poly([1], z.p)
+    while r1.degree > bound:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    return r1, t1
+
+
 class TestRationalSplit:
+    @pytest.mark.parametrize("rep_name", [rep for rep, _ in KINDS])
+    def test_matches_poly_reference(self, request, rep_name):
+        rep = request.getfixturevalue(rep_name)
+        ring = rep.ring
+        rng = random.Random(rep_name + "/reference")
+        for bound in range(rep.d):
+            for _ in range(30):
+                z = ring.random_el(rng)
+                while z.is_zero():
+                    z = ring.random_el(rng)
+                got = _rational_split(ring.modulus, z, bound)
+                assert got == _rational_split_poly(ring.modulus, z, bound), (z, bound)
+
     @pytest.mark.parametrize("rep_name", [rep for rep, _ in KINDS])
     def test_random_targets(self, request, rep_name):
         rep = request.getfixturevalue(rep_name)
@@ -679,6 +704,29 @@ class TestPipelines:
                 z = ring.random_el(rng)
             answers.append(str(individual_log(torus_rep, fb, table, z, seed=j)))
         assert self._digest(answers) == self.TORUS_ILOG_DIGEST
+
+    @pytest.mark.parametrize("rep_name, run_name", [KINDS[0], KINDS[1]])
+    def test_column_logs_follow_the_factor_base(self, request, rep_name, run_name):
+        # a table read back from JSON, then the same table with a rebuilt
+        # factor base and with the kappa = 1 base (fewer columns, in another
+        # order), give the answers of the original table
+        rep = request.getfixturevalue(rep_name)
+        fb, _g, _rels, table = request.getfixturevalue(run_name)
+        ring = rep.ring
+        rng = random.Random(run_name)
+        targets = [ring.random_el(rng) for _ in range(12)]
+        targets = [z for z in targets if not z.is_zero()]
+        want = [individual_log(rep, fb, table, z, seed=j) for j, z in enumerate(targets)]
+        reloaded = LogTable.from_json(table.to_json(), rep)
+        rebuilt = build_factor_base(rep, fb.kappa)
+        linear = build_factor_base(rep, 1)
+        assert rebuilt is not fb and linear.ncols < fb.ncols
+        for base in (fb, rebuilt, linear, fb):
+            got = [individual_log(rep, base, reloaded, z, seed=j) for j, z in enumerate(targets)]
+            assert got == want
+            assert reloaded.column_logs(base) == [
+                table.log(base.column_value(col)) for col in range(base.ncols)
+            ]
 
     def test_frobenius_log_consistency(self, kummer_rep, kummer_run):
         # log(x^p) read through the table equals p*log(x)
