@@ -14,6 +14,12 @@ the intersection form, function spaces are built from Riemann-Roch bases
 and cut down by evaluation along the graph of an endomorphism, and both
 restrictions live on copies of E where places group into translation
 classes.
+
+Both sieves restrict a candidate as one F_p combination of basis
+products cached per setup (`_combine`), and check each relation on the
+restrictions they already hold.  The JL check, exact products and one
+nonzero value in L, is also the core of `JLRelation.verify`, which first
+recomputes the restrictions independently by Horner substitution.
 """
 
 import random
@@ -153,10 +159,24 @@ class BivariatePoly:
         return cls(p, {(i, j): c for i, j, c in data})
 
 
+def _combine(coeffs, polys):
+    """sum_i coeffs[i] * polys[i] over F_p."""
+    acc = [0] * max(len(q.coeffs) for q in polys)
+    for c, q in zip(coeffs, polys):
+        if c:
+            for j, a in enumerate(q.coeffs):
+                acc[j] += c * a
+    return Poly(acc, polys[0].p)
+
+
 class JLSetup:
     """The glued correspondence: y = f(x) and x = g(y) meet in d_f*d_g
     points; h cuts out a Galois orbit of them of size d, and the residue
-    field of that orbit is the target L = F_p[X]/h."""
+    field of that orbit is the target L = F_p[X]/h.
+
+    The sieve's restrictions and values in L come from two caches, filled
+    on first use: the basis products (X^i f(X)^j, g(Y)^i Y^j) of each
+    monomial x^i y^j, and the powers y^k mod h of y_image."""
 
     def __init__(self, p: int, f: Poly, g: Poly, h: Poly):
         self.p = p
@@ -170,10 +190,48 @@ class JLSetup:
             raise ValueError("h does not divide g(f(X)) - X")
         self.ring = QuotientField(self.h)
         self.y_image = f % self.h
+        self._products = {}
+        self._y_powers = (None, [])
 
     @property
     def d(self) -> int:
         return self.h.degree
+
+    def _restrict(self, lam: BivariatePoly, side: str) -> Poly:
+        """lambda(X, f(X)) on side "a", lambda(g(Y), Y) on side "b": one
+        F_p combination of the basis products of lambda's monomials."""
+        k = 0 if side == "a" else 1
+        products = self._products
+        basis = []
+        for m in lam.coeffs:
+            pair = products.get(m)
+            if pair is None:
+                pair = products[m] = self._basis_product(*m)
+            basis.append(pair[k])
+        return _combine(lam.coeffs.values(), basis)
+
+    def _basis_product(self, i: int, j: int):
+        """(X^i f(X)^j, g(Y)^i Y^j), the two restrictions of x^i y^j."""
+        f_j = g_i = Poly([1], self.p)
+        for _ in range(j):
+            f_j = f_j * self.f
+        for _ in range(i):
+            g_i = g_i * self.g
+        return (
+            Poly((0,) * i + f_j.coeffs, self.p),
+            Poly((0,) * j + g_i.coeffs, self.p),
+        )
+
+    def _value_at_y(self, poly: Poly) -> Poly:
+        """poly(y) in L, as a combination of the cached powers y^k mod h;
+        the cache is rebuilt if y_image has been replaced."""
+        base, powers = self._y_powers
+        if base is not self.y_image:
+            powers = [self.ring.one()]
+            self._y_powers = (self.y_image, powers)
+        while len(powers) < len(poly.coeffs):
+            powers.append(self.ring.mul(powers[-1], self.y_image))
+        return _combine(poly.coeffs, powers)
 
     def __repr__(self):
         return (
@@ -248,7 +306,9 @@ class JLRelation:
         )
 
     def ratio(self, setup: JLSetup) -> int:
-        """Constant in F_p^* relating the two monic products mod h."""
+        """Constant in F_p^* relating the two monic products mod h:
+        prod_a / prod_b, computed in full in L.  For a relation that passes
+        `verify` it equals unit_b / unit_a mod p (see `_jl_consistent`)."""
         ring = setup.ring
         prod_a = ring.one()
         for q, e in self.side_a[1]:
@@ -267,22 +327,13 @@ class JLRelation:
         return c
 
     def verify(self, setup: JLSetup) -> bool:
-        """Both factorizations reproduce their restriction, and the two
-        restrictions agree on the curve."""
-        field = PrimeField(setup.p)
+        """Independent re-derivation: the restrictions are recomputed by
+        Horner substitution (not from the sieve's cached basis products),
+        then `_jl_consistent` checks the factorizations and the agreement
+        in L, then `ratio` is computed in full."""
         a_poly = self.lam.substitute_curve_x(setup.f)
         b_poly = self.lam.substitute_curve_y(setup.g)
-        for (unit, facs), target in ((self.side_a, a_poly), (self.side_b, b_poly)):
-            prod = field.poly([unit])
-            for q, e in facs:
-                for _ in range(e):
-                    prod = prod * q
-            if prod != target:
-                return False
-        ring = setup.ring
-        va = ring.el(a_poly)
-        vb = horner(ring, b_poly, setup.y_image)
-        if va != vb:
+        if not _jl_consistent(setup, self, a_poly, b_poly):
             return False
         try:
             self.ratio(setup)
@@ -305,23 +356,59 @@ class JLRelation:
         }
 
 
+def _expand(unit: int, facs, p: int) -> Poly:
+    """unit * prod q^e over F_p."""
+    prod = Poly([unit], p)
+    for q, e in facs:
+        for _ in range(e):
+            prod = prod * q
+    return prod
+
+
+def _jl_consistent(setup: JLSetup, rel: JLRelation, a_poly: Poly, b_poly: Poly) -> bool:
+    """Whether rel is a relation for the restrictions a_poly = lambda(X, f(X))
+    and b_poly = lambda(g(Y), Y): each side's factors multiply back to its
+    restriction exactly in F_p[X], and va = a_poly mod h equals
+    vb = b_poly(y) in L and is nonzero.
+
+    These two checks imply that `ratio` succeeds.  With both products
+    exact, va = unit_a * prod_a and vb = unit_b * prod_b in L, where prod_a
+    and prod_b are the monic products `ratio` computes.  So va = vb != 0
+    makes prod_b a unit and prod_a / prod_b = unit_b / unit_a, a nonzero
+    constant of F_p: `ratio` can neither meet a zero divisor nor find the
+    sides disagreeing, and returns unit_b / unit_a mod p."""
+    p = setup.p
+    for (unit, facs), target in ((rel.side_a, a_poly), (rel.side_b, b_poly)):
+        if _expand(unit, facs, p) != target:
+            return False
+    va = setup.ring.el(a_poly)
+    return not va.is_zero() and va == setup._value_at_y(b_poly)
+
+
 def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     """The relation carried by one lambda, or None if either side fails
-    the smoothness bound."""
+    the smoothness bound.
+
+    Both restrictions are F_p combinations of the setup's cached basis
+    products, and side b is restricted only once side a is smooth.  A
+    relation is checked by `_jl_consistent` on the restrictions already
+    at hand, exact products and agreement in L, which also guarantees that
+    its `ratio` exists; a failure raises ValueError, as does a lambda that
+    vanishes at the intersection point (va = vb = 0)."""
     if lam.is_zero():
         return None
-    a_poly = lam.substitute_curve_x(setup.f)
+    a_poly = setup._restrict(lam, "a")
     ladder_a = None if a_poly.is_zero() else frobenius_ladder(a_poly, kappa)
     if ladder_a is None:
         return None
-    b_poly = lam.substitute_curve_y(setup.g)
+    b_poly = setup._restrict(lam, "b")
     ladder_b = None if b_poly.is_zero() else frobenius_ladder(b_poly, kappa)
     if ladder_b is None:
         return None
     rel = JLRelation(
         lam, factor(a_poly, ladder=ladder_a), factor(b_poly, ladder=ladder_b)
     )
-    if not rel.verify(setup):
+    if not _jl_consistent(setup, rel, a_poly, b_poly):
         raise ValueError("relation failed verification; setup inconsistent")
     return rel
 
@@ -1032,16 +1119,6 @@ class EERestriction:
         return self.ffops.evaluate(ring, elem, xv, yv)
 
 
-def _combine(coeffs, polys):
-    """sum_i coeffs[i] * polys[i] over F_p."""
-    acc = [0] * max(len(q.coeffs) for q in polys)
-    for c, q in zip(coeffs, polys):
-        if c:
-            for j, a in enumerate(q.coeffs):
-                acc[j] += c * a
-    return Poly(acc, polys[0].p)
-
-
 class EERelation:
     """One smooth section: both restrictions factored over place classes,
     joined by the evaluation witness at the intersection point."""
@@ -1145,19 +1222,13 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
 
 def verify_ee_relation(restr: EERestriction, rel: EERelation) -> bool:
     """Independent re-derivation of everything the relation claims."""
-    field = PrimeField(restr.setup.curve.p)
+    p = restr.setup.curve.p
     elems = []
     for side_tag, stored in (("a", rel.side_a), ("b", rel.side_b)):
         uv = restr.restrict(rel.coeffs, side_tag)
         norm = restr.norm(uv, side_tag)
-        num = field.poly([stored["unit"]])
-        for q, e in stored["num"]:
-            for _ in range(e):
-                num = num * q
-        den = field.poly([1])
-        for q, e in stored["den"]:
-            for _ in range(e):
-                den = den * q
+        num = _expand(stored["unit"], stored["num"], p)
+        den = _expand(1, stored["den"], p)
         if RationalFunction(num, den) != norm:
             return False
         by_class = {}

@@ -287,6 +287,17 @@ def test_primitive_roots():
     assert primitive_root(370801) == 17
 
 
+def test_primitive_roots_against_sympy():
+    # sympy also returns the smallest primitive root of a prime
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import primitive_root as sympy_primitive_root
+
+    primes = list(sympy.primerange(2, 2000)) + [370801]
+    assert len(primes) == 304
+    for p in primes:
+        assert primitive_root(p) == sympy_primitive_root(p), p
+
+
 def test_bsgs_dlog():
     rng = random.Random(1)
     p = 370801

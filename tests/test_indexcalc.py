@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -490,19 +491,28 @@ class TestSolver:
 
     def test_pohlig_hellman_matches_individual_log(self, kummer_rep, kummer_run):
         # every prime of 43^6 - 1 is below the bound, so Pohlig-Hellman
-        # alone gives full logs; individual_log is an independent algorithm
+        # over the full prime powers of N, read from the integer
+        # factorisation and joined by CRT, gives full logs: an oracle for
+        # every table entry and for individual_log, an independent algorithm
         fb, g, _rels, table = kummer_run
         ring, N = kummer_rep.ring, kummer_rep.order()
+        prime_powers = factorize_int(N)
         small, large = _order_split(kummer_rep)
-        assert large == [] and max(small) == 631
-        moduli = [ell**k for ell, k in sorted(small.items())]
+        assert large == [] and small == prime_powers and max(small) == 631
+        moduli = [ell**k for ell, k in sorted(prime_powers.items())]
+        assert math.prod(moduli) == N
+
+        def oracle(targets):
+            parts = pohlig_hellman(kummer_rep, g, targets, prime_powers)
+            return [crt([part[j] for part in parts], moduli) for j in range(len(targets))]
+
+        columns = list(table.logs)
+        assert oracle(columns) == [table.log(v) for v in columns]
         targets = []
         for j in range(50):
             z = ring.random_el(random.Random(1000 + j))
             targets.append(z if not z.is_zero() else ring.one())
-        parts = pohlig_hellman(kummer_rep, g, targets, small)
-        for j, z in enumerate(targets):
-            lam = crt([part[j] for part in parts], moduli)
+        for j, (z, lam) in enumerate(zip(targets, oracle(targets))):
             assert lam == individual_log(kummer_rep, fb, table, z, seed=j)
             assert ring.pow(g, lam) == z
 

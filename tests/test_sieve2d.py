@@ -1,6 +1,7 @@
 """Tests for the surface sieves: the rational correspondence and E x E."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -44,6 +45,11 @@ def _digest(rels):
 @pytest.fixture(scope="module")
 def jl43():
     return jl_setup(43, 3, 2, 6, seed=0)
+
+
+@pytest.fixture(scope="module")
+def jl13():
+    return jl_setup(13, 4, 2, 7)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,11 @@ class TestJLSetup:
         assert (back.f, back.g, back.h) == (jl43.f, jl43.g, jl43.h)
 
 
+# bidegrees of the restriction oracles: both rulings, pure powers, and a
+# lambda with more monomials than the sieve's (1, 1)
+BIDEGREES = [(1, 1), (2, 1), (0, 2), (3, 0), (2, 2)]
+
+
 class TestJLRelations:
     def test_identity_lambda(self, jl43):
         lam = BivariatePoly(43, {(1, 0): 1})
@@ -126,37 +137,51 @@ class TestJLRelations:
         assert rel.verify(jl43)
         assert 1 <= rel.ratio(jl43) < 43
 
-    def test_side_degrees(self, jl43):
-        # monomial lambda realizes the generic degree on both sides
-        for u_x, u_y in [(1, 1), (2, 1), (0, 2), (3, 0)]:
-            lam = BivariatePoly(43, {(u_x, u_y): 1})
-            assert lam.substitute_curve_x(jl43.f).degree == 3 * u_y + u_x
-            assert lam.substitute_curve_y(jl43.g).degree == 2 * u_x + u_y
+    def test_side_degrees(self, jl43, jl13):
+        # a monomial lambda realizes the generic degree on both sides, by
+        # Horner substitution and from the cached basis products alike
+        for setup in (jl43, jl13):
+            d_f, d_g = setup.f.degree, setup.g.degree
+            for u_x, u_y in BIDEGREES:
+                lam = BivariatePoly(setup.p, {(u_x, u_y): 1})
+                a = lam.substitute_curve_x(setup.f)
+                b = lam.substitute_curve_y(setup.g)
+                assert a.degree == d_f * u_y + u_x
+                assert b.degree == d_g * u_x + u_y
+                assert setup._restrict(lam, "a") == a
+                assert setup._restrict(lam, "b") == b
 
-    def test_substitution_consistency(self, jl43):
-        # substitution agrees with direct evaluation at sample points
+    def test_substitution_consistency(self, jl43, jl13):
+        # the basis-product restriction, Horner substitution and direct
+        # evaluation at sample points agree for random lambda
         rng = random.Random(3)
-        for _ in range(20):
-            lam = BivariatePoly(
-                43,
-                {
-                    (i, j): rng.randrange(43)
-                    for i in range(3)
-                    for j in range(2)
-                },
-            )
-            xv = rng.randrange(43)
-            a = lam.substitute_curve_x(jl43.f)(xv)
-            total = 0
-            for (i, j), c in lam.coeffs.items():
-                total += c * pow(xv, i, 43) * pow(jl43.f(xv), j, 43)
-            assert a == total % 43
-            yv = rng.randrange(43)
-            b = lam.substitute_curve_y(jl43.g)(yv)
-            total = 0
-            for (i, j), c in lam.coeffs.items():
-                total += c * pow(jl43.g(yv), i, 43) * pow(yv, j, 43)
-            assert b == total % 43
+        for setup, (u_x, u_y) in itertools.product((jl43, jl13), BIDEGREES):
+            p, f, g = setup.p, setup.f, setup.g
+            for _ in range(8):
+                lam = BivariatePoly(
+                    p,
+                    {
+                        (i, j): rng.randrange(p)
+                        for i in range(u_x + 1)
+                        for j in range(u_y + 1)
+                    },
+                )
+                if lam.is_zero():
+                    continue
+                a = lam.substitute_curve_x(f)
+                b = lam.substitute_curve_y(g)
+                assert setup._restrict(lam, "a") == a
+                assert setup._restrict(lam, "b") == b
+                xv = rng.randrange(p)
+                total = 0
+                for (i, j), c in lam.coeffs.items():
+                    total += c * pow(xv, i, p) * pow(f(xv), j, p)
+                assert a(xv) == total % p
+                yv = rng.randrange(p)
+                total = 0
+                for (i, j), c in lam.coeffs.items():
+                    total += c * pow(g(yv), i, p) * pow(yv, j, p)
+                assert b(yv) == total % p
 
     def test_smoothness_filter(self, jl43):
         # kappa=1 forces linear factors only; some lambda must be rejected
@@ -179,6 +204,65 @@ class TestJLRelations:
         unit_a, facs_a = rel.side_a
         rel.side_a = (unit_a * 2 % 43, facs_a)
         assert not rel.verify(jl43)
+
+
+class TestJLCheck:
+    """The check jl_relation runs on the restrictions it already holds:
+    exact products on both sides and agreement in L, away from zero."""
+
+    LAM = {(1, 0): 1, (0, 1): 3}
+
+    def test_ratio_is_the_unit_quotient(self, jl43):
+        # exact products plus va = vb != 0 leave ratio no other value
+        rels = jl_sieve(jl43, 1, 1, 2, budget=1500, seed=3)
+        assert len(rels) > 100
+        for rel in rels:
+            unit_a, unit_b = rel.side_a[0], rel.side_b[0]
+            assert rel.ratio(jl43) == unit_b * pow(unit_a, -1, 43) % 43
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("fault", ["unit", "drop"])
+    def test_wrong_factorization_raises(self, jl43, monkeypatch, side, fault):
+        # a factorization that does not multiply back to its restriction,
+        # on either side, stops the sieve
+        import frobsieve.sieve2d as s2d
+
+        real_factor = s2d.factor
+        calls = []
+
+        def faulty(f, *args, **kwargs):
+            unit, facs = real_factor(f, *args, **kwargs)
+            calls.append(f)
+            if len(calls) - 1 == side:
+                if fault == "unit":
+                    unit = unit * 2 % f.p
+                else:
+                    facs = facs[1:]
+            return unit, facs
+
+        monkeypatch.setattr(s2d, "factor", faulty)
+        lam = BivariatePoly(43, self.LAM)
+        with pytest.raises(ValueError):
+            jl_relation(jl43, lam, kappa=6)
+        assert len(calls) == 2
+
+    def test_perturbed_y_image_raises(self, jl43, monkeypatch):
+        # both products stay exact, but the two sides no longer meet in L
+        lam = BivariatePoly(43, self.LAM)
+        rel = jl_relation(jl43, lam, kappa=6)
+        assert rel.verify(jl43)
+        ring = jl43.ring
+        monkeypatch.setattr(jl43, "y_image", ring.add(jl43.y_image, ring.one()))
+        with pytest.raises(ValueError):
+            jl_relation(jl43, lam, kappa=6)
+        assert not rel.verify(jl43)
+
+    def test_lambda_vanishing_on_the_orbit_raises(self, jl43):
+        # lambda = h(x) is zero at the intersection point, so its two sides
+        # give no relation in L^*; both products are still exact
+        lam = BivariatePoly(43, {(i, 0): c for i, c in enumerate(jl43.h.coeffs)})
+        with pytest.raises(ValueError):
+            jl_relation(jl43, lam, kappa=12)
 
 
 class TestJLSieve:
