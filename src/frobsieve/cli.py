@@ -268,6 +268,20 @@ def cmd_ee_sieve(args) -> int:
     if rep.kind != ELLIPTIC:
         raise ValueError(f"ee-sieve needs an elliptic residue build, got {rep.kind}")
     setup = ee_setup(rep.p, rep.d)
+    # the sieve runs on the model ee_setup rebuilds from (p, d); a rep that
+    # stores another one (its copies agree, so check passed) is refused
+    built = setup.ext.rep
+    for name, stored, rebuilt in (
+        ("A", rep.A, built.A),
+        ("curve (a4, a6)", [rep.params.get("a4"), rep.params.get("a6")],
+         [setup.curve.a4, setup.curve.a6]),
+        ("t_star", rep.params.get("t_star"), list(setup.m0)),
+    ):
+        if stored != rebuilt:
+            raise InconsistentFrobenius(
+                f"the rep's {name} is {stored!r} but ee_setup({rep.p}, {rep.d}) "
+                f"builds {rebuilt!r}"
+            )
     cls = _parse_class(args.cls, setup.curve.trace(), rep.p)
     manifest = _manifest("ee-sieve", args)
     manifest["setup"] = setup.to_json()

@@ -372,6 +372,7 @@ class EllipticResidueRep:
         self.subgroup = subgroup
         self.generator = generator
         rep.ext = self
+        rep.copies = {"curve.coeffs_short": [curve.a4, curve.a6], "t_star": list(t_star)}
 
     @property
     def ring(self):

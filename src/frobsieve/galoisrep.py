@@ -130,6 +130,9 @@ class Representation:
         self.params = dict(params or {})
         self.ring = QuotientField(A)
         self.ext = None  # elliptic builder attaches its curve data here
+        # second copies of params values that a stored file keeps outside
+        # params (elliptic: curve and t_star), for `_stored_twice`
+        self.copies = {}
         self._image_cache = {}
         self._step_basis = {}  # orbit walk, see _step_basis
         self._order_factors = None
@@ -199,6 +202,12 @@ def rep_from_json(data) -> Representation:
         k: (int(x) if isinstance(x, str) and x.lstrip("-").isdigit() else x)
         for k, x in v.items()}) if "params" in data else {}
     rep = Representation(_read(data, "kind", str), field, d, A, frob, params)
+    if rep.kind == ELLIPTIC:
+        ints = lambda v: [int(c) for c in v]
+        rep.copies = {
+            "curve.coeffs_short": _read(_read(data, "curve", dict), "coeffs_short", ints),
+            "t_star": _read(data, "t_star", ints),
+        }
     verify_representation(rep)
     return rep
 
@@ -214,10 +223,14 @@ _VARIANTS = {
 def _stored_twice(rep: Representation):
     """(name, stored value, the value it must equal) for every value the
     representation stores twice: once in params and once in its Frobenius
-    object or modulus."""
+    object or modulus, or for an elliptic rep in the curve and t_star it
+    stores beside params (`rep.copies`)."""
     params = rep.params
     if rep.kind == ELLIPTIC:
-        return []
+        a4, a6 = rep.copies["curve.coeffs_short"]
+        return [("params.a4 against curve.coeffs_short[0]", params.get("a4"), a4),
+                ("params.a6 against curve.coeffs_short[1]", params.get("a6"), a6),
+                ("params.t_star against t_star", params.get("t_star"), rep.copies["t_star"])]
     a, b, _c, _d = rep.frobenius.matrix
     if rep.kind == KUMMER:
         r = params.get("r")
@@ -265,7 +278,7 @@ def verify_representation(rep: Representation):
     for name, stored, expected in _stored_twice(rep):
         if stored != expected:
             raise InconsistentFrobenius(
-                f"{name} is {stored!r} but the Frobenius object gives {expected!r}"
+                f"{name} is {stored!r} but the other copy gives {expected!r}"
             )
 
 

@@ -19,7 +19,10 @@ Both sieves restrict a candidate as one F_p combination of basis
 products cached per setup (`_combine`), and check each relation on the
 restrictions they already hold.  The JL check, exact products and one
 nonzero value in L, is also the core of `JLRelation.verify`, which first
-recomputes the restrictions independently by Horner substitution.
+recomputes the restrictions independently by Horner substitution.  The
+EE sieve also reads its norm denominators from one cached factorization
+and its values in L from cached basis values; `verify_ee_relation`
+recomputes both with gcds and Horner substitution.
 """
 
 import random
@@ -333,7 +336,8 @@ class JLRelation:
         in L, then `ratio` is computed in full."""
         a_poly = self.lam.substitute_curve_x(setup.f)
         b_poly = self.lam.substitute_curve_y(setup.g)
-        if not _jl_consistent(setup, self, a_poly, b_poly):
+        va = _jl_consistent(setup, self, a_poly, b_poly)
+        if va is None or va.is_zero():
             return False
         try:
             self.ratio(setup)
@@ -365,36 +369,38 @@ def _expand(unit: int, facs, p: int) -> Poly:
     return prod
 
 
-def _jl_consistent(setup: JLSetup, rel: JLRelation, a_poly: Poly, b_poly: Poly) -> bool:
-    """Whether rel is a relation for the restrictions a_poly = lambda(X, f(X))
-    and b_poly = lambda(g(Y), Y): each side's factors multiply back to its
-    restriction exactly in F_p[X], and va = a_poly mod h equals
-    vb = b_poly(y) in L and is nonzero.
+def _jl_consistent(setup: JLSetup, rel: JLRelation, a_poly: Poly, b_poly: Poly):
+    """The common value in L of the restrictions a_poly = lambda(X, f(X))
+    and b_poly = lambda(g(Y), Y) if rel is consistent with them, else
+    None: each side's factors multiply back to its restriction exactly in
+    F_p[X], and va = a_poly mod h equals vb = b_poly(y) in L.
 
-    These two checks imply that `ratio` succeeds.  With both products
+    A nonzero value implies that `ratio` succeeds.  With both products
     exact, va = unit_a * prod_a and vb = unit_b * prod_b in L, where prod_a
     and prod_b are the monic products `ratio` computes.  So va = vb != 0
     makes prod_b a unit and prod_a / prod_b = unit_b / unit_a, a nonzero
     constant of F_p: `ratio` can neither meet a zero divisor nor find the
-    sides disagreeing, and returns unit_b / unit_a mod p."""
+    sides disagreeing, and returns unit_b / unit_a mod p.  A zero value
+    means lambda vanishes on the orbit, and the relation says nothing in
+    L^*."""
     p = setup.p
     for (unit, facs), target in ((rel.side_a, a_poly), (rel.side_b, b_poly)):
         if _expand(unit, facs, p) != target:
-            return False
+            return None
     va = setup.ring.el(a_poly)
-    return not va.is_zero() and va == setup._value_at_y(b_poly)
+    return va if va == setup._value_at_y(b_poly) else None
 
 
 def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     """The relation carried by one lambda, or None if either side fails
-    the smoothness bound.
+    the smoothness bound or lambda vanishes at the intersection point
+    (va = vb = 0, a candidate with no relation in L^*).
 
     Both restrictions are F_p combinations of the setup's cached basis
     products, and side b is restricted only once side a is smooth.  A
     relation is checked by `_jl_consistent` on the restrictions already
-    at hand, exact products and agreement in L, which also guarantees that
-    its `ratio` exists; a failure raises ValueError, as does a lambda that
-    vanishes at the intersection point (va = vb = 0)."""
+    at hand, exact products and agreement in L, which for a nonzero value
+    also guarantees that its `ratio` exists; a failure raises ValueError."""
     if lam.is_zero():
         return None
     a_poly = setup._restrict(lam, "a")
@@ -408,8 +414,11 @@ def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     rel = JLRelation(
         lam, factor(a_poly, ladder=ladder_a), factor(b_poly, ladder=ladder_b)
     )
-    if not _jl_consistent(setup, rel, a_poly, b_poly):
+    va = _jl_consistent(setup, rel, a_poly, b_poly)
+    if va is None:
         raise ValueError("relation failed verification; setup inconsistent")
+    if va.is_zero():
+        return None  # lambda vanishes on the orbit
     return rel
 
 
@@ -1048,7 +1057,22 @@ class EERestriction:
     common[side] = (D, U, V), with D the monic lcm of every product's
     denominators, and basis product i restricts to (U[i]/D, V[i]/D), that
     is (U[i] + y V[i]) / D.  A section's restriction is then two F_p
-    combinations of fixed numerators, and its norm costs one gcd."""
+    combinations of fixed numerators.
+
+    Two more things are cached per side for the sieve's trials:
+    den_factors[side], the factorization of D as a sorted list of
+    (monic irreducible r, multiplicity m), so that a norm's denominator, a
+    divisor of D^2, is read off by exact divisions instead of a gcd and a
+    factorization; and values[side], the value
+    W[i] = (U[i](x_P) + y_P V[i](x_P)) / D(x_P) in L of each basis product
+    at the side's intersection point (x_P, y_P) (p_int on side a, q_int on
+    side b), so that a section's value there is one F_p combination of the
+    W[i].  `norm`, `element` and `value_at_intersection` recompute the
+    same things without these caches, for `verify_ee_relation`.
+
+    D(x_P) != 0 holds for every setup `ee_setup` returns, since a root
+    would put a pole of the side's parametrization on the intersection
+    point; a setup where it fails raises SearchFailed naming the side."""
 
     def __init__(self, setup: EESetup, lin: LinearSystemEE, kappa: int):
         self.setup = setup
@@ -1077,6 +1101,13 @@ class EERestriction:
             "a": self._common_form(*self.curve_a),
             "b": self._common_form(*self.curve_b),
         }
+        self.den_factors = {
+            side: factor(den)[1] for side, (den, _, _) in self.common.items()
+        }
+        self.values = {
+            "a": self._basis_values("a", setup.p_int),
+            "b": self._basis_values("b", setup.q_int),
+        }
         self.classes = build_place_classes(curve, kappa, setup.m0)
 
     def _common_form(self, P, Q):
@@ -1092,6 +1123,28 @@ class EERestriction:
             den = den * (part.den // poly_gcd(den, part.den))
         scaled = lambda r: r.num * (den // r.den)
         return den, [scaled(u) for u, _ in prods], [scaled(v) for _, v in prods]
+
+    def _basis_values(self, side: str, point):
+        """[(U[i](x_P) + y_P V[i](x_P)) / D(x_P)] in L over the basis
+        products of one side, at its intersection point (x_P, y_P), each
+        polynomial evaluated as a combination of the powers of x_P."""
+        ring = self.setup.ring
+        xv, yv = point
+        den, us, vs = self.common[side]
+        powers = [ring.one()]
+        for _ in range(max(len(q.coeffs) for q in chain([den], us, vs)) - 1):
+            powers.append(ring.mul(powers[-1], xv))
+        at = lambda q: _combine(q.coeffs, powers)
+        den_val = at(den)
+        if ring.is_zero(den_val):
+            raise SearchFailed(
+                f"side {side}: the intersection point is a root of the common denominator"
+            )
+        den_inv = ring.inv(den_val)
+        return [
+            ring.mul(ring.add(at(u), ring.mul(yv, at(v))), den_inv)
+            for u, v in zip(us, vs)
+        ]
 
     def restrict(self, coeffs, side: str):
         """Numerators (U, V) of one side's restriction, which is
@@ -1156,40 +1209,67 @@ class EERelation:
         }
 
 
+def _stripped_norm(restr: EERestriction, uv, side: str):
+    """(numerator, denominator factors) of the norm of a nonzero
+    restriction (U, V), the same reduced fraction as `EERestriction.norm`
+    without its gcd.
+
+    The norm is raw / D^2 with raw = U^2 - f V^2, and
+    D^2 = prod r^(2m) over the cached factorization of D.  Each r is
+    stripped from raw by exact division, at most 2m times, so it goes
+    k = min(v_r(raw), 2m) times: what is stripped is gcd(raw, D^2), and
+    the reduced norm is raw / prod r^k over prod r^(2m - k), monic.  The
+    denominator factors come sorted as `factor` sorts them."""
+    u, v = uv
+    num = u * u - restr.ffops.f * (v * v)
+    den = []
+    for r, m in restr.den_factors[side]:
+        k = 0
+        while k < 2 * m:
+            quo, rem = divmod(num, r)
+            if rem:
+                break
+            num = quo
+            k += 1
+        if k < 2 * m:
+            den.append((r, 2 * m - k))
+    return num, den
+
+
 def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
-    """(restriction, norm, ladders) of one side when the restriction is
-    nonzero and its norm is kappa-smooth in numerator and denominator, else
-    None; ladders are the Frobenius powers of the two tests, for
-    `_factor_side`.  Nothing is factored, and only a side that passes is
-    reduced."""
+    """(numerator, ladder, denominator factors) of one side's norm when the
+    restriction is nonzero and its norm is kappa-smooth, else None.
+
+    The denominator is smooth exactly when every r left in it has degree
+    <= kappa, so only the numerator gets a smoothness test, whose
+    Frobenius powers (ladder) `_factor_side` splits it from."""
     uv = restr.restrict(coeffs, side)
     if uv[0].is_zero() and uv[1].is_zero():
         return None
-    norm = restr.norm(uv, side)
-    ladder_n = frobenius_ladder(norm.num, kappa)
-    if ladder_n is None:
+    num, den = _stripped_norm(restr, uv, side)
+    if any(r.degree > kappa for r, _ in den):
         return None
-    ladder_d = frobenius_ladder(norm.den, kappa)
-    if ladder_d is None:
+    ladder = frobenius_ladder(num, kappa)
+    if ladder is None:
         return None
-    return restr.element(uv, side), norm, (ladder_n, ladder_d)
+    return num, ladder, den
 
 
-def _factor_side(norm: RationalFunction, ladders, classes: PlaceClasses):
-    unit_n, facs_n = factor(norm.num, ladder=ladders[0])
-    unit_d, facs_d = factor(norm.den, ladder=ladders[1])
+def _factor_side(num: Poly, ladder, den, classes: PlaceClasses):
+    """Split a smooth side's numerator from its ladder and group both
+    factor lists into place classes; den is monic, so the unit is num's."""
+    unit, facs_n = factor(num, ladder=ladder)
     by_class = {}
     for q, e in facs_n:
         rep = classes.class_of(q)
         by_class[rep] = by_class.get(rep, 0) + e
-    for q, e in facs_d:
+    for q, e in den:
         rep = classes.class_of(q)
         by_class[rep] = by_class.get(rep, 0) - e
-    unit = unit_n * pow(unit_d, -1, norm.num.p) % norm.num.p
     return {
         "unit": unit,
         "num": facs_n,
-        "den": facs_d,
+        "den": den,
         "classes": {rep: e for rep, e in by_class.items() if e},
     }
 
@@ -1197,26 +1277,29 @@ def _factor_side(norm: RationalFunction, ladders, classes: PlaceClasses):
 def ee_relation(restr: EERestriction, coeffs, kappa: int):
     """Build and verify the relation carried by one section, or None.
     Side b is restricted only once side a is smooth, and the two sides are
-    factored only once the section is known to give a relation."""
-    ring = restr.setup.ring
+    factored only once the section is known to give a relation.
+
+    The values va and vb at the intersection point are F_p combinations
+    of the restriction's cached basis values W.  Evaluation at x_P is a
+    ring map, so the combination is (U(x_P) + y_P V(x_P)) / D(x_P) for the
+    section's numerators (U, V); and since D(x_P) != 0 (checked at
+    construction), every divisor of D is nonzero at x_P too, so this is
+    also the value of the reduced element (U/D, V/D) that
+    `value_at_intersection` evaluates by Horner."""
     hit_a = _smooth_norm(restr, coeffs, "a", kappa)
     if hit_a is None:
         return None
     hit_b = _smooth_norm(restr, coeffs, "b", kappa)
     if hit_b is None:
         return None
-    (elem_a, norm_a, ladders_a), (elem_b, norm_b, ladders_b) = hit_a, hit_b
-    try:
-        va = restr.value_at_intersection(elem_a, "a")
-        vb = restr.value_at_intersection(elem_b, "b")
-    except NonInvertible:
-        return None  # a pole sits exactly on the intersection point
-    if ring.is_zero(va) or ring.is_zero(vb):
+    va = _combine(coeffs, restr.values["a"])
+    vb = _combine(coeffs, restr.values["b"])
+    if va.is_zero() or vb.is_zero():
         return None  # the section vanishes at the distinguished point
     if va != vb:
         raise ValueError("restrictions disagree at the intersection point")
-    side_a = _factor_side(norm_a, ladders_a, restr.classes)
-    side_b = _factor_side(norm_b, ladders_b, restr.classes)
+    side_a = _factor_side(*hit_a, restr.classes)
+    side_b = _factor_side(*hit_b, restr.classes)
     return EERelation(coeffs, side_a, side_b, va)
 
 

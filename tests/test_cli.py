@@ -319,6 +319,59 @@ class TestEESieve:
             assert rebuilt is not None
             assert rebuilt.to_json() == rec
 
+    # hand edits of a CLI-built 11^7 rep: t* -> -t* (the other sign, a
+    # point of the same subgroup) and a4 -> a4 + 1
+    EDITS = {
+        "params.t_star": lambda rep: rep["params"].update(t_star=[6, 2]),
+        "t_star": lambda rep: rep.update(t_star=[6, 2]),
+        "params.a4": lambda rep: rep["params"].update(a4=3),
+        "curve.a4": lambda rep: rep["curve"].update(coeffs_short=[3, 7]),
+    }
+
+    def _edited(self, rep_files, tmp_path, names):
+        doc = json.loads(rep_files["elliptic-residue"].read_text())
+        assert doc["rep"]["t_star"] == [6, 9]
+        assert doc["rep"]["curve"]["coeffs_short"] == [2, 7]
+        for name in names:
+            self.EDITS[name](doc["rep"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_one_copy_edited_exits_4(self, rep_files, tmp_path, capsys, name):
+        # the value is stored twice, in params and beside it, and the two
+        # copies disagree: check and ee-sieve both refuse the file
+        bad = self._edited(rep_files, tmp_path, [name])
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--out", str(out)]) == 4
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["ok"]]
+        assert failed and failed[0]["name"] == "frobenius-consistency"
+        field = name.split(".")[-1]
+        assert f"params.{field} against" in failed[0]["detail"]
+        capsys.readouterr()
+        assert main(["ee-sieve", "--rep", str(bad), "--class", "2,2,1,0",
+                     "--budget", "5", "--out", str(tmp_path / "ee.jsonl")]) == 4
+        assert json.loads(capsys.readouterr().err)["code"] == "InconsistentFrobenius"
+
+    @pytest.mark.parametrize(
+        "names, what",
+        [(["params.t_star", "t_star"], "t_star"), (["params.a4", "curve.a4"], "curve")],
+        ids=["t_star", "curve"],
+    )
+    def test_both_copies_edited_refused_by_ee_sieve(self, rep_files, tmp_path, capsys,
+                                                     names, what):
+        # copies that agree pass the cross-check, but ee-sieve rebuilds its
+        # model from (p, d) and refuses a rep that stores another one
+        bad = self._edited(rep_files, tmp_path, names)
+        out = tmp_path / "ee.jsonl"
+        assert main(["ee-sieve", "--rep", str(bad), "--class", "2,2,1,0",
+                     "--budget", "5", "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "InconsistentFrobenius"
+        assert f"the rep's {what}" in err["message"]
+        assert not out.exists()
+
     def test_wrong_kind_rejected(self, rep_files, capsys):
         code = main(["ee-sieve", "--rep", str(rep_files["kummer"]),
                      "--class", "2,2,1,0"])

@@ -32,7 +32,7 @@ from frobsieve.errors import (
     NotFound,
 )
 from frobsieve.ffcore import factorize_int, poly_pow_mod
-from frobsieve.galoisrep import apply_frobenius, rep_from_json
+from frobsieve.galoisrep import apply_frobenius, rep_from_json, verify_representation
 
 
 REFERENCE_LONG = (11, 1, 0, 0, 2, 8)  # y^2 + xy = x^3 + 2x + 8
@@ -453,6 +453,34 @@ class TestJson:
         images = data["frobenius"]["images"]
         images[k] = [(c + 1) % 11 for c in images[k]]
         with pytest.raises(InconsistentFrobenius, match=f"stored image {k} "):
+            rep_from_json(data)
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda d: d["params"].update(t_star=[6, 2]), "params.t_star"),
+            (lambda d: d.update(t_star=[6, 2]), "params.t_star"),
+            (lambda d: d["params"].update(a6=8), "params.a6"),
+            (lambda d: d["curve"].update(coeffs_short=[3, 7]), "params.a4"),
+        ],
+        ids=["params-t_star", "t_star", "params-a6", "curve-a4"],
+    )
+    def test_second_copies_cross_checked(self, edit, name):
+        # a4, a6 and t* are stored in params and again in curve and t_star
+        data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
+        assert verify_representation(rep_from_json(data)) is None
+        edit(data)
+        with pytest.raises(InconsistentFrobenius, match=rf"{name} against"):
+            rep_from_json(data)
+
+    def test_built_rep_carries_its_copies(self):
+        ext = build_elliptic_residue(11, 7)
+        verify_representation(ext.rep)
+        data = ext.to_json()
+        assert ext.rep.copies == {"curve.coeffs_short": data["curve"]["coeffs_short"],
+                                  "t_star": data["t_star"]}
+        del data["t_star"]
+        with pytest.raises(InconsistentFrobenius, match="field 't_star'"):
             rep_from_json(data)
 
     def test_missing_image_detected(self):

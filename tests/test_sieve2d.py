@@ -1,5 +1,6 @@
 """Tests for the surface sieves: the rational correspondence and E x E."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -7,8 +8,8 @@ import random
 
 import pytest
 
-from frobsieve.errors import InsufficientPoints, SieveTimeout
-from frobsieve.ffcore import Poly, PrimeField, monic_irreducibles
+from frobsieve.errors import InsufficientPoints, SearchFailed, SieveTimeout
+from frobsieve.ffcore import Poly, PrimeField, QuotientField, factor, monic_irreducibles
 from frobsieve.elliptic import EndomorphismElement, ec_add, translate_point
 from frobsieve.sieve2d import (
     BivariatePoly,
@@ -18,6 +19,9 @@ from frobsieve.sieve2d import (
     NSClassEE,
     NSClassP1P1,
     RationalFunction,
+    _combine,
+    _smooth_norm,
+    _stripped_norm,
     build_place_classes,
     class_of_side_a,
     class_of_side_b,
@@ -257,9 +261,30 @@ class TestJLCheck:
             jl_relation(jl43, lam, kappa=6)
         assert not rel.verify(jl43)
 
-    def test_lambda_vanishing_on_the_orbit_raises(self, jl43):
+    def test_lambda_vanishing_on_the_orbit_is_skipped(self, jl43):
         # lambda = h(x) is zero at the intersection point, so its two sides
-        # give no relation in L^*; both products are still exact
+        # give no relation in L^*; both products are still exact, so the
+        # candidate is skipped as ee_relation skips one, not an error
+        lam = BivariatePoly(43, {(i, 0): c for i, c in enumerate(jl43.h.coeffs)})
+        assert jl_relation(jl43, lam, kappa=12) is None
+        # a sieve that meets it goes on; lambda = h(x) + c does not vanish
+        shifted = dict(lam.coeffs)
+        shifted[(0, 0)] = shifted.get((0, 0), 0) + 1
+        rel = jl_relation(jl43, BivariatePoly(43, shifted), kappa=12)
+        assert rel is not None and rel.verify(jl43)
+
+    def test_vanishing_lambda_with_a_wrong_factor_still_raises(self, jl43, monkeypatch):
+        # the skip needs exact products: a wrong unit on a vanishing lambda
+        # is a setup fault and raises
+        import frobsieve.sieve2d as s2d
+
+        real_factor = s2d.factor
+
+        def faulty(f, *args, **kwargs):
+            unit, facs = real_factor(f, *args, **kwargs)
+            return unit * 2 % f.p, facs
+
+        monkeypatch.setattr(s2d, "factor", faulty)
         lam = BivariatePoly(43, {(i, 0): c for i, c in enumerate(jl43.h.coeffs)})
         with pytest.raises(ValueError):
             jl_relation(jl43, lam, kappa=12)
@@ -696,12 +721,16 @@ class TestEESieve:
         assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
 
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
-        # four splits per relation (numerator and denominator on each
-        # side), each from the Frobenius powers of its own smoothness test;
-        # the other factorizations come from translating places into classes
+        # two splits per relation, the numerator of each side, each from
+        # the Frobenius powers of its own smoothness test.  A denominator
+        # divides D^2 and is read off the factorization of D that the
+        # restriction cached when it was built (before the patch below), so
+        # it is never factored; the other factorizations come from
+        # translating places into classes
         import frobsieve.sieve2d as s2d
 
         c, restr, _ = sieved
+        fresh = EERestriction(ee11, restr.lin, 4)
         calls = {"factor": 0, "split": 0, "translate": 0}
         passed = {}
         real_ladder, real_factor = s2d.frobenius_ladder, s2d.factor
@@ -727,11 +756,10 @@ class TestEESieve:
         monkeypatch.setattr(s2d, "frobenius_ladder", counting_ladder)
         monkeypatch.setattr(s2d, "factor", counting_factor)
         monkeypatch.setattr(s2d, "translate_place", counting_translate)
-        fresh = EERestriction(ee11, restr.lin, 4)
         rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
         assert len(rels) > 0
-        assert calls["split"] == 4 * len(rels)
-        assert calls["factor"] == 4 * len(rels) + calls["translate"]
+        assert calls["split"] == 2 * len(rels)
+        assert calls["factor"] == 2 * len(rels) + calls["translate"]
 
     def test_mismatched_restriction_rejected(self, ee11, sieved):
         # a restriction for kappa 2 used to let degree-3 and -4 places
@@ -782,6 +810,150 @@ class TestEERestrictionCommonForm:
                 assert restr.norm(uv, side) == ff.norm(expect)
             zero = restr.restrict(sections[0], side)
             assert zero[0].is_zero() and zero[1].is_zero()
+
+
+class TestEETrialCaches:
+    """The sieve's trial path against the restriction's independent
+    methods: stripped norms against `norm` (one gcd) and `factor`, cached
+    basis values against `value_at_intersection` (Horner on the reduced
+    element), over seeded sections and every candidate of one sieve."""
+
+    @pytest.fixture(scope="class")
+    def candidates(self, ee11, sieved):
+        import frobsieve.sieve2d as s2d
+
+        c, restr, _ = sieved
+        kernel = restr.lin.kernel
+        rng = random.Random(23)
+        sections = []
+        for _ in range(50):
+            weights = [rng.randrange(11) for _ in kernel]
+            sections.append(
+                [sum(w * x for w, x in zip(weights, col)) % 11 for col in zip(*kernel)]
+            )
+        seen = []
+        real = s2d.ee_relation
+
+        def recording(restriction, coeffs, kappa):
+            seen.append(list(coeffs))
+            return real(restriction, coeffs, kappa)
+
+        s2d.ee_relation = recording
+        try:
+            rels = ee_sieve(ee11, c, 4, 400, seed=5, restriction=restr)
+        finally:
+            s2d.ee_relation = real
+        assert len(seen) > 300 and rels
+        return [s for s in sections + seen if any(s)]
+
+    def test_denominator_cache_is_the_factorization_of_D(self, sieved):
+        _, restr, _ = sieved
+        for side in ("a", "b"):
+            den = restr.common[side][0]
+            assert restr.den_factors[side] == factor(den)[1]
+            assert den.degree > 0
+
+    def test_stripped_norm_matches_reduced_norm(self, sieved, candidates):
+        # numerator and denominator factors of the trial's norm are those
+        # of the reduced norm; the trial with a bound no norm exceeds keeps
+        # every nonzero side and passes them on unchanged
+        _, restr, _ = sieved
+        for coeffs in candidates:
+            for side in ("a", "b"):
+                uv = restr.restrict(coeffs, side)
+                norm = restr.norm(uv, side)
+                if norm.is_zero():
+                    # a section vanishing on the side's curve: no norm
+                    assert _smooth_norm(restr, coeffs, side, 10**6) is None
+                    continue
+                num, den = _stripped_norm(restr, uv, side)
+                assert num == norm.num
+                assert den == factor(norm.den)[1]
+                assert _smooth_norm(restr, coeffs, side, 10**6) == (num, (), den)
+
+    def test_strip_stops_at_twice_the_multiplicity(self, sieved, candidates):
+        # sections strip r from raw = U^2 - f V^2 fewer than 2m times (3 or
+        # 4 of 6 on side a, none on side b); numerators scaled by r^3 put
+        # r^(2m) and more in raw, so the cap decides what is left
+        _, restr, _ = sieved
+        capped = 0
+        for coeffs in candidates[:60]:
+            for side in ("a", "b"):
+                (r, m), = restr.den_factors[side]
+                scale = r * r * r
+                u, v = restr.restrict(coeffs, side)
+                if u.is_zero() and v.is_zero():
+                    continue
+                uv = (u * scale, v * scale)
+                norm = restr.norm(uv, side)
+                num, den = _stripped_norm(restr, uv, side)
+                assert num == norm.num
+                assert den == factor(norm.den)[1]
+                capped += not den
+        assert capped > 0
+
+    @pytest.mark.parametrize("kappa", [1, 2, 4])
+    def test_trial_keeps_exactly_the_smooth_norms(self, sieved, candidates, kappa):
+        # a side passes iff every factor of its reduced norm, numerator and
+        # denominator, has degree <= kappa
+        _, restr, _ = sieved
+        for coeffs in candidates:
+            for side in ("a", "b"):
+                norm = restr.norm(restr.restrict(coeffs, side), side)
+                if norm.is_zero():
+                    continue
+                smooth = all(
+                    q.degree <= kappa
+                    for q, _ in factor(norm.num)[1] + factor(norm.den)[1]
+                )
+                assert (_smooth_norm(restr, coeffs, side, kappa) is not None) == smooth
+
+    def test_denominator_alone_rejects(self, sieved, candidates, monkeypatch):
+        # with every numerator let through, a side passes kappa = 1 iff no
+        # factor of degree 2 is left in its denominator; side b's D is
+        # (x^2 + 9x + 5)^3, so some sides are rejected by it alone
+        import frobsieve.sieve2d as s2d
+
+        monkeypatch.setattr(s2d, "frobenius_ladder", lambda f, kappa: ())
+        _, restr, _ = sieved
+        rejected = 0
+        for coeffs in candidates:
+            for side in ("a", "b"):
+                norm = restr.norm(restr.restrict(coeffs, side), side)
+                if norm.is_zero():
+                    continue
+                den_ok = all(q.degree <= 1 for q, _ in factor(norm.den)[1])
+                assert (_smooth_norm(restr, coeffs, side, 1) is not None) == den_ok
+                rejected += not den_ok
+        assert rejected > 0
+
+    def test_cached_values_match_horner(self, sieved, candidates):
+        _, restr, _ = sieved
+        for coeffs in candidates:
+            for side in ("a", "b"):
+                uv = restr.restrict(coeffs, side)
+                expect = restr.value_at_intersection(restr.element(uv, side), side)
+                assert _combine(coeffs, restr.values[side]) == expect
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_intersection_point_on_a_denominator_root_rejected(self, ee11, sieved, side):
+        # a point over a root of D has no value W = (U + y V)(P) / D(x_P).
+        # No setup from ee_setup puts its intersection point there (see
+        # EERestriction), so the point is put on a root of D's first
+        # factor r, with F_p[X]/r standing in for L
+        _, restr, _ = sieved
+        ring = QuotientField(restr.den_factors[side][0][0])
+        bad = copy.copy(ee11)
+        bad.ext = copy.copy(ee11.ext)
+        bad.ext.rep = copy.copy(ee11.ext.rep)
+        bad.ext.rep.ring = ring
+        point = (ring.x(), ring.one())
+        if side == "a":
+            bad.p_int = point
+        else:
+            bad.q_int = point
+        with pytest.raises(SearchFailed, match=f"side {side}"):
+            EERestriction(bad, restr.lin, 4)
 
 
 class TestEESetup:
