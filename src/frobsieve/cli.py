@@ -108,6 +108,24 @@ def _load_rep(path: str) -> Representation:
     return rep_from_json(data)
 
 
+def _match_elliptic_model(rep: Representation, ext) -> None:
+    """Raise InconsistentFrobenius unless the elliptic rep stores the model
+    ext that build_elliptic_residue(p, d) builds: its modulus A, its curve
+    and its t*.  A rep whose copies of a value agree with each other passes
+    the cross-check at load, and is refused here if both were edited."""
+    for name, stored, rebuilt in (
+        ("A", rep.A, ext.rep.A),
+        ("curve (a4, a6)", [rep.params.get("a4"), rep.params.get("a6")],
+         [ext.curve.a4, ext.curve.a6]),
+        ("t_star", rep.params.get("t_star"), list(ext.t_star)),
+    ):
+        if stored != rebuilt:
+            raise InconsistentFrobenius(
+                f"the rep's {name} is {stored!r} but build_elliptic_residue"
+                f"({rep.p}, {rep.d}) builds {rebuilt!r}"
+            )
+
+
 def cmd_build(args) -> int:
     kind = args.kind
     if kind != "artin-schreier" and args.d is None:
@@ -173,6 +191,11 @@ def cmd_check(args) -> int:
                 break
         record("degree-invariance", ok_deg, f"{args.samples} random elements")
     else:
+        try:
+            _match_elliptic_model(rep, build_elliptic_residue(rep.p, rep.d))
+            record("elliptic-model", True, "A, curve and t* as built from (p, d)")
+        except InconsistentFrobenius as exc:
+            record("elliptic-model", False, str(exc))
         report["skipped"] = [
             {"name": "degree-invariance", "detail": "needs live curve data"}
         ]
@@ -268,20 +291,8 @@ def cmd_ee_sieve(args) -> int:
     if rep.kind != ELLIPTIC:
         raise ValueError(f"ee-sieve needs an elliptic residue build, got {rep.kind}")
     setup = ee_setup(rep.p, rep.d)
-    # the sieve runs on the model ee_setup rebuilds from (p, d); a rep that
-    # stores another one (its copies agree, so check passed) is refused
-    built = setup.ext.rep
-    for name, stored, rebuilt in (
-        ("A", rep.A, built.A),
-        ("curve (a4, a6)", [rep.params.get("a4"), rep.params.get("a6")],
-         [setup.curve.a4, setup.curve.a6]),
-        ("t_star", rep.params.get("t_star"), list(setup.m0)),
-    ):
-        if stored != rebuilt:
-            raise InconsistentFrobenius(
-                f"the rep's {name} is {stored!r} but ee_setup({rep.p}, {rep.d}) "
-                f"builds {rebuilt!r}"
-            )
+    # the sieve runs on the model ee_setup rebuilds from (p, d)
+    _match_elliptic_model(rep, setup.ext)
     cls = _parse_class(args.cls, setup.curve.trace(), rep.p)
     manifest = _manifest("ee-sieve", args)
     manifest["setup"] = setup.to_json()

@@ -8,7 +8,7 @@ power l^k of N = p^d - 1 and combined by CRT.  Below SMALL_PRIME_BOUND
 (2^20) Pohlig-Hellman reads them from the subgroup of order l^k, exactly
 and without relations; modulo each larger l the relations are solved by
 one elimination over F_l.  Every log is checked by exponentiation, and a
-column the relations leave undetermined is patched by descent.
+column the relations leave undetermined sends the sieve back for more.
 
 What the structural Frobenius buys is column count: polynomials in one
 orbit have logarithms that differ by powers of p and explicit scalars, so
@@ -19,7 +19,7 @@ whose own orbit walks off to the place at infinity.
 
 import random
 
-from .errors import NotFound, RankDeficient, SieveTimeout
+from .errors import InconsistentFrobenius, NotFound, RankDeficient, SieveTimeout
 from .ffcore import (
     FixedBasePowers,
     Poly,
@@ -126,8 +126,8 @@ class FactorBase:
                                                      orb.closure_ker_weight))
                 expected = ring.embed(orb.closure_scalar)
             if check != expected:
-                raise RankDeficient(
-                    f"orbit closure for {orb.anchor!r} failed verification", [idx]
+                raise InconsistentFrobenius(
+                    f"orbit closure for {orb.anchor!r} failed verification"
                 )
             out.append(Relation(cols, const, 0))
         # g0^(p-1) = 1
@@ -273,8 +273,8 @@ def find_generator(rep: Representation) -> Poly:
 
 def _mix(seed: int, i: int) -> int:
     """RNG key of position i in the stream of seed.  Sieve trial i, the JL
-    setup search, the descent (i = 0x85EBCA77 + column) and individual_log
-    (i = 0x517CC1B7) all draw from random.Random(_mix(seed, i))."""
+    setup search and individual_log (i = 0x517CC1B7) all draw from
+    random.Random(_mix(seed, i))."""
     return seed * 0x9E3779B1 + i
 
 
@@ -351,9 +351,6 @@ def collect_relations(
 # Primes of N below this bound are read by Pohlig-Hellman; each digit is
 # one BSGS of at most about 2^10 products.
 SMALL_PRIME_BOUND = 1 << 20
-
-# Descent tries per unresolved column and pass.
-_PATCH_TRIALS = 500
 
 
 def _order_split(rep: Representation):
@@ -482,62 +479,25 @@ class LogTable:
         return cls(g, int(data["N"]), logs)
 
 
-def build_log_table(
-    rep: Representation,
-    fb: FactorBase,
-    relations,
-    g: Poly,
-    *,
-    seed: int = 0,
-) -> LogTable:
+def build_log_table(rep: Representation, fb: FactorBase, relations, g: Poly) -> LogTable:
     """Solve for every column log and package them, each verified.
 
     solve_log_system gives one candidate per column, and every candidate
     is checked by exponentiation.  A column that fails the check (one the
-    relations left undetermined modulo some large prime of N) is patched
-    by descent: randomize its value by known powers of g until it factors
-    over already-resolved columns.
+    relations left undetermined modulo some large prime of N) raises
+    RankDeficient naming the failing columns: more relations are needed.
     """
-    N = rep.order()
-    ring = rep.ring
-    table = LogTable(g, N, {})
-    powers = table.powers(ring)
+    table = LogTable(g, rep.order(), {})
+    powers = table.powers(rep.ring)
     targets = [fb.column_value(col) for col in range(fb.ncols)]
     values = solve_log_system(rep, relations, g, targets)
-    resolved = {col for col in range(fb.ncols) if powers.pow(values[col]) == targets[col]}
-
-    while len(resolved) < fb.ncols:
-        progress = False
-        for col in range(fb.ncols):
-            if col in resolved or fb.const_col not in resolved:
-                continue
-            rng = random.Random(_mix(seed, 0x85EBCA77 + col))
-            for trial in range(_PATCH_TRIALS):
-                e = 0 if trial == 0 else rng.randrange(1, N)
-                z = ring.mul(targets[col], powers.pow(e))
-                hit = smooth_factor(fb, z)
-                if hit is None:
-                    continue
-                cols, const = hit
-                if col in cols or any(c not in resolved for c in cols):
-                    continue
-                lam = -e + const * values[fb.const_col]
-                for c, exp in cols.items():
-                    lam += exp * values[c]
-                lam %= N
-                if powers.pow(lam) == targets[col]:
-                    values[col] = lam
-                    resolved.add(col)
-                    progress = True
-                    break
-        if not progress:
-            raise RankDeficient(
-                "log system does not determine all columns; collect more relations",
-                sorted(set(range(fb.ncols)) - resolved),
-            )
-
-    for col in range(fb.ncols):
-        table.logs[targets[col]] = values[col]
+    failed = [col for col in range(fb.ncols) if powers.pow(values[col]) != targets[col]]
+    if failed:
+        raise RankDeficient(
+            "log system does not determine all columns; collect more relations",
+            failed,
+        )
+    table.logs.update(zip(targets, values))
     return table
 
 
@@ -640,9 +600,10 @@ def compute_logs(
 ):
     """Whole pipeline: factor base, generator, relations, solved table.
 
-    A rank-deficient solve (typically a column the sieve happened never to
-    hit) triggers a top-up: the target count grows and the trial stream is
-    replayed, so the result is still a deterministic function of the seed.
+    A column whose log fails its check (typically one the sieve happened
+    never to hit, or one left free modulo some large prime of N) triggers
+    a top-up: the target count grows and the trial stream is replayed, so
+    the result is still a deterministic function of the seed.
     """
     fb = build_factor_base(rep, kappa)
     g = find_generator(rep)
@@ -653,7 +614,7 @@ def compute_logs(
             rep, fb, target, seed=seed, g=g, max_trials=max_trials
         )
         try:
-            table = build_log_table(rep, fb, free + sieved, g, seed=seed)
+            table = build_log_table(rep, fb, free + sieved, g)
         except RankDeficient:
             if round_ == 5:
                 raise

@@ -104,6 +104,7 @@ class TestCheck:
             names = [c["name"] for c in doc["checks"]]
             if kind == "elliptic-residue":
                 assert "degree-invariance" not in names
+                assert "elliptic-model" in names
                 assert doc["skipped"] == [
                     {"name": "degree-invariance", "detail": "needs live curve data"}
                 ]
@@ -371,6 +372,20 @@ class TestEESieve:
         assert err["code"] == "InconsistentFrobenius"
         assert f"the rep's {what}" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "names, what",
+        [(["params.t_star", "t_star"], "t_star"), (["params.a4", "curve.a4"], "curve")],
+        ids=["t_star", "curve"],
+    )
+    def test_both_copies_edited_refused_by_check(self, rep_files, tmp_path, names, what):
+        # check rebuilds the model from (p, d) too, and names the field
+        bad = self._edited(rep_files, tmp_path, names)
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--out", str(out)]) == 4
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == ["elliptic-model"]
+        assert f"the rep's {what}" in failed[0]["detail"]
 
     def test_wrong_kind_rejected(self, rep_files, capsys):
         code = main(["ee-sieve", "--rep", str(rep_files["kummer"]),

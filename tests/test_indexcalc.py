@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from frobsieve.errors import SieveTimeout
+from frobsieve.errors import InconsistentFrobenius, RankDeficient, SieveTimeout
 from frobsieve.ffcore import Poly, crt, factor, factorize_int, monic_irreducibles, resultant
 from frobsieve.galoisrep import (
     build_artin_schreier,
@@ -197,6 +197,17 @@ class TestFreeRelations:
             orb.closure_exponent % torus_rep.order()
         )
         assert kernel_row.verify(fb, g)
+
+    @pytest.mark.parametrize("rep_name", ["kummer_rep", "torus_rep"])
+    def test_tampered_closure_is_inconsistent(self, request, rep_name):
+        # a closure that fails verification is bad structural data, not a
+        # shortage of relations (the torus case tampers the kernel orbit)
+        rep = request.getfixturevalue(rep_name)
+        fb = build_factor_base(rep, 2)
+        orb = fb.orbits[fb.kernel_index or 0]
+        orb.closure_scalar = (orb.closure_scalar + 1) % rep.p or 1
+        with pytest.raises(InconsistentFrobenius):
+            fb.free_relations()
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +534,34 @@ class TestSolver:
         assert g == kummer_run[1]
         assert table.verify_all(kummer_rep)
         assert table.logs == kummer_run[3].logs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_torus_seeds_complete(self, torus_rep, torus_run, seed):
+        # seeds 1, 3 and 5 leave a column undetermined after the first
+        # collect round and complete through the top-up
+        _fb, g, _rels, table = compute_logs(torus_rep, 2, seed=seed)
+        assert g == torus_run[1]
+        assert table.verify_all(torus_rep)
+        assert table.logs == torus_run[3].logs
+
+    def test_undetermined_column_raises(self, torus_rep):
+        # the first collect round of seed 1: the candidates of some columns
+        # fail their check, and those are the columns the error names
+        fb = build_factor_base(torus_rep, 2)
+        g = find_generator(torus_rep)
+        relations = fb.free_relations() + collect_relations(
+            torus_rep, fb, fb.ncols + 10, seed=1, g=g
+        )
+        targets = [fb.column_value(col) for col in range(fb.ncols)]
+        values = solve_log_system(torus_rep, relations, g, targets)
+        failed = [
+            col for col, (z, lam) in enumerate(zip(targets, values))
+            if torus_rep.ring.pow(g, lam) != z
+        ]
+        assert failed
+        with pytest.raises(RankDeficient) as info:
+            build_log_table(torus_rep, fb, relations, g)
+        assert info.value.columns == failed
 
     def test_more_relations_same_table(self, torus_rep):
         fb = build_factor_base(torus_rep, 2)
