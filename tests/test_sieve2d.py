@@ -992,3 +992,62 @@ class TestEESetup:
         data = ee11.to_json()
         assert data["p"] == 11 and data["d"] == 7
         assert data["alpha"] == [ee11.alpha.m, ee11.alpha.n]
+
+
+class TestFieldRoutinesPinned:
+    """One digest over the outputs of the small field routines that the
+    torus degree, elliptic interpolation and the EE linear system share:
+    extended Euclid, the num - z*den kernel and the Riemann-Roch monomial
+    values.  Any change to one of them that alters an output fails here."""
+
+    DIGEST = "76331afd14d5128e7affe3f43902f9bbc6a239db9c7f89ed1250b90fb23230e3"
+
+    @staticmethod
+    def _elements(ring, seed: int, count: int):
+        """1, x, then by turns a random element and a quotient a/b of
+        polynomials in x of degree at most 2, which has a low degree."""
+        rng = random.Random(seed)
+        out = [ring.one(), ring.x()]
+        while len(out) < count:
+            if len(out) % 2:
+                z = ring.random_el(rng)
+            else:
+                a, b = (ring.el([rng.randrange(ring.p) for _ in range(3)]) for _ in "ab")
+                z = ring.div(a, b) if not b.is_zero() else b
+            if not z.is_zero():
+                out.append(z)
+        return out
+
+    def test_outputs_pinned(self, ee11, sieved):
+        from frobsieve.elliptic import function_degree, interpolate
+        from frobsieve.ffcore import find_irreducible, poly_invert_mod
+        from frobsieve.galoisrep import build_torus, degree
+
+        record = {}
+        for p, d, u_r in ((13, 7, 8), (13, 7, None), (41, 7, None)):
+            rep = build_torus(p, d, u_r=u_r)
+            record[f"torus {p}^{d} u_r={u_r}"] = [
+                degree(rep, z) for z in self._elements(rep.ring, 5, 30)
+            ]
+        certs = []
+        ext = ee11.ext
+        for z in self._elements(ext.ring, 7, 12):
+            k0 = function_degree(ext, z)
+            for k in (k0, k0 + 1):
+                cert = interpolate(ext, z, k)
+                certs.append([cert.t, cert.k, cert.num_coeffs, cert.den_coeffs,
+                              cert.num.to_list(), cert.den.to_list()])
+        record["interpolate 11^7"] = certs
+        _, restr, _ = sieved
+        record["linear_system_ee kernel"] = restr.lin.kernel
+        record["EERestriction common"] = {
+            side: [den.to_list(), [u.to_list() for u in us], [v.to_list() for v in vs]]
+            for side, (den, us, vs) in sorted(restr.common.items())
+        }
+        A = find_irreducible(13, 7)
+        ring = QuotientField(A)
+        record["inverses 13^7"] = [
+            poly_invert_mod(z, A).to_list() for z in self._elements(ring, 11, 200)
+        ]
+        text = json.dumps(record, sort_keys=True, default=list)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
