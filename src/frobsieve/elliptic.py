@@ -27,11 +27,12 @@ from .ffcore import (
     PrimeField,
     PrimeOps,
     QuotientField,
+    _combine,
     factorize_int,
+    fraction_kernel,
     horner,
     is_irreducible,
     is_prime,
-    kernel_basis,
     poly_invert_mod,
     poly_pow_mod,
 )
@@ -401,22 +402,17 @@ class EllipticResidueRep:
 
 def translate_point(ext: EllipticResidueRep, P, t):
     """P (+) t for P with coordinates in L and t a rational point."""
-    return _translate(ext.ring, P, t)
+    return _translate(ext.ring, ext.curve.a4, P, t)
 
 
-def _translate(ring, P, t):
+def _translate(ring, a4, P, t):
     if t is None:
         return P
-    x, y = P
     xt = ring.embed(t[0])
-    yt = ring.embed(t[1])
-    if ring.eq(x, xt):
+    if ring.eq(P[0], xt):
         # would need a doubling; cannot happen for fiber points vs rational t
         raise NonInvertible("fiber point collides with a rational point")
-    lam = ring.mul(ring.sub(y, yt), ring.inv(ring.sub(x, xt)))
-    x3 = ring.sub(ring.sub(ring.mul(lam, lam), x), xt)
-    y3 = ring.sub(ring.mul(lam, ring.sub(x, x3)), y)
-    return (x3, y3)
+    return ec_add(ring, a4, P, (xt, ring.embed(t[1])))
 
 
 def translate_x(ext: EllipticResidueRep, t) -> Poly:
@@ -484,7 +480,7 @@ def _fiber_scan(crv: Curve, iso: Isogeny, T_gen, gen):
         B = (ring.x(), Y)
         x_p = poly_pow_mod(ring.x(), p, A)
         t_star = next((t for t in subgroup
-                       if t is not None and _translate(ring, B, t)[0] == x_p), None)
+                       if t is not None and _translate(ring, crv.a4, B, t)[0] == x_p), None)
         if t_star is None:
             raise InconsistentFrobenius(
                 "no kernel translation matches x^p on an irreducible fiber"
@@ -492,7 +488,7 @@ def _fiber_scan(crv: Curve, iso: Isogeny, T_gen, gen):
         # the images x^(p^k) are the x-coordinates of B (+) k t*
         points = [B]
         for _ in range(d - 1):
-            points.append(_translate(ring, points[-1], t_star))
+            points.append(_translate(ring, crv.a4, points[-1], t_star))
         # the y-coordinate must follow along: Frobenius of B is (x^p, Y^p)
         if points[1][1] != ring.pow(Y, p):
             raise InconsistentFrobenius("translation matches x^p but not y^p")
@@ -549,44 +545,33 @@ def _monomial_basis(k: int):
     return basis
 
 
+def _monomial_values(ops, P, basis):
+    """The value x^i y^j at the point P = (x, y) of each (i, j) in basis,
+    through the field adapter ops (j <= 1, as _monomial_basis gives)."""
+    x, y = P
+    x_pows = [ops.one()]
+    for _ in range(max(i for i, _ in basis)):
+        x_pows.append(ops.mul(x_pows[-1], x))
+    return [ops.mul(x_pows[i], y) if j else x_pows[i] for i, j in basis]
+
+
 def interpolate(ext: EllipticResidueRep, z: Poly, k: int):
     """Find z = num/den with both sides in L(k*(t)) for some kernel point t,
     or None if no kernel point admits one at this k."""
     ring = ext.ring
     z = ring.el(z)
-    p = ext.rep.p
-    d = ext.rep.d
     basis = _monomial_basis(k)
     B = ext.point()
     for t in ext.subgroup:
         Q = translate_point(ext, B, ec_neg(ext.curve.ops, t)) if t is not None else B
-        vals = []
-        xq, yq = Q
-        for (i, j) in basis:
-            v = ring.pow(xq, i)
-            if j:
-                v = ring.mul(v, yq)
-            vals.append(v)
+        vals = _monomial_values(ring, Q, basis)
         zvals = [ring.mul(z, v) for v in vals]
-        ncols = 2 * len(basis)
-        rows = []
-        for c in range(d):
-            row = [(v.coeffs[c] if c < len(v.coeffs) else 0) for v in vals]
-            row += [(-(v.coeffs[c] if c < len(v.coeffs) else 0)) % p for v in zvals]
-            rows.append(row)
-        for vec in kernel_basis(rows, ncols, p):
-            den_coeffs = vec[len(basis):]
-            den = ring.zero()
-            for coef, v in zip(den_coeffs, vals):
-                if coef:
-                    den = ring.add(den, ring.mul(ring.embed(coef), v))
+        for vec in fraction_kernel(vals, zvals, ext.rep.d, ext.rep.p):
+            num_coeffs, den_coeffs = vec[:len(basis)], vec[len(basis):]
+            den = _combine(den_coeffs, vals)
             if den.is_zero():
                 continue
-            num_coeffs = vec[:len(basis)]
-            num = ring.zero()
-            for coef, v in zip(num_coeffs, vals):
-                if coef:
-                    num = ring.add(num, ring.mul(ring.embed(coef), v))
+            num = _combine(num_coeffs, vals)
             return Interpolation(t, k, basis, num_coeffs, den_coeffs, num, den)
     return None
 

@@ -35,6 +35,13 @@ distinct-degree split of a passer raises nothing to a p^k-th power
 again; a squarefree quadratic is decided by Euler's criterion on its
 discriminant, and the equal-degree split is the quadratic formula or
 Cantor-Zassenhaus.
+
+The field routines that the models and sieves share are written once,
+here: extended Euclid on coefficient lists (`_rational_split`, whose
+bound-0 case is `poly_invert_mod`), the coefficient matrix of a list of
+elements (`coefficient_rows`) and the kernel of num - z * den over their
+span (`fraction_kernel`), and F_p combinations of fixed polynomials
+(`_combine`).
 """
 
 from __future__ import annotations
@@ -573,18 +580,54 @@ class PackedModulus:
         return r
 
 
+def _rational_split(modulus: Poly, z: Poly, bound: int):
+    """(num, den) with z * den = num mod modulus, deg num <= bound and
+    deg den <= deg modulus - 1 - bound, for z reduced below the modulus and
+    0 <= bound < deg modulus.
+
+    Extended Euclid on (modulus, z) keeps r_i = t_i * z mod modulus and
+    stops at the first remainder r_i of degree <= bound.  Then
+    deg t_i = deg modulus - deg r_{i-1} and deg r_{i-1} > bound.  With an
+    irreducible modulus and z != 0 the remainders end at a nonzero
+    constant, so the loop stops and num, den are both nonzero; otherwise
+    num may be 0.  The remainders and cofactors are plain coefficient
+    lists; only the two results are built as Poly.
+    """
+    p = z.p
+    r0, r1 = list(modulus.coeffs), list(z.coeffs)
+    t0, t1 = [], [1]
+    while len(r1) > bound + 1:
+        # r0 = q * r1 + r, in place in r0; then t = t0 - q * t1
+        n1 = len(r1)
+        inv = pow(r1[-1], -1, p)
+        q = [0] * (len(r0) - n1 + 1)
+        for i in range(len(q) - 1, -1, -1):
+            c = r0[i + n1 - 1] * inv % p
+            q[i] = c
+            if c:
+                for j, b in enumerate(r1):
+                    r0[i + j] = (r0[i + j] - c * b) % p
+        del r0[n1 - 1:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, c in enumerate(q):
+            if c:
+                for j, b in enumerate(t1):
+                    t[i + j] = (t[i + j] - c * b) % p
+        r0, r1 = r1, r0
+        t0, t1 = t1, t
+    return Poly(r1, p), Poly(t1, p)
+
+
 def poly_invert_mod(f: Poly, modulus: Poly) -> Poly:
-    """Inverse of f modulo an irreducible modulus, by extended Euclid."""
-    r0, r1 = modulus, f % modulus
-    s0, s1 = Poly([], f.p), Poly([1], f.p)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise NonInvertible(f"gcd has degree {r0.degree}, element is not a unit")
-    inv_c = pow(r0.coeffs[0], f.p - 2, f.p)
-    return s0 * inv_c % modulus
+    """Inverse of f modulo the modulus, by extended Euclid: the rational
+    split with bound 0 gives z * t = c for z = f mod modulus, and f is a
+    unit exactly when the constant c is nonzero."""
+    c, t = _rational_split(modulus, f % modulus, 0)
+    if c.is_zero():
+        raise NonInvertible("f shares a factor with the modulus, element is not a unit")
+    return t * pow(c.coeffs[0], -1, f.p)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -1172,6 +1215,35 @@ def kernel_basis(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
             vec[pc] = (-row[fc]) % p
         basis.append(vec)
     return basis
+
+
+def coefficient_rows(polys, n: int) -> list[list[int]]:
+    """The n x len(polys) matrix over F_p whose column i holds the
+    coefficients of polys[i] below degree n."""
+    return [[q.coeffs[c] if c < len(q.coeffs) else 0 for q in polys] for c in range(n)]
+
+
+def fraction_kernel(vals, zvals, n: int, p: int) -> list[list[int]]:
+    """Kernel basis of [vals | -zvals], each column the coefficients of one
+    element of F_p[X]/(A) below degree n = deg A: the vectors (a, b) with
+    sum a_i vals[i] = sum b_i zvals[i].  With zvals[i] = z * vals[i] these
+    are the fractions z = num / den, num = sum a_i vals[i] and
+    den = sum b_i vals[i] (when den != 0), over the span of vals."""
+    rows = [
+        row + [-c % p for c in zrow]
+        for row, zrow in zip(coefficient_rows(vals, n), coefficient_rows(zvals, n))
+    ]
+    return kernel_basis(rows, 2 * len(vals), p)
+
+
+def _combine(coeffs, polys):
+    """sum_i coeffs[i] * polys[i] over F_p."""
+    acc = [0] * max(len(q.coeffs) for q in polys)
+    for c, q in zip(coeffs, polys):
+        if c:
+            for j, a in enumerate(q.coeffs):
+                acc[j] += c * a
+    return Poly(acc, polys[0].p)
 
 
 def solve_mod_prime(rows: list[list[int]], rhs: list[int], p: int):

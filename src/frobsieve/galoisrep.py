@@ -36,9 +36,9 @@ from .ffcore import (
     PrimeField,
     QuotientField,
     factorize_int,
+    fraction_kernel,
     horner,
     is_irreducible,
-    kernel_basis,
     primitive_root,
 )
 
@@ -447,7 +447,6 @@ def build_torus(p: int, d: int, u_r=None) -> Representation:
         c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1
     )
     group_factors = factorize_int(p + 1)
-    d_factors = factorize_int(d)
 
     if u_r is None:
         for u in range(p):
@@ -464,13 +463,10 @@ def build_torus(p: int, d: int, u_r=None) -> Representation:
 
     m = (p + 1) // d
     t = torus_scalar(-m, base, D, p)
-    has_exact_order_d = torus_is_neutral(torus_scalar(d, t, D, p), p) and not any(
-        torus_is_neutral(torus_scalar(d // ell, t, D, p), p) for ell in d_factors
-    )
-    if not has_exact_order_d:
+    order = torus_order(t, D, p, group_factors)
+    if order != d:
         raise ValueError(
-            f"u_r={u_r} gives a translation point of order "
-            f"{torus_order(t, D, p, group_factors)}, need exact order {d}"
+            f"u_r={u_r} gives a translation point of order {order}, need exact order {d}"
         )
     tau = torus_u(t, p)
 
@@ -734,14 +730,6 @@ def _torus_degree(rep: Representation, z: Poly) -> int:
     zx_pows = [ring.mul(z, xp) for xp in x_pows]
     max_k = (d - 2 + 1) // 2 + 1  # 2k + 2 > d guarantees a kernel by then
     for k in range(0, max_k + 1):
-        ncols = 2 * (k + 1)
-        rows = []
-        for i in range(d):
-            row = [x_pows[j].coeffs[i] if i < len(x_pows[j].coeffs) else 0
-                   for j in range(k + 1)]
-            row += [(-(zx_pows[j].coeffs[i] if i < len(zx_pows[j].coeffs) else 0)) % p
-                    for j in range(k + 1)]
-            rows.append(row)
-        if kernel_basis(rows, ncols, p):
+        if fraction_kernel(x_pows[:k + 1], zx_pows[:k + 1], d, p):
             return k
     raise InconsistentFrobenius("torus degree sweep failed to terminate")

@@ -24,6 +24,7 @@ from .ffcore import (
     FixedBasePowers,
     Poly,
     PrimeOps,
+    _rational_split,
     bsgs_dlog,
     crt,
     factor,
@@ -94,8 +95,8 @@ class FactorBase:
 
     def free_relations(self):
         """Relations that cost nothing: one closure row per orbit, plus the
-        order of the constant column.  Each is verified multiplicatively
-        before being handed out."""
+        order of the constant column.  Each closure row is checked by
+        Relation.verify against g^0 = 1 before being handed out."""
         rep = self.rep
         ring = rep.ring
         N = rep.order()
@@ -106,30 +107,20 @@ class FactorBase:
             out.append(Relation({}, (p - 1) % N, 0))
             return out
         for idx, orb in enumerate(self.orbits):
-            cols = {}
             if orb.is_kernel:
                 # (x+tau)^E = C
-                cols[idx] = orb.closure_exponent % N
-                const = -self.scalar_log(orb.closure_scalar) % N
-                check = ring.pow(ring.el(orb.anchor), orb.closure_exponent)
-                expected = ring.embed(orb.closure_scalar)
+                cols = {idx: orb.closure_exponent % N}
             else:
                 # anchor^{p^size - 1} * (x+tau)^W = S
-                cols[idx] = (p ** orb.size - 1) % N
+                cols = {idx: (p ** orb.size - 1) % N}
                 if orb.closure_ker_weight:
-                    kcol = self.kernel_index
-                    cols[kcol] = (cols.get(kcol, 0) + orb.closure_ker_weight) % N
-                const = -self.scalar_log(orb.closure_scalar) % N
-                check = ring.pow(ring.el(orb.anchor), p ** orb.size - 1)
-                if orb.closure_ker_weight:
-                    check = ring.mul(check, ring.pow(self.column_value(kcol),
-                                                     orb.closure_ker_weight))
-                expected = ring.embed(orb.closure_scalar)
-            if check != expected:
+                    cols[self.kernel_index] = orb.closure_ker_weight % N
+            rel = Relation(cols, -self.scalar_log(orb.closure_scalar) % N, 0)
+            if not rel.verify(self, ring.one()):
                 raise InconsistentFrobenius(
                     f"orbit closure for {orb.anchor!r} failed verification"
                 )
-            out.append(Relation(cols, const, 0))
+            out.append(rel)
         # g0^(p-1) = 1
         out.append(Relation({}, (p - 1) % N, 0))
         return out
@@ -228,15 +219,10 @@ def smooth_factor(fb: FactorBase, z: Poly):
         if hit is None:
             return None  # degree fits but poly missing: inconsistent base
         idx, mem = hit
-        orb = fb.orbits[idx]
-        if orb.is_kernel:
-            w = (rep.p ** mem.shift + mem.ker_weight) * mult
-            cols[idx] = (cols.get(idx, 0) + w) % N
-        else:
-            cols[idx] = (cols.get(idx, 0) + rep.p ** mem.shift * mult) % N
-            if mem.ker_weight:
-                kcol = fb.kernel_index
-                cols[kcol] = (cols.get(kcol, 0) + mem.ker_weight * mult) % N
+        cols[idx] = (cols.get(idx, 0) + rep.p ** mem.shift * mult) % N
+        if mem.ker_weight:
+            kcol = fb.kernel_index
+            cols[kcol] = (cols.get(kcol, 0) + mem.ker_weight * mult) % N
         const -= fb.scalar_log(mem.scalar) * mult
     return cols, const % N
 
@@ -499,46 +485,6 @@ def build_log_table(rep: Representation, fb: FactorBase, relations, g: Poly) -> 
         )
     table.logs.update(zip(targets, values))
     return table
-
-
-def _rational_split(modulus: Poly, z: Poly, bound: int):
-    """(num, den) with z * den = num mod modulus, deg num <= bound and
-    deg den <= deg modulus - 1 - bound, for z reduced below the modulus and
-    0 <= bound < deg modulus.
-
-    Extended Euclid on (modulus, z) keeps r_i = t_i * z mod modulus and
-    stops at the first remainder r_i of degree <= bound.  Then
-    deg t_i = deg modulus - deg r_{i-1} and deg r_{i-1} > bound.  With an
-    irreducible modulus and z != 0 the remainders end at a nonzero
-    constant, so the loop stops and num, den are both nonzero.  The
-    remainders and cofactors are plain coefficient lists; only the two
-    results are built as Poly.
-    """
-    p = z.p
-    r0, r1 = list(modulus.coeffs), list(z.coeffs)
-    t0, t1 = [], [1]
-    while len(r1) > bound + 1:
-        # r0 = q * r1 + r, in place in r0; then t = t0 - q * t1
-        n1 = len(r1)
-        inv = pow(r1[-1], -1, p)
-        q = [0] * (len(r0) - n1 + 1)
-        for i in range(len(q) - 1, -1, -1):
-            c = r0[i + n1 - 1] * inv % p
-            q[i] = c
-            if c:
-                for j, b in enumerate(r1):
-                    r0[i + j] = (r0[i + j] - c * b) % p
-        del r0[n1 - 1:]
-        while r0 and not r0[-1]:
-            r0.pop()
-        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
-        for i, c in enumerate(q):
-            if c:
-                for j, b in enumerate(t1):
-                    t[i + j] = (t[i + j] - c * b) % p
-        r0, r1 = r1, r0
-        t0, t1 = t1, t
-    return Poly(r1, p), Poly(t1, p)
 
 
 def individual_log(

@@ -39,6 +39,8 @@ from .ffcore import (
     Poly,
     PrimeField,
     QuotientField,
+    _combine,
+    coefficient_rows,
     factor,
     find_irreducible,
     frobenius_ladder,
@@ -53,6 +55,7 @@ from .elliptic import (
     Curve,
     EndomorphismElement,
     _monomial_basis,
+    _monomial_values,
     build_elliptic_residue,
     ec_add,
     ec_neg,
@@ -123,28 +126,22 @@ class BivariatePoly:
 
     def substitute_curve_x(self, f: Poly) -> Poly:
         """lambda(X, f(X)) as a univariate polynomial."""
-        field = PrimeField(self.p)
-        dy = max((j for _, j in self.coeffs), default=0)
-        acc = field.poly([])
-        for j in range(dy, -1, -1):
-            layer = [0] * (max((i for i, jj in self.coeffs if jj == j), default=0) + 1)
-            for (i, jj), c in self.coeffs.items():
-                if jj == j:
-                    layer[i] = c
-            acc = acc * f + field.poly(layer)
-        return acc
+        return self._substitute(f, 1)
 
     def substitute_curve_y(self, g: Poly) -> Poly:
         """lambda(g(Y), Y) as a univariate polynomial."""
-        field = PrimeField(self.p)
-        dx = max((i for i, _ in self.coeffs), default=0)
-        acc = field.poly([])
-        for i in range(dx, -1, -1):
-            layer = [0] * (max((j for ii, j in self.coeffs if ii == i), default=0) + 1)
-            for (ii, j), c in self.coeffs.items():
-                if ii == i:
-                    layer[j] = c
-            acc = acc * g + field.poly(layer)
+        return self._substitute(g, 0)
+
+    def _substitute(self, q: Poly, outer: int) -> Poly:
+        """lambda with its variable number `outer` (0 for x, 1 for y)
+        replaced by q in the other one, by Horner's rule in that variable."""
+        layers = [{} for _ in range(max((m[outer] for m in self.coeffs), default=0) + 1)]
+        for m, c in self.coeffs.items():
+            layers[m[outer]][m[1 - outer]] = c
+        acc = Poly([], self.p)
+        for layer in reversed(layers):
+            coeffs = [layer.get(i, 0) for i in range(max(layer, default=0) + 1)]
+            acc = acc * q + Poly(coeffs, self.p)
         return acc
 
     def evaluate(self, ops, xv, yv):
@@ -160,16 +157,6 @@ class BivariatePoly:
     @classmethod
     def from_json(cls, p, data):
         return cls(p, {(i, j): c for i, j, c in data})
-
-
-def _combine(coeffs, polys):
-    """sum_i coeffs[i] * polys[i] over F_p."""
-    acc = [0] * max(len(q.coeffs) for q in polys)
-    for c, q in zip(coeffs, polys):
-        if c:
-            for j, a in enumerate(q.coeffs):
-                acc[j] += c * a
-    return Poly(acc, polys[0].p)
 
 
 class JLSetup:
@@ -661,34 +648,32 @@ class SurfaceFunction:
         self.coeffs = list(coeffs)
 
     def evaluate(self, ops, P, Q):
-        x1, y1 = P
-        x2, y2 = Q
         acc = ops.zero()
-        idx = 0
-        for (i1, j1) in self.basis1:
-            b1 = ops.mul(ops.pow(x1, i1), ops.pow(y1, j1))
-            for (i2, j2) in self.basis2:
-                c = self.coeffs[idx]
-                idx += 1
-                if c:
-                    b2 = ops.mul(ops.pow(x2, i2), ops.pow(y2, j2))
-                    acc = ops.add(acc, ops.mul(ops.embed(c), ops.mul(b1, b2)))
+        for c, v in zip(self.coeffs, _basis_products(ops, self.basis1, self.basis2, P, Q)):
+            if c:
+                acc = ops.add(acc, ops.mul(ops.embed(c), v))
         return acc
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
 
+def _basis_products(ops, basis1, basis2, P, Q):
+    """The value at (P, Q) of each product b1 * b2 over basis1 x basis2,
+    b1 major, each side's monomial values computed once."""
+    vals2 = _monomial_values(ops, Q, basis2)
+    return [ops.mul(b1, b2) for b1 in _monomial_values(ops, P, basis1) for b2 in vals2]
+
+
 class LinearSystemEE:
     """Kernel basis of the graph-vanishing conditions, with the evaluation
     data kept around for holdout checks."""
 
-    def __init__(self, cls, basis1, basis2, kernel, rows_used, holdout):
+    def __init__(self, cls, basis1, basis2, kernel, holdout):
         self.cls = cls
         self.basis1 = basis1
         self.basis2 = basis2
         self.kernel = kernel
-        self.rows_used = rows_used
         self.holdout = holdout  # (field adapter, P, Q) triples, unused in solve
 
     def __repr__(self):
@@ -786,7 +771,6 @@ def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSyst
 
     stream = _graph_points(curve, c.xi)
     rows = []
-    used = 0
     holdout = []
     for ops, P, Q, e in stream:
         if len(rows) >= needed + 4:
@@ -794,22 +778,9 @@ def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSyst
                 holdout.append((ops, P, Q))
                 continue
             break
-        used += 1
-        vals = []
-        for (i1, j1) in basis1:
-            b1 = ops.mul(ops.pow(P[0], i1), ops.pow(P[1], j1))
-            for (i2, j2) in basis2:
-                b2 = ops.mul(ops.pow(Q[0], i2), ops.pow(Q[1], j2))
-                vals.append(ops.mul(b1, b2))
-        for k in range(e):
-            row = []
-            for v in vals:
-                if e == 1:
-                    row.append(v % curve.p)
-                else:
-                    cs = v.coeffs
-                    row.append(cs[k] if k < len(cs) else 0)
-            rows.append(row)
+        vals = _basis_products(ops, basis1, basis2, P, Q)
+        # a point over F_p gives its values, one over F_{p^e} their e coefficient rows
+        rows.extend([vals] if e == 1 else coefficient_rows(vals, e))
     if len(rows) < needed:
         raise InsufficientPoints(
             f"only {len(rows)} usable graph conditions; need {needed}"
@@ -819,7 +790,7 @@ def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSyst
             f"only {len(holdout)} graph points left for holdout checks"
         )
     kernel = kernel_basis(rows, ncols, curve.p)
-    return LinearSystemEE(c, basis1, basis2, kernel, len(rows), holdout)
+    return LinearSystemEE(c, basis1, basis2, kernel, holdout)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,12 +1083,7 @@ class EERestriction:
 
     def _common_form(self, P, Q):
         ff = self.ffops
-        prods = []
-        for (i1, j1) in self.lin.basis1:
-            b1 = ff.mul(ff.pow(P[0], i1), ff.pow(P[1], j1))
-            for (i2, j2) in self.lin.basis2:
-                b2 = ff.mul(ff.pow(Q[0], i2), ff.pow(Q[1], j2))
-                prods.append(ff.mul(b1, b2))
+        prods = _basis_products(ff, self.lin.basis1, self.lin.basis2, P, Q)
         den = Poly([1], ff.p)
         for part in chain.from_iterable(prods):
             den = den * (part.den // poly_gcd(den, part.den))

@@ -95,22 +95,17 @@ class TestCheck:
         assert "modulus-irreducible" in names
 
     def test_elliptic_lists_skipped_check(self, rep_files, tmp_path):
-        # degree-invariance never runs on an elliptic rep, so it is not
-        # reported as ok; the other kinds run it and carry no skipped key
+        # degree-invariance runs on every kind, on an elliptic rep through
+        # the model rebuilt from (p, d), so no check is reported skipped
         for kind, path in rep_files.items():
             out = tmp_path / f"{kind}.json"
             assert main(["check", str(path), "--out", str(out)]) == 0
             doc = json.loads(out.read_text())
             names = [c["name"] for c in doc["checks"]]
+            assert "degree-invariance" in names
+            assert "skipped" not in doc
             if kind == "elliptic-residue":
-                assert "degree-invariance" not in names
-                assert "elliptic-model" in names
-                assert doc["skipped"] == [
-                    {"name": "degree-invariance", "detail": "needs live curve data"}
-                ]
-            else:
-                assert "degree-invariance" in names
-                assert "skipped" not in doc
+                assert names.index("elliptic-model") < names.index("degree-invariance")
 
     def test_raw_rep_accepted(self, rep_files, tmp_path):
         raw = json.loads(rep_files["kummer"].read_text())["rep"]

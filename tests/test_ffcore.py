@@ -37,6 +37,7 @@ from frobsieve.ffcore import (
     resultant,
     solve_mod_prime,
 )
+from frobsieve.errors import NonInvertible
 from frobsieve.ffcore import _edf
 
 
@@ -206,6 +207,21 @@ def test_invert_mod():
             continue
         inv = poly_invert_mod(f, A)
         assert (f * inv) % A == Poly([1], 11)
+
+
+def test_invert_mod_every_unit_and_no_other():
+    # Euclid ends at a zero remainder exactly when f is not a unit
+    A = Poly([2, 0, 0, 1], 7)  # X^3 + 2
+    assert is_irreducible(A)
+    ring = QuotientField(A)
+    for f in ring.elements():
+        if f.is_zero():
+            with pytest.raises(NonInvertible):
+                poly_invert_mod(f, A)
+        else:
+            assert ring.mul(f, poly_invert_mod(f, A)) == ring.one()
+    with pytest.raises(NonInvertible):
+        poly_invert_mod(Poly([-1, 1], 7), Poly([-1, 0, 1], 7))  # X - 1 mod X^2 - 1
 
 
 def _moebius(n):
