@@ -720,6 +720,33 @@ class TestEESieve:
         _, _, rels = sieved
         assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
 
+    def test_class_partition_pinned(self, sieved):
+        # sha256 of the same relations with every class label left out:
+        # coefficients, witness, unit and factors of each side, and each
+        # side's factors grouped by class with the class's exponent.  It
+        # pins the partition into columns, whatever names the classes
+        _, restr, rels = sieved
+
+        def side(s):
+            groups = {}
+            for q, _ in s["num"] + s["den"]:
+                groups.setdefault(restr.classes.class_of(q), []).append(q.to_list())
+            return {
+                "unit": s["unit"],
+                "num": [[q.to_list(), e] for q, e in s["num"]],
+                "den": [[q.to_list(), e] for q, e in s["den"]],
+                "partition": sorted(
+                    [sorted(qs), s["classes"].get(rep, 0)] for rep, qs in groups.items()
+                ),
+            }
+
+        doc = [
+            [list(r.coeffs), r.witness.to_list(), side(r.side_a), side(r.side_b)]
+            for r in rels
+        ]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "57579f82cba1687b4a1cfc33773efb62603950a8cac86e53ebb85086aa965ac2"
+
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
         # two splits per relation, the numerator of each side, each from
         # the Frobenius powers of its own smoothness test.  A denominator
