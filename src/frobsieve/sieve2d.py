@@ -12,8 +12,9 @@ factorizations on either side.  The second runs on E x E for an elliptic
 curve with endomorphism ring bookkeeping: ample classes are checked with
 the intersection form, function spaces are built from Riemann-Roch bases
 and cut down by evaluation along the graph of an endomorphism, and both
-restrictions live on copies of E where places group into translation
-classes.
+restrictions live on copies of E.  There places group into classes under
+translation by the subgroup T of Frobenius, each labelled by the x-place
+of E/T below it, read off the Vélu quotient by T.
 
 Both sieves restrict a candidate as one F_p combination of basis
 products cached per setup (`_combine`), and check each relation on the
@@ -49,7 +50,6 @@ from .ffcore import (
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
-    poly_sort_key,
 )
 from .elliptic import (
     Curve,
@@ -61,6 +61,7 @@ from .elliptic import (
     ec_neg,
     ec_scalar,
     ec_sub,
+    velu_quotient,
 )
 from .indexcalc import _mix, sieve_trials
 
@@ -903,63 +904,54 @@ def ee_setup(p: int, d: int, bound: int = 50) -> EESetup:
 
 
 # ---------------------------------------------------------------------------
-# Places on a copy of E, grouped by kernel translation.
+# Places on a copy of E, grouped by the x-place of E/T below them.
 
 
 class PlaceClasses:
-    """x-places of degree <= kappa, merged when translation by a point of
-    the distinguished subgroup links them.  The classes are the factor
+    """x-places of degree <= kappa, merged when they lie over one x-place
+    of E/T, for T the subgroup generated by t.  The classes are the factor
     base columns of the E x E sieve.
 
-    Orbits are resolved lazily: translating a place by every nonzero
-    subgroup element in one pass already yields its whole class, because
-    the translated polynomial covers both sheets over the place.  The
-    sheets also make translation by t_k and by -t_k give one polynomial
-    (P + t_k and -P - t_k share their x), so `translates` keeps one
-    subgroup element per x-coordinate.  That keeps large kappa usable; the
-    full enumeration only happens when a count over the whole base is
-    asked for.
+    Translation by T is what links the places of one class: the images of
+    P and P' in E/T share their x exactly when P' = +/-P + kt, the sign
+    being the two sheets over an x-place.  The label of q is the x-place
+    below it: the minimal polynomial over F_p of
+    X(alpha) = N_x(alpha)/h(alpha)^2 for a root alpha of q, from the Vélu
+    quotient by T.  A kernel place (h(alpha) = 0) lies over the origin of
+    E/T and gets the label 1.  Labels are cached on first use; only
+    `class_count` walks the whole base.
     """
 
     def __init__(self, curve: Curve, kappa: int, t):
         self.curve = curve
         self.kappa = kappa
-        by_x = {}
-        tk = t
-        while tk is not None:
-            by_x.setdefault(tk[0], tk)
-            tk = ec_add(curve.ops, curve.a4, tk, t)
-        self.translates = list(by_x.values())
+        self.isogeny = velu_quotient(curve, t)
         self._canonical = {}
 
     def class_of(self, q: Poly) -> Poly:
-        """Canonical representative of the translation class of q."""
+        """The x-place of E/T below q, as a monic polynomial over F_p."""
         if q.degree > self.kappa:
             raise ValueError("place exceeds the smoothness bound")
         got = self._canonical.get(q.coeffs)
         if got is not None:
             return got
-        members = {q.coeffs: q}
-        for tk in self.translates:
-            for out in self._translate_factors(q, tk):
-                members[out.coeffs] = out
-        rep = min(members.values(), key=poly_sort_key)
-        for mem in members.values():
-            self._canonical[mem.coeffs] = rep
-        return rep
-
-    def _translate_factors(self, q: Poly, tk):
-        p = self.curve.p
-        if q.degree == 1 and (-q.coeffs[0]) % p == tk[0] % p:
-            # the place of +/-tk itself: one sheet translates to the
-            # origin, the other to [2]tk
-            double = ec_add(self.curve.ops, self.curve.a4, tk, tk)
-            if double is None:
-                return []
-            return [Poly([-double[0], 1], p)]
-        h_t = translate_place(self.curve, q, tk)
-        _, facs = factor(h_t)
-        return [fq for fq, _ in facs if fq.degree <= self.kappa]
+        ring = QuotientField(q)
+        h = ring.el(self.isogeny.h)
+        prod = [ring.one()]  # prod (X - c) over the conjugates c of X(alpha)
+        if not ring.is_zero(h):
+            beta = c = ring.div(ring.el(self.isogeny.N_x), ring.mul(h, h))
+            while True:
+                prod = [
+                    ring.sub(hi, ring.mul(c, lo))
+                    for hi, lo in zip([ring.zero()] + prod, prod + [ring.zero()])
+                ]
+                c = ring.pow(c, ring.p)
+                if c == beta:
+                    break
+        if any(cc.degree > 0 for cc in prod):
+            raise ValueError("image place did not descend to F_p")
+        got = self._canonical[q.coeffs] = Poly([cc.constant_value() for cc in prod], ring.p)
+        return got
 
     def class_count(self) -> int:
         reps = {self.class_of(q).coeffs for q in monic_irreducibles(self.curve.p, self.kappa)}

@@ -315,6 +315,20 @@ class TestEESieve:
             assert rebuilt is not None
             assert rebuilt.to_json() == rec
 
+    def test_byte_determinism(self, rep_files, tmp_path):
+        args = ["ee-sieve", "--rep", str(rep_files["elliptic-residue"]),
+                "--class", "2,2,1,0", "--kappa", "4", "--budget", "60"]
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+        assert len(la) > 1
+        assert la[1:] == lb[1:]
+        ma, mb = json.loads(la[0]), json.loads(lb[0])
+        ma.pop("generated_at"), mb.pop("generated_at")
+        assert ma == mb
+
     # hand edits of a CLI-built 11^7 rep: t* -> -t* (the other sign, a
     # point of the same subgroup) and a4 -> a4 + 1
     EDITS = {

@@ -544,6 +544,16 @@ class TestSolver:
         assert table.verify_all(torus_rep)
         assert table.logs == torus_run[3].logs
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_artin_schreier_11_seeds_complete(self, seed):
+        # l = 1806113 is solved from relations over the 7 columns: a
+        # large-l solve on a model other than the torus
+        rep = build_artin_schreier(11)
+        assert _order_split(rep)[1] == [1806113]
+        fb, _g, _rels, table = compute_logs(rep, 2, seed=seed)
+        assert fb.ncols == 7
+        assert table.verify_all(rep)
+
     def test_undetermined_column_raises(self, torus_rep):
         # the first collect round of seed 1: the candidates of some columns
         # fail their check, and those are the columns the error names

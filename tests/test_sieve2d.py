@@ -572,32 +572,77 @@ class TestPlaceClasses:
         assert pc.class_count() < n_places
 
     def test_matches_point_translation(self, ee11):
-        # degree-1 places: the class of x(P) must absorb every x(P + k*t)
+        # degree-1 places: the class of x(P) must absorb every x(P + k*t).
+        # Every rational point of the 11^7 curve is in the kernel, so the
+        # 43^5 curve (35 points, 7 cosets) is what checks the other cosets
+        from frobsieve.elliptic import build_elliptic_residue
+
+        ext = build_elliptic_residue(43, 5)
+        for curve, t in ((ee11.curve, ee11.m0), (ext.curve, ext.t_star)):
+            p = curve.p
+            pc = build_place_classes(curve, 1, t)
+            for P in curve.points():
+                rep = pc.class_of(Poly([-P[0], 1], p))
+                for tk in self._subgroup(curve, t):
+                    moved = ec_add(curve.ops, curve.a4, P, tk)
+                    if moved is not None:
+                        assert pc.class_of(Poly([-moved[0], 1], p)) == rep
+
+    @staticmethod
+    def _subgroup(curve, t):
+        """The nonzero points k*t of the subgroup generated by t."""
+        out, tk = [], t
+        while tk is not None:
+            out.append(tk)
+            tk = ec_add(curve.ops, curve.a4, tk, t)
+        return out
+
+    @pytest.mark.parametrize("p, d, kappa", [(11, 7, 3), (43, 5, 2)])
+    def test_matches_translation_classes(self, p, d, kappa):
+        # the oracle: merge each place with every factor of degree <=
+        # kappa of its translates by the subgroup, so the classes come
+        # from translate_place + factor and no isogeny.  A translate
+        # covers both sheets (x(P + kt) = x(-P - kt)), so k and -k give one
+        # polynomial and k runs over half the subgroup.  A kernel place
+        # skips the translate by its own point, which translate_place
+        # refuses; the other translates reach the rest of the kernel
+        from frobsieve.elliptic import build_elliptic_residue
+        from frobsieve.sieve2d import translate_place
+
+        ext = build_elliptic_residue(p, d)
+        curve, t = ext.curve, ext.t_star
+        parent = {}
+
+        def root(c):
+            while parent.setdefault(c, c) != c:
+                c = parent[c]
+            return c
+
+        places = list(monic_irreducibles(p, kappa))
+        for q in places:
+            for tk in self._subgroup(curve, t)[: (d - 1) // 2]:
+                if q.degree == 1 and q(tk[0]) == 0:
+                    continue
+                for f, _ in factor(translate_place(curve, q, tk))[1]:
+                    if f.degree <= kappa:
+                        parent[root(f.coeffs)] = root(q.coeffs)
+        orbits = {}
+        for q in places:
+            orbits.setdefault(root(q.coeffs), []).append(q)
+
+        pc = build_place_classes(curve, kappa, t)
+        for members in orbits.values():
+            assert len({pc.class_of(q) for q in members}) == 1
+        assert pc.class_count() == len(orbits)
+
+    def test_kernel_places_get_label_one(self, ee11):
+        # X - x(k*t) lies over the origin of E/T, and nothing else does
         curve = ee11.curve
         pc = build_place_classes(curve, 2, ee11.m0)
-        for P in curve.points():
-            rep = pc.class_of(Poly([-P[0], 1], 11))
-            for tk in pc.translates:
-                moved = ec_add(curve.ops, curve.a4, P, tk)
-                if moved is None:
-                    continue
-                assert pc.class_of(Poly([-moved[0], 1], 11)) == rep
-
-    def test_one_translate_per_x_coordinate(self, ee11):
-        # translating by t_k and by -t_k gives one polynomial, so the
-        # classes from one translate per x-coordinate are those from all
-        curve = ee11.curve
-        pc = build_place_classes(curve, 4, ee11.m0)
-        full = build_place_classes(curve, 4, ee11.m0)
-        full.translates = []
-        tk = ee11.m0
-        while tk is not None:
-            full.translates.append(tk)
-            tk = ec_add(curve.ops, curve.a4, tk, ee11.m0)
-        assert len(pc.translates) == len(full.translates) // 2
-        assert {tk[0] for tk in pc.translates} == {tk[0] for tk in full.translates}
-        for q in monic_irreducibles(11, 3):
-            assert pc.class_of(q) == full.class_of(q)
+        kernel = {(-tk[0] % 11, 1) for tk in self._subgroup(curve, ee11.m0)}
+        assert len(kernel) == 3
+        for q in monic_irreducibles(11, 2):
+            assert (pc.class_of(q) == Poly([1], 11)) == (q.coeffs in kernel)
 
     def test_class_of_is_stable(self, ee11):
         pc = build_place_classes(ee11.curve, 2, ee11.m0)
@@ -718,7 +763,7 @@ class TestEESieve:
         # sha256 of the relations as the per-sieve loop produced them, from
         # a fresh restriction (its place-class cache starts empty)
         _, _, rels = sieved
-        assert _digest(rels) == "02af20e44803c52d32998024b094d0615005c7323c07d910ab6261354a0891bb"
+        assert _digest(rels) == "14d17a51df90444bb6c77ce40b1ec07899a34a3ab776e8855702943e20b710b1"
 
     def test_class_partition_pinned(self, sieved):
         # sha256 of the same relations with every class label left out:
@@ -752,8 +797,9 @@ class TestEESieve:
         # the Frobenius powers of its own smoothness test.  A denominator
         # divides D^2 and is read off the factorization of D that the
         # restriction cached when it was built (before the patch below), so
-        # it is never factored; the other factorizations come from
-        # translating places into classes
+        # it is never factored.  Classing a place is one evaluation in its
+        # residue field, so nothing else is factored and no place is
+        # translated
         import frobsieve.sieve2d as s2d
 
         c, restr, _ = sieved
@@ -786,7 +832,8 @@ class TestEESieve:
         rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
         assert len(rels) > 0
         assert calls["split"] == 2 * len(rels)
-        assert calls["factor"] == 2 * len(rels) + calls["translate"]
+        assert calls["factor"] == 2 * len(rels)
+        assert calls["translate"] == 0
 
     def test_mismatched_restriction_rejected(self, ee11, sieved):
         # a restriction for kappa 2 used to let degree-3 and -4 places
