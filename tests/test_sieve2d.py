@@ -10,7 +10,12 @@ import pytest
 
 from frobsieve.errors import InsufficientPoints, SearchFailed, SieveTimeout
 from frobsieve.ffcore import Poly, PrimeField, QuotientField, factor, monic_irreducibles
-from frobsieve.elliptic import EndomorphismElement, ec_add, translate_point
+from frobsieve.elliptic import (
+    EndomorphismElement,
+    build_elliptic_residue,
+    ec_add,
+    translate_point,
+)
 from frobsieve.sieve2d import (
     BivariatePoly,
     EERestriction,
@@ -36,6 +41,7 @@ from frobsieve.sieve2d import (
     jl_setup,
     jl_sieve,
     linear_system_ee,
+    translate_place,
     verify_ee_relation,
 )
 
@@ -575,8 +581,6 @@ class TestPlaceClasses:
         # degree-1 places: the class of x(P) must absorb every x(P + k*t).
         # Every rational point of the 11^7 curve is in the kernel, so the
         # 43^5 curve (35 points, 7 cosets) is what checks the other cosets
-        from frobsieve.elliptic import build_elliptic_residue
-
         ext = build_elliptic_residue(43, 5)
         for curve, t in ((ee11.curve, ee11.m0), (ext.curve, ext.t_star)):
             p = curve.p
@@ -606,9 +610,6 @@ class TestPlaceClasses:
         # polynomial and k runs over half the subgroup.  A kernel place
         # skips the translate by its own point, which translate_place
         # refuses; the other translates reach the rest of the kernel
-        from frobsieve.elliptic import build_elliptic_residue
-        from frobsieve.sieve2d import translate_place
-
         ext = build_elliptic_residue(p, d)
         curve, t = ext.curve, ext.t_star
         parent = {}
