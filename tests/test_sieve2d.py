@@ -860,6 +860,27 @@ class TestEESieve:
             assert set(side) == {"unit", "num_factors", "den_factors", "classes"}
 
 
+@pytest.fixture(scope="module")
+def sieved17():
+    # 17^7 puts more in a norm's fixed part than 11^7: places of degree 4
+    # and 6, and two factors in side b's common denominator
+    setup = ee_setup(17, 7)
+    c = NSClassEE(2, 2, EndomorphismElement(1, 0, setup.curve.trace(), 17))
+    restr = EERestriction(setup, linear_system_ee(setup, c), 6)
+    rels = []
+    for seed in range(4):
+        rels += ee_sieve(setup, c, 6, budget=300, seed=seed, restriction=restr)
+    return c, restr, rels
+
+
+class TestEESieve17:
+    def test_relations_pinned(self, sieved17):
+        # sha256 of the relations of seeds 0-3 in order, one restriction
+        _, _, rels = sieved17
+        assert len(rels) == 18
+        assert _digest(rels) == "c009b4981a5c66e07463c0cf7b8fbf36733dd97a8a273f5f092642671306de1a"
+
+
 class TestEERestrictionCommonForm:
     def test_matches_generic_evaluation(self, sieved):
         # the oracle restricts through the function-field adapter, term by
