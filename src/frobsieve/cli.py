@@ -40,7 +40,15 @@ from .galoisrep import (
 )
 from .elliptic import build_elliptic_residue, EndomorphismElement
 from .indexcalc import build_factor_base, compute_logs, individual_log
-from .sieve2d import NSClassEE, ee_setup, ee_sieve, jl_setup, jl_sieve
+from .sieve2d import (
+    EERestriction,
+    NSClassEE,
+    ee_setup,
+    ee_sieve,
+    jl_setup,
+    jl_sieve,
+    linear_system_ee,
+)
 
 USAGE_ERROR = 2
 EXHAUSTED = 3
@@ -292,6 +300,22 @@ def _parse_class(text: str, t: int, p: int) -> NSClassEE:
     return NSClassEE(d1, d2, EndomorphismElement(m, n, t, p))
 
 
+def _report_fixed_places(restriction, kappa: int) -> None:
+    """One stderr line per side with the degrees of the places that every
+    section's norm carries, and a warning when one of them exceeds kappa:
+    then no section is smooth on that side, whatever the budget."""
+    for side in ("a", "b"):
+        degrees = [q.degree for q, _ in restriction.fixed[side][1]]
+        sys.stderr.write(
+            f"ee-sieve: side {side}: every norm has fixed places of degree {degrees}\n"
+        )
+        if any(k > kappa for k in degrees):
+            sys.stderr.write(
+                f"ee-sieve: warning: side {side} has a fixed place of degree "
+                f"{max(degrees)} > kappa = {kappa}, so no section can be smooth\n"
+            )
+
+
 def cmd_ee_sieve(args) -> int:
     rep = _load_rep(args.rep)
     if rep.kind != ELLIPTIC:
@@ -307,6 +331,8 @@ def cmd_ee_sieve(args) -> int:
         "d2": cls.d2,
         "xi": [cls.xi.m, cls.xi.n],
     }
+    restriction = EERestriction(setup, linear_system_ee(setup, cls), args.kappa)
+    _report_fixed_places(restriction, args.kappa)
     try:
         rels = ee_sieve(
             setup,
@@ -315,6 +341,7 @@ def cmd_ee_sieve(args) -> int:
             args.budget,
             seed=args.seed,
             target=args.target,
+            restriction=restriction,
         )
     except SieveTimeout as exc:
         _emit_lines([manifest] + [r.to_json() for r in exc.partial], args)

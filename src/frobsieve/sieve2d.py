@@ -22,12 +22,16 @@ restrictions they already hold.  The JL check, exact products and one
 nonzero value in L, is also the core of `JLRelation.verify`, which first
 recomputes the restrictions independently by Horner substitution.  The
 EE sieve also reads its norm denominators from one cached factorization
-and its values in L from cached basis values; `verify_ee_relation`
-recomputes both with gcds and Horner substitution.
+and its values in L from cached basis values.  Every section's norm on a
+side carries the same fixed part G, the gcd of the norms of the linear
+system (Joux & Lercier 2006 test only the part of a norm that varies), so
+G is factored once per restriction and a trial divides it out and tests
+and splits only the quotient.  `verify_ee_relation` recomputes all of it
+with gcds and Horner substitution.
 """
 
 import random
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul
 
 from .errors import (
@@ -50,6 +54,7 @@ from .ffcore import (
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
+    poly_sort_key,
 )
 from .elliptic import (
     Curve,
@@ -1022,11 +1027,13 @@ class EERestriction:
     is (U[i] + y V[i]) / D.  A section's restriction is then two F_p
     combinations of fixed numerators.
 
-    Two more things are cached per side for the sieve's trials:
+    Three more things are cached per side for the sieve's trials:
     den_factors[side], the factorization of D as a sorted list of
     (monic irreducible r, multiplicity m), so that a norm's denominator, a
     divisor of D^2, is read off by exact divisions instead of a gcd and a
-    factorization; and values[side], the value
+    factorization; fixed[side] = (G, F, caps), the part of the norm that
+    every section shares (see `_fixed_part`), so that a trial tests and
+    splits only raw / G; and values[side], the value
     W[i] = (U[i](x_P) + y_P V[i](x_P)) / D(x_P) in L of each basis product
     at the side's intersection point (x_P, y_P) (p_int on side a, q_int on
     side b), so that a section's value there is one F_p combination of the
@@ -1067,6 +1074,7 @@ class EERestriction:
         self.den_factors = {
             side: factor(den)[1] for side, (den, _, _) in self.common.items()
         }
+        self.fixed = {side: self._fixed_part(side) for side in self.common}
         self.values = {
             "a": self._basis_values("a", setup.p_int),
             "b": self._basis_values("b", setup.q_int),
@@ -1081,6 +1089,38 @@ class EERestriction:
             den = den * (part.den // poly_gcd(den, part.den))
         scaled = lambda r: r.num * (den // r.den)
         return den, [scaled(u) for u, _ in prods], [scaled(v) for _, v in prods]
+
+    def _fixed_part(self, side: str):
+        """(G, F, caps) for one side.
+
+        The sections are the combinations sum w_i k_i of the kernel vectors
+        k_i, and their raw norm U^2 - f V^2 is a quadratic form in the
+        weights w.  Its diagonal terms are the raw norms of the k_i, and
+        since p is odd each cross term is half of raw(k_i + k_j) - raw(k_i)
+        - raw(k_j).  So G, the monic gcd of the raw norms of every k_i and
+        every pair sum k_i + k_j, divides the raw norm of every section, and
+        is the gcd of them all.
+
+        G is factored here once.  A factor q of G that does not divide D
+        stays in every reduced norm's numerator with its multiplicity
+        v_q(G).  A factor r^m of D has v0 = v_r(G) of its 2m copies in D^2
+        cancelled by G: F holds r^(v0 - 2m) when v0 > 2m, and caps holds
+        (r, max(2m - v0, 0)), the number of times r may still be stripped
+        from raw / G.  F is sorted as `factor` sorts."""
+        f = self.ffops.f
+        rows = [self.restrict(k, side) for k in self.lin.kernel]
+        rows += [(u1 + u2, v1 + v2) for (u1, v1), (u2, v2) in combinations(rows, 2)]
+        g = Poly([], f.p)
+        for u, v in rows:
+            g = poly_gcd(g, u * u - f * (v * v))
+        if g.is_zero():
+            g = Poly([1], f.p)  # every section vanishes on this side's curve
+        _, g_factors = factor(g)
+        twice = {r: 2 * m for r, m in self.den_factors[side]}
+        fixed = [(q, e - twice.get(q, 0)) for q, e in g_factors if e > twice.get(q, 0)]
+        v0 = dict(g_factors)
+        caps = [(r, max(t - v0.get(r, 0), 0)) for r, t in twice.items()]
+        return g, fixed, caps
 
     def _basis_values(self, side: str, point):
         """[(U[i](x_P) + y_P V[i](x_P)) / D(x_P)] in L over the basis
@@ -1168,39 +1208,51 @@ class EERelation:
 
 
 def _stripped_norm(restr: EERestriction, uv, side: str):
-    """(numerator, denominator factors) of the norm of a nonzero
-    restriction (U, V), the same reduced fraction as `EERestriction.norm`
-    without its gcd.
+    """(quotient, denominator factors) of the norm of a nonzero
+    restriction (U, V): the reduced fraction of `EERestriction.norm`,
+    without its gcd and with the side's fixed part (G, F, caps) taken out
+    of its numerator.
 
-    The norm is raw / D^2 with raw = U^2 - f V^2, and
-    D^2 = prod r^(2m) over the cached factorization of D.  Each r is
-    stripped from raw by exact division, at most 2m times, so it goes
-    k = min(v_r(raw), 2m) times: what is stripped is gcd(raw, D^2), and
-    the reduced norm is raw / prod r^k over prod r^(2m - k), monic.  The
-    denominator factors come sorted as `factor` sorts them."""
+    The norm is raw / D^2 with raw = U^2 - f V^2.  G divides raw when the
+    coefficients are a section, so raw / G is one exact division; a
+    nonzero remainder raises ValueError.  Each factor r of D is then
+    stripped from raw / G by exact division, at most cap times, so it goes
+    j = min(v_r(raw / G), cap) times, and r^(cap - j) is left in the
+    denominator.  The reduced norm is quotient * prod F over the
+    denominator, monic; the denominator factors come sorted as `factor`
+    sorts them."""
     u, v = uv
-    num = u * u - restr.ffops.f * (v * v)
+    g, _, caps = restr.fixed[side]
+    num, rem = divmod(u * u - restr.ffops.f * (v * v), g)
+    if rem:
+        raise ValueError(
+            f"side {side}: the coefficients are not a section of the linear system"
+        )
     den = []
-    for r, m in restr.den_factors[side]:
+    for r, cap in caps:
         k = 0
-        while k < 2 * m:
+        while k < cap:
             quo, rem = divmod(num, r)
             if rem:
                 break
             num = quo
             k += 1
-        if k < 2 * m:
-            den.append((r, 2 * m - k))
+        if k < cap:
+            den.append((r, cap - k))
     return num, den
 
 
 def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
-    """(numerator, ladder, denominator factors) of one side's norm when the
+    """(quotient, ladder, denominator factors) of one side's norm when the
     restriction is nonzero and its norm is kappa-smooth, else None.
 
-    The denominator is smooth exactly when every r left in it has degree
-    <= kappa, so only the numerator gets a smoothness test, whose
-    Frobenius powers (ladder) `_factor_side` splits it from."""
+    The fixed factors F are in every norm's numerator, so a side where one
+    has degree > kappa is rejected before anything is restricted.  The
+    denominator is smooth exactly when every r left in it has degree
+    <= kappa, so only the quotient gets a smoothness test, whose Frobenius
+    powers (ladder) `_factor_side` splits it from."""
+    if any(q.degree > kappa for q, _ in restr.fixed[side][1]):
+        return None
     uv = restr.restrict(coeffs, side)
     if uv[0].is_zero() and uv[1].is_zero():
         return None
@@ -1213,10 +1265,15 @@ def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
     return num, ladder, den
 
 
-def _factor_side(num: Poly, ladder, den, classes: PlaceClasses):
-    """Split a smooth side's numerator from its ladder and group both
+def _factor_side(num: Poly, ladder, den, fixed, classes: PlaceClasses):
+    """Split a smooth side's quotient from its ladder, add in the fixed
+    factors (multiplicities add, sorted as `factor` sorts), and group both
     factor lists into place classes; den is monic, so the unit is num's."""
-    unit, facs_n = factor(num, ladder=ladder)
+    unit, facs = factor(num, ladder=ladder)
+    mult = dict(fixed)
+    for q, e in facs:
+        mult[q] = mult.get(q, 0) + e
+    facs_n = sorted(mult.items(), key=lambda t: poly_sort_key(t[0]))
     by_class = {}
     for q, e in facs_n:
         rep = classes.class_of(q)
@@ -1243,7 +1300,12 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
     section's numerators (U, V); and since D(x_P) != 0 (checked at
     construction), every divisor of D is nonzero at x_P too, so this is
     also the value of the reduced element (U/D, V/D) that
-    `value_at_intersection` evaluates by Horner."""
+    `value_at_intersection` evaluates by Horner.
+
+    Raises ValueError when coeffs is not a section of the restriction's
+    linear system (a side's raw norm is not divisible by its fixed part G;
+    no kernel combination can fail this) or when the two sides disagree
+    at the intersection point."""
     hit_a = _smooth_norm(restr, coeffs, "a", kappa)
     if hit_a is None:
         return None
@@ -1256,8 +1318,8 @@ def ee_relation(restr: EERestriction, coeffs, kappa: int):
         return None  # the section vanishes at the distinguished point
     if va != vb:
         raise ValueError("restrictions disagree at the intersection point")
-    side_a = _factor_side(*hit_a, restr.classes)
-    side_b = _factor_side(*hit_b, restr.classes)
+    side_a = _factor_side(*hit_a, restr.fixed["a"][1], restr.classes)
+    side_b = _factor_side(*hit_b, restr.fixed["b"][1], restr.classes)
     return EERelation(coeffs, side_a, side_b, va)
 
 

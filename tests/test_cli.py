@@ -329,6 +329,32 @@ class TestEESieve:
         ma.pop("generated_at"), mb.pop("generated_at")
         assert ma == mb
 
+    def test_fixed_places_reported_on_stderr(self, rep_files, tmp_path, capsys):
+        # one stderr line per side with the degrees of the places every
+        # norm carries, plus a warning where one exceeds kappa; stdout
+        # carries the same relation lines as the out file and nothing else
+        args = ["ee-sieve", "--rep", str(rep_files["elliptic-residue"]),
+                "--class", "2,2,1,0", "--budget", "60"]
+        out = tmp_path / "ee.jsonl"
+        assert main(args + ["--kappa", "4", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "ee-sieve: side a: every norm has fixed places of degree [1, 3]",
+            "ee-sieve: side b: every norm has fixed places of degree [2]",
+        ]
+        assert main(args + ["--kappa", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == out.read_text().splitlines()[1:]
+        assert len(captured.err.splitlines()) == 2
+        # at kappa 2 the cubic place on side a leaves no smooth section
+        assert main(args + ["--kappa", "2", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == ("ee-sieve: warning: side a has a fixed place of degree 3 "
+                          "> kappa = 2, so no section can be smooth")
+        assert len(err) == 3
+        assert len(out.read_text().splitlines()) == 1  # the manifest alone
+
     # hand edits of a CLI-built 11^7 rep: t* -> -t* (the other sign, a
     # point of the same subgroup) and a4 -> a4 + 1
     EDITS = {

@@ -9,7 +9,14 @@ import random
 import pytest
 
 from frobsieve.errors import InsufficientPoints, SearchFailed, SieveTimeout
-from frobsieve.ffcore import Poly, PrimeField, QuotientField, factor, monic_irreducibles
+from frobsieve.ffcore import (
+    Poly,
+    PrimeField,
+    QuotientField,
+    factor,
+    monic_irreducibles,
+    poly_gcd,
+)
 from frobsieve.elliptic import (
     EndomorphismElement,
     build_elliptic_residue,
@@ -25,6 +32,7 @@ from frobsieve.sieve2d import (
     NSClassP1P1,
     RationalFunction,
     _combine,
+    _expand,
     _smooth_norm,
     _stripped_norm,
     build_place_classes,
@@ -50,6 +58,39 @@ def _digest(rels):
     return hashlib.sha256(
         json.dumps([r.to_json() for r in rels], sort_keys=True).encode()
     ).hexdigest()
+
+
+def _sections(restr, count, seed):
+    """count seeded random sections of restr's linear system, zero
+    combinations included."""
+    kernel = restr.lin.kernel
+    p = restr.setup.curve.p
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        weights = [rng.randrange(p) for _ in kernel]
+        out.append([sum(w * x for w, x in zip(weights, col)) % p for col in zip(*kernel)])
+    return out
+
+
+def _check_stripped_norms(restr, sections):
+    """On each nonzero side, the trial's quotient times the fixed factors F
+    is the reduced norm's numerator, and its denominator factors are those
+    of the reduced norm; the trial with a bound no norm exceeds keeps every
+    nonzero side and passes them on unchanged."""
+    p = restr.setup.curve.p
+    for coeffs in sections:
+        for side in ("a", "b"):
+            uv = restr.restrict(coeffs, side)
+            norm = restr.norm(uv, side)
+            if norm.is_zero():
+                # a section vanishing on the side's curve: no norm
+                assert _smooth_norm(restr, coeffs, side, 10**6) is None
+                continue
+            num, den = _stripped_norm(restr, uv, side)
+            assert num * _expand(1, restr.fixed[side][1], p) == norm.num
+            assert den == factor(norm.den)[1]
+            assert _smooth_norm(restr, coeffs, side, 10**6) == (num, (), den)
 
 
 @pytest.fixture(scope="module")
@@ -794,11 +835,12 @@ class TestEESieve:
         assert digest == "57579f82cba1687b4a1cfc33773efb62603950a8cac86e53ebb85086aa965ac2"
 
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
-        # two splits per relation, the numerator of each side, each from
-        # the Frobenius powers of its own smoothness test.  A denominator
-        # divides D^2 and is read off the factorization of D that the
-        # restriction cached when it was built (before the patch below), so
-        # it is never factored.  Classing a place is one evaluation in its
+        # two splits per relation, the quotient of each side's numerator
+        # by its fixed part G, each from the Frobenius powers of its own
+        # smoothness test.  A denominator divides D^2 and is read off the
+        # factorization of D that the restriction cached when it was built
+        # (before the patch below), as G's was, so neither is factored
+        # again.  Classing a place is one evaluation in its
         # residue field, so nothing else is factored and no place is
         # translated
         import frobsieve.sieve2d as s2d
@@ -888,14 +930,8 @@ class TestEERestrictionCommonForm:
         # combines fixed numerators over one common denominator per side
         _, restr, _ = sieved
         ff = restr.ffops
-        kernel = restr.lin.kernel
-        rng = random.Random(17)
-        sections = [[0] * len(kernel[0])]  # its restriction is zero
-        for _ in range(50):
-            weights = [rng.randrange(11) for _ in kernel]
-            sections.append(
-                [sum(w * c for w, c in zip(weights, col)) % 11 for col in zip(*kernel)]
-            )
+        # the zero section first: its restriction is zero
+        sections = [[0] * len(restr.lin.kernel[0])] + _sections(restr, 50, 17)
         for side, curve in (("a", restr.curve_a), ("b", restr.curve_b)):
             den = restr.common[side][0]
             assert den.lc() == 1
@@ -906,6 +942,26 @@ class TestEERestrictionCommonForm:
                 assert restr.norm(uv, side) == ff.norm(expect)
             zero = restr.restrict(sections[0], side)
             assert zero[0].is_zero() and zero[1].is_zero()
+
+
+def _restriction_with_sections(setup, d1, d2, m, n):
+    cls = NSClassEE(d1, d2, EndomorphismElement(m, n, setup.curve.trace(), setup.curve.p))
+    restr = EERestriction(setup, linear_system_ee(setup, cls), 4)
+    return restr, [s for s in _sections(restr, 50, 29) if any(s)]
+
+
+@pytest.fixture(scope="module")
+def sieved_minus(ee11):
+    # class (2, 2, -1 + 0 phi): no fixed places on side a, three linear
+    # ones on side b
+    return _restriction_with_sections(ee11, 2, 2, -1, 0)
+
+
+@pytest.fixture(scope="module")
+def excess(ee11):
+    # class (3, 3, -1 + phi): on side a, G holds (x + 5)^15 and D^2 only
+    # (x + 5)^8, so nothing is stripped and (x + 5)^7 is a fixed factor
+    return _restriction_with_sections(ee11, 3, 3, -1, 1)
 
 
 class TestEETrialCaches:
@@ -919,14 +975,7 @@ class TestEETrialCaches:
         import frobsieve.sieve2d as s2d
 
         c, restr, _ = sieved
-        kernel = restr.lin.kernel
-        rng = random.Random(23)
-        sections = []
-        for _ in range(50):
-            weights = [rng.randrange(11) for _ in kernel]
-            sections.append(
-                [sum(w * x for w, x in zip(weights, col)) % 11 for col in zip(*kernel)]
-            )
+        sections = _sections(restr, 50, 23)
         seen = []
         real = s2d.ee_relation
 
@@ -950,28 +999,17 @@ class TestEETrialCaches:
             assert den.degree > 0
 
     def test_stripped_norm_matches_reduced_norm(self, sieved, candidates):
-        # numerator and denominator factors of the trial's norm are those
-        # of the reduced norm; the trial with a bound no norm exceeds keeps
-        # every nonzero side and passes them on unchanged
         _, restr, _ = sieved
-        for coeffs in candidates:
-            for side in ("a", "b"):
-                uv = restr.restrict(coeffs, side)
-                norm = restr.norm(uv, side)
-                if norm.is_zero():
-                    # a section vanishing on the side's curve: no norm
-                    assert _smooth_norm(restr, coeffs, side, 10**6) is None
-                    continue
-                num, den = _stripped_norm(restr, uv, side)
-                assert num == norm.num
-                assert den == factor(norm.den)[1]
-                assert _smooth_norm(restr, coeffs, side, 10**6) == (num, (), den)
+        _check_stripped_norms(restr, candidates)
 
     def test_strip_stops_at_twice_the_multiplicity(self, sieved, candidates):
-        # sections strip r from raw = U^2 - f V^2 fewer than 2m times (3 or
-        # 4 of 6 on side a, none on side b); numerators scaled by r^3 put
-        # r^(2m) and more in raw, so the cap decides what is left
+        # G takes 3 of the 6 copies of r in D^2 on side a and none on side
+        # b, so r is stripped from raw / G at most 3 and 6 times; sections
+        # strip it fewer times (0 or 1 on side a, none on side b), and
+        # numerators scaled by r^3 put r^6 more in raw, so the cap decides
+        # what is left
         _, restr, _ = sieved
+        p = restr.setup.curve.p
         capped = 0
         for coeffs in candidates[:60]:
             for side in ("a", "b"):
@@ -983,7 +1021,7 @@ class TestEETrialCaches:
                 uv = (u * scale, v * scale)
                 norm = restr.norm(uv, side)
                 num, den = _stripped_norm(restr, uv, side)
-                assert num == norm.num
+                assert num * _expand(1, restr.fixed[side][1], p) == norm.num
                 assert den == factor(norm.den)[1]
                 capped += not den
         assert capped > 0
@@ -1004,24 +1042,32 @@ class TestEETrialCaches:
                 )
                 assert (_smooth_norm(restr, coeffs, side, kappa) is not None) == smooth
 
-    def test_denominator_alone_rejects(self, sieved, candidates, monkeypatch):
-        # with every numerator let through, a side passes kappa = 1 iff no
-        # factor of degree 2 is left in its denominator; side b's D is
-        # (x^2 + 9x + 5)^3, so some sides are rejected by it alone
+    def test_denominator_alone_rejects(self, sieved, candidates, sieved_minus, monkeypatch):
+        # with every quotient let through, a side passes kappa = 1 iff its
+        # fixed factors and the factors left in its denominator all have
+        # degree <= 1.  For class (2, 2, 1) the fixed factors (a cubic on
+        # side a, a quadratic on side b) reject every side.  For
+        # (2, 2, -1) side a has none and side b's are linear, while side
+        # b's D is (x^2 + 9x + 5)^3, so some sides are rejected by their
+        # denominator alone
         import frobsieve.sieve2d as s2d
 
         monkeypatch.setattr(s2d, "frobenius_ladder", lambda f, kappa: ())
-        _, restr, _ = sieved
-        rejected = 0
-        for coeffs in candidates:
-            for side in ("a", "b"):
-                norm = restr.norm(restr.restrict(coeffs, side), side)
-                if norm.is_zero():
-                    continue
-                den_ok = all(q.degree <= 1 for q, _ in factor(norm.den)[1])
-                assert (_smooth_norm(restr, coeffs, side, 1) is not None) == den_ok
-                rejected += not den_ok
-        assert rejected > 0
+        counts = {"fixed": 0, "den": 0, "passed": 0}
+        for restr, sections in ((sieved[1], candidates), sieved_minus):
+            for coeffs in sections:
+                for side in ("a", "b"):
+                    norm = restr.norm(restr.restrict(coeffs, side), side)
+                    if norm.is_zero():
+                        continue
+                    fixed_ok = all(q.degree <= 1 for q, _ in restr.fixed[side][1])
+                    den_ok = all(q.degree <= 1 for q, _ in factor(norm.den)[1])
+                    passed = _smooth_norm(restr, coeffs, side, 1) is not None
+                    assert passed == (fixed_ok and den_ok)
+                    counts["fixed"] += not fixed_ok
+                    counts["den"] += fixed_ok and not den_ok
+                    counts["passed"] += passed
+        assert all(counts.values()), counts
 
     def test_cached_values_match_horner(self, sieved, candidates):
         _, restr, _ = sieved
@@ -1050,6 +1096,100 @@ class TestEETrialCaches:
             bad.q_int = point
         with pytest.raises(SearchFailed, match=f"side {side}"):
             EERestriction(bad, restr.lin, 4)
+
+
+class TestEEFixedPart:
+    """The part of a side's norms that every section of the linear system
+    shares, cached by `EERestriction._fixed_part` as (G, F, caps)."""
+
+    @pytest.fixture(scope="class")
+    def restrictions(self, sieved, sieved17, sieved_minus, excess):
+        return {
+            "11^7 (2, 2, 1)": sieved[1],
+            "17^7 (2, 2, 1)": sieved17[1],
+            "11^7 (2, 2, -1)": sieved_minus[0],
+            "11^7 (3, 3, -1 + phi)": excess[0],
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["11^7 (2, 2, 1)", "17^7 (2, 2, 1)", "11^7 (2, 2, -1)", "11^7 (3, 3, -1 + phi)"],
+    )
+    def test_g_divides_every_raw_norm_and_is_their_gcd(self, restrictions, name):
+        restr = restrictions[name]
+        f = restr.ffops.f
+        for side in ("a", "b"):
+            g = restr.fixed[side][0]
+            assert g.lc() == 1 and g.degree > 0
+            common = Poly([], f.p)
+            for coeffs in _sections(restr, 200, 31):
+                u, v = restr.restrict(coeffs, side)
+                raw = u * u - f * (v * v)
+                assert (raw % g).is_zero()
+                common = poly_gcd(common, raw)
+            assert common == g
+
+    def test_fixed_parts_at_17(self, sieved17):
+        # side a: a quartic place, and G takes 3 of the 6 copies of x in
+        # D^2; side b: places of degree 2 and 6, and G takes one copy of
+        # x + 14 and none of the sextic factor of D
+        _, restr, _ = sieved17
+        degrees = {
+            side: ([q.degree for q, _ in restr.fixed[side][1]],
+                   [(r.degree, cap) for r, cap in restr.fixed[side][2]])
+            for side in ("a", "b")
+        }
+        assert degrees == {"a": ([4], [(1, 3)]), "b": ([2, 6], [(1, 3), (6, 6)])}
+
+    @pytest.mark.parametrize("which", ["sieved_minus", "excess"])
+    def test_stripped_norm_matches_reduced_norm(self, request, which):
+        # with no fixed factor on one side, and with a fixed valuation
+        # above 2m, where nothing is stripped (cap 0)
+        restr, sections = request.getfixturevalue(which)
+        _check_stripped_norms(restr, sections)
+
+    def test_excess_valuation_is_a_fixed_factor(self, excess):
+        restr, _ = excess
+        (r, m), = restr.den_factors["a"]
+        g, fixed, caps = restr.fixed["a"]
+        v0 = next(e for q, e in factor(g)[1] if q == r)
+        assert v0 > 2 * m
+        assert (r, v0 - 2 * m) in fixed
+        assert caps == [(r, 0)]
+
+    def test_side_a_quotient_needs_no_smoothness_test(self, sieved, monkeypatch):
+        # at 11^7, kappa = 4, side a's norm is G = (x + 4)(x^3 + 5x^2 + 9x
+        # + 3)(x + 5)^3 times a quotient of degree <= kappa, so its ladder
+        # returns at once
+        import frobsieve.sieve2d as s2d
+
+        c, restr, _ = sieved
+        degrees = []
+        real = s2d.frobenius_ladder
+
+        def recording(f, kappa):
+            degrees.append(f.degree)
+            return real(f, kappa)
+
+        monkeypatch.setattr(s2d, "frobenius_ladder", recording)
+        for coeffs in _sections(restr, 200, 37):
+            _smooth_norm(restr, coeffs, "a", 4)
+        assert degrees and max(degrees) <= 4
+
+    def test_monomial_vectors_are_not_sections(self, sieved):
+        # no basis vector e_i lies in the kernel: G divides neither of its
+        # raw norms, and ee_relation refuses it at the exact division
+        _, restr, _ = sieved
+        f = restr.ffops.f
+        n = len(restr.lin.kernel[0])
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            for side in ("a", "b"):
+                u, v = restr.restrict(e, side)
+                assert not ((u * u - f * (v * v)) % restr.fixed[side][0]).is_zero()
+            with pytest.raises(ValueError, match="not a section"):
+                ee_relation(restr, e, 4)
 
 
 class TestEESetup:
