@@ -923,6 +923,26 @@ class TestEESieve17:
         assert _digest(rels) == "c009b4981a5c66e07463c0cf7b8fbf36733dd97a8a273f5f092642671306de1a"
 
 
+@pytest.fixture(scope="module")
+def sieved_seeds(ee11, sieved):
+    # the ee-11x7 benchmark's shape: 400 trials per call, each call from a
+    # fresh restriction (its place-class cache starts empty)
+    c, restr, _ = sieved
+    calls = []
+    for seed in range(4):
+        fresh = EERestriction(ee11, restr.lin, 4)
+        calls.append((fresh, ee_sieve(ee11, c, 4, budget=400, seed=seed, restriction=fresh)))
+    return calls
+
+
+class TestEESieveSeeds:
+    def test_relations_pinned(self, sieved_seeds):
+        # sha256 of the relations of seeds 0-3 in order
+        rels = [rel for _, found in sieved_seeds for rel in found]
+        assert len(rels) == 195
+        assert _digest(rels) == "e1789744c7315744bec0b04328db15baf308869da58eccbc7760ad1ed553b988"
+
+
 class TestEERestrictionCommonForm:
     def test_matches_generic_evaluation(self, sieved):
         # the oracle restricts through the function-field adapter, term by
