@@ -48,6 +48,7 @@ from .sieve2d import (
     jl_setup,
     jl_sieve,
     linear_system_ee,
+    projective_class,
 )
 
 USAGE_ERROR = 2
@@ -316,6 +317,13 @@ def _report_fixed_places(restriction, kappa: int) -> None:
             )
 
 
+def _report_projective_classes(rels, p: int) -> None:
+    """One stderr line: how many relations, and in how many projective
+    classes of sections (a relation and its scalar multiples are one)."""
+    count = len({projective_class(rel.coeffs, p) for rel in rels})
+    sys.stderr.write(f"ee-sieve: {len(rels)} relations in {count} projective classes\n")
+
+
 def cmd_ee_sieve(args) -> int:
     rep = _load_rep(args.rep)
     if rep.kind != ELLIPTIC:
@@ -344,9 +352,11 @@ def cmd_ee_sieve(args) -> int:
             restriction=restriction,
         )
     except SieveTimeout as exc:
+        _report_projective_classes(exc.partial, rep.p)
         _emit_lines([manifest] + [r.to_json() for r in exc.partial], args)
         _error("SieveTimeout", str(exc), {"found": len(exc.partial)})
         return EXHAUSTED
+    _report_projective_classes(rels, rep.p)
     _emit_lines([manifest] + [r.to_json() for r in rels], args)
     return 0
 

@@ -26,8 +26,11 @@ and its values in L from cached basis values.  Every section's norm on a
 side carries the same fixed part G, the gcd of the norms of the linear
 system (Joux & Lercier 2006 test only the part of a norm that varies), so
 G is factored once per restriction and a trial divides it out and tests
-and splits only the quotient.  `verify_ee_relation` recomputes all of it
-with gcds and Horner substitution.
+and splits only the quotient.  A section and its scalar multiples have
+one divisor, so `ee_sieve` evaluates each projective class of sections
+once per call and rescales that relation for a later multiple, checking
+the multiple's values at the intersection point.  `verify_ee_relation`
+recomputes all of it with gcds and Horner substitution.
 """
 
 import random
@@ -1349,6 +1352,14 @@ def verify_ee_relation(restr: EERestriction, rel: EERelation) -> bool:
     return va == vb == rel.witness and not restr.setup.ring.is_zero(va)
 
 
+def projective_class(coeffs, p: int) -> tuple:
+    """A nonzero section's coefficients scaled so that the first nonzero
+    one is 1: the key it shares with its multiples lambda * coeffs,
+    lambda in F_p^*."""
+    inv = pow(next(c for c in coeffs if c), -1, p)
+    return tuple(c * inv % p for c in coeffs)
+
+
 def ee_sieve(
     setup: EESetup,
     cls: NSClassEE,
@@ -1362,7 +1373,19 @@ def ee_sieve(
     two restrictions are both kappa-smooth.  Linear-equivalence variation
     comes from the random coefficient draws over the kernel basis; trials
     run through indexcalc.sieve_trials, keyed by the section's
-    coefficients.  A given restriction must be built for cls and kappa."""
+    coefficients.  A given restriction must be built for cls and kappa.
+
+    Each projective class of sections is evaluated once per call:
+    `ee_relation` runs on the first draw c of a class, and a later draw
+    lambda * c gets c's relation rescaled, or None if c gave none.  The
+    rescaling is exact: the restrictions (U, V) are linear in the
+    section, so the raw norm U^2 - f V^2 and with it the norm's
+    numerator and unit scale by lambda^2, while D, G, every monic factor
+    and so every class exponent are unchanged, and the value at the
+    intersection point scales by lambda.  A rebuilt relation still gets
+    the sieve's check: its values va and vb are recomputed from the
+    cached basis values, and ValueError is raised unless
+    va = vb = lambda * (the first draw's witness)."""
     if restriction is None:
         lin = linear_system_ee(setup, cls)
         restriction = EERestriction(setup, lin, kappa)
@@ -1385,7 +1408,31 @@ def ee_sieve(
             return None
         return tuple(coeffs), coeffs
 
-    return sieve_trials(
-        seed, budget, target, draw,
-        lambda coeffs: ee_relation(restriction, coeffs, kappa),
-    )
+    first = {}  # projective class -> the relation of its first draw, or None
+
+    def relation(coeffs):
+        key = projective_class(coeffs, p)
+        if key not in first:
+            first[key] = ee_relation(restriction, coeffs, kappa)
+            return first[key]
+        rel = first[key]
+        if rel is None:
+            return None
+        i = next(i for i, c in enumerate(coeffs) if c)
+        lam = coeffs[i] * pow(rel.coeffs[i], -1, p) % p
+        va = _combine(coeffs, restriction.values["a"])
+        vb = _combine(coeffs, restriction.values["b"])
+        if va != vb or va != rel.witness * lam:
+            raise ValueError("a rescaled relation disagrees at the intersection point")
+
+        def side(s):
+            return {
+                "unit": s["unit"] * lam * lam % p,
+                "num": list(s["num"]),
+                "den": list(s["den"]),
+                "classes": dict(s["classes"]),
+            }
+
+        return EERelation(coeffs, side(rel.side_a), side(rel.side_b), va)
+
+    return sieve_trials(seed, budget, target, draw, relation)

@@ -21,6 +21,7 @@ from frobsieve.sieve2d import (
     ee_setup,
     jl_relation,
     linear_system_ee,
+    projective_class,
 )
 
 
@@ -342,18 +343,40 @@ class TestEESieve:
         assert captured.err.splitlines() == [
             "ee-sieve: side a: every norm has fixed places of degree [1, 3]",
             "ee-sieve: side b: every norm has fixed places of degree [2]",
+            "ee-sieve: 7 relations in 7 projective classes",
         ]
         assert main(args + ["--kappa", "4"]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == out.read_text().splitlines()[1:]
-        assert len(captured.err.splitlines()) == 2
+        assert len(captured.err.splitlines()) == 3
         # at kappa 2 the cubic place on side a leaves no smooth section
         assert main(args + ["--kappa", "2", "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err[1] == ("ee-sieve: warning: side a has a fixed place of degree 3 "
                           "> kappa = 2, so no section can be smooth")
-        assert len(err) == 3
+        assert err[3] == "ee-sieve: 0 relations in 0 projective classes"
+        assert len(err) == 4
         assert len(out.read_text().splitlines()) == 1  # the manifest alone
+
+    def test_projective_classes_reported_on_stderr(self, rep_files, tmp_path, capsys):
+        # the last stderr line counts the relations and their projective
+        # classes, read here off the written rows; stdout and the out file
+        # carry the same relation lines, with a partial list on a timeout
+        args = ["ee-sieve", "--rep", str(rep_files["elliptic-residue"]),
+                "--class", "2,2,1,0", "--kappa", "4"]
+        out = tmp_path / "ee.jsonl"
+        for extra, code in ((["--budget", "200"], 0),
+                            (["--budget", "200", "--target", "500"], 3)):
+            assert main(args + extra + ["--out", str(out)]) == code
+            err = capsys.readouterr().err.splitlines()
+            assert main(args + extra) == code
+            captured = capsys.readouterr()
+            rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+            assert captured.out.splitlines()[1:] == out.read_text().splitlines()[1:]
+            classes = {projective_class(row["coeffs"], 11) for row in rows}
+            assert len(rows) > len(classes) > 1
+            assert err[2] == f"ee-sieve: {len(rows)} relations in {len(classes)} projective classes"
+            assert captured.err.splitlines()[:3] == err[:3]
 
     # hand edits of a CLI-built 11^7 rep: t* -> -t* (the other sign, a
     # point of the same subgroup) and a4 -> a4 + 1

@@ -49,6 +49,7 @@ from frobsieve.sieve2d import (
     jl_setup,
     jl_sieve,
     linear_system_ee,
+    projective_class,
     translate_place,
     verify_ee_relation,
 )
@@ -835,9 +836,11 @@ class TestEESieve:
         assert digest == "57579f82cba1687b4a1cfc33773efb62603950a8cac86e53ebb85086aa965ac2"
 
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
-        # two splits per relation, the quotient of each side's numerator
-        # by its fixed part G, each from the Frobenius powers of its own
-        # smoothness test.  A denominator divides D^2 and is read off the
+        # two splits per relation whose projective class is new in the
+        # call, the quotient of each side's numerator by its fixed part G,
+        # each from the Frobenius powers of its own smoothness test; a
+        # scalar multiple of an earlier relation is rescaled from it and
+        # splits nothing.  A denominator divides D^2 and is read off the
         # factorization of D that the restriction cached when it was built
         # (before the patch below), as G's was, so neither is factored
         # again.  Classing a place is one evaluation in its
@@ -873,9 +876,10 @@ class TestEESieve:
         monkeypatch.setattr(s2d, "factor", counting_factor)
         monkeypatch.setattr(s2d, "translate_place", counting_translate)
         rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
-        assert len(rels) > 0
-        assert calls["split"] == 2 * len(rels)
-        assert calls["factor"] == 2 * len(rels)
+        new_classes = len({projective_class(rel.coeffs, 11) for rel in rels})
+        assert 0 < new_classes < len(rels)
+        assert calls["split"] == 2 * new_classes
+        assert calls["factor"] == 2 * new_classes
         assert calls["translate"] == 0
 
     def test_mismatched_restriction_rejected(self, ee11, sieved):
@@ -943,6 +947,87 @@ class TestEESieveSeeds:
         assert _digest(rels) == "e1789744c7315744bec0b04328db15baf308869da58eccbc7760ad1ed553b988"
 
 
+class TestEEProjectiveClasses:
+    """ee_sieve runs ee_relation once per projective class of sections in a
+    call and rescales that relation for a later multiple of the section;
+    ee_relation on the section itself is the reference."""
+
+    @pytest.mark.parametrize("which", ["sieved_seeds", "sieved17"])
+    def test_every_relation_is_the_sections_own(self, request, which):
+        runs = request.getfixturevalue(which)
+        if which == "sieved17":
+            _, restr, rels = runs
+            runs = [(restr, rels)]
+        rels = [rel for _, found in runs for rel in found]
+        p = runs[0][0].setup.curve.p
+        assert len(rels) > len({projective_class(rel.coeffs, p) for rel in rels})
+        for restr, found in runs:
+            for rel in found:
+                assert rel.to_json() == ee_relation(restr, rel.coeffs, restr.kappa).to_json()
+                assert verify_ee_relation(restr, rel)
+        # no two relations share a side's lists or dicts
+        parts = [id(rel_side[k]) for rel in rels for rel_side in (rel.side_a, rel.side_b)
+                 for k in ("num", "den", "classes")]
+        assert len(set(parts)) == len(parts)
+
+    def test_rejected_class_rejects_every_multiple(self, ee11, sieved, monkeypatch):
+        import frobsieve.sieve2d as s2d
+
+        c, restr, _ = sieved
+        real = s2d.sieve_trials
+        calls = []
+
+        def recording(seed, budget, target, draw, relation):
+            drawn = []
+            calls.append(drawn)
+
+            def rec(coeffs):
+                rel = relation(coeffs)
+                drawn.append((list(coeffs), rel))
+                return rel
+
+            return real(seed, budget, target, draw, rec)
+
+        monkeypatch.setattr(s2d, "sieve_trials", recording)
+        for seed in range(4):
+            ee_sieve(ee11, c, 4, budget=400, seed=seed, restriction=restr)
+        monkeypatch.undo()
+        for drawn in calls:
+            rejected = [coeffs for coeffs, rel in drawn if rel is None]
+            # most rejected draws repeat a class already rejected in the call
+            assert 2 * len({projective_class(s, 11) for s in rejected}) < len(rejected)
+            for coeffs in rejected:
+                assert ee_relation(restr, coeffs, 4) is None
+
+    @pytest.mark.parametrize("sides", ["b", "ab"])
+    def test_tampered_values_fail_a_rebuilt_relation(self, ee11, sieved, monkeypatch, sides):
+        # once the first relation is found, the cached values W are doubled:
+        # on side b alone va != vb, on both sides va = vb != lambda times
+        # the stored witness.  ee_relation is not run again, so only the
+        # check on a rebuilt relation can raise
+        import frobsieve.sieve2d as s2d
+
+        c, restr, _ = sieved
+        fresh = EERestriction(ee11, restr.lin, 4)
+        real = s2d.ee_relation
+        found = []
+
+        def first_only(restriction, coeffs, kappa):
+            if found:
+                return None
+            rel = real(restriction, coeffs, kappa)
+            if rel is not None:
+                found.append(rel)
+                for side in sides:
+                    restriction.values[side] = [w * 2 for w in restriction.values[side]]
+            return rel
+
+        monkeypatch.setattr(s2d, "ee_relation", first_only)
+        with pytest.raises(ValueError, match="rescaled relation"):
+            ee_sieve(ee11, c, 4, budget=200, seed=0, restriction=fresh)
+        assert len(found) == 1
+
+
 class TestEERestrictionCommonForm:
     def test_matches_generic_evaluation(self, sieved):
         # the oracle restricts through the function-field adapter, term by
@@ -988,28 +1073,21 @@ class TestEETrialCaches:
     """The sieve's trial path against the restriction's independent
     methods: stripped norms against `norm` (one gcd) and `factor`, cached
     basis values against `value_at_intersection` (Horner on the reduced
-    element), over seeded sections and every candidate of one sieve."""
+    element), over seeded sections and one section of every projective
+    class.  Every check here holds for a section iff it holds for its
+    nonzero multiples, so that covers every candidate of any sieve."""
 
     @pytest.fixture(scope="class")
-    def candidates(self, ee11, sieved):
-        import frobsieve.sieve2d as s2d
-
-        c, restr, _ = sieved
-        sections = _sections(restr, 50, 23)
-        seen = []
-        real = s2d.ee_relation
-
-        def recording(restriction, coeffs, kappa):
-            seen.append(list(coeffs))
-            return real(restriction, coeffs, kappa)
-
-        s2d.ee_relation = recording
-        try:
-            rels = ee_sieve(ee11, c, 4, 400, seed=5, restriction=restr)
-        finally:
-            s2d.ee_relation = real
-        assert len(seen) > 300 and rels
-        return [s for s in sections + seen if any(s)]
+    def candidates(self, sieved):
+        _, restr, _ = sieved
+        kernel = restr.lin.kernel
+        reps = [
+            [sum(w * x for w, x in zip(weights, col)) % 11 for col in zip(*kernel)]
+            for weights in itertools.product(range(11), repeat=len(kernel))
+            if next((w for w in weights if w), 0) == 1
+        ]
+        assert len({projective_class(s, 11) for s in reps}) == len(reps) == 133
+        return [s for s in _sections(restr, 50, 23) if any(s)] + reps
 
     def test_denominator_cache_is_the_factorization_of_D(self, sieved):
         _, restr, _ = sieved
