@@ -32,6 +32,7 @@ from frobsieve.sieve2d import (
     NSClassP1P1,
     RationalFunction,
     _combine,
+    _endomorphism_pair,
     _expand,
     _smooth_norm,
     _stripped_norm,
@@ -1326,6 +1327,46 @@ class TestEESetup:
         data = ee11.to_json()
         assert data["p"] == 11 and data["d"] == 7
         assert data["alpha"] == [ee11.alpha.m, ee11.alpha.n]
+
+
+class TestEESetupPinned:
+    """One digest over the outputs of the EE set-up: the setup, the kernel
+    and holdout of class (2, 2, 1 + 0 phi) at 11^7 (kappa 4) and 17^7
+    (kappa 6), each side's restriction caches, and the endomorphism pair
+    for every trace t with t^2 < 4p, p an odd prime below 100, at bounds
+    1 and 12.  A change to the set-up that alters an output fails here."""
+
+    DIGEST = "65ec781820d3d8ea719474cd3693099421b284f6d07832d16aa759381cc8b8e8"
+
+    def test_outputs_pinned(self, sieved, sieved17):
+        coords = lambda v: [v] if isinstance(v, int) else v.to_list()
+        record = {}
+        for name, (_, restr, _) in (("11^7", sieved), ("17^7", sieved17)):
+            lin = restr.lin
+            record[name] = {
+                "setup": restr.setup.to_json(),
+                "kernel": lin.kernel,
+                "holdout": [[coords(v) for v in P + Q] for _, P, Q in lin.holdout],
+                "common": restr.common,
+                "den_factors": restr.den_factors,
+                "fixed": restr.fixed,
+                "values": restr.values,
+            }
+        pairs = []
+        for p in range(3, 100, 2):
+            if not all(p % k for k in range(3, p, 2)):
+                continue
+            t = 0
+            while (t + 1) ** 2 < 4 * p:
+                t += 1
+            for tt in range(-t, t + 1):
+                for bound in (1, 12):
+                    alpha, beta = _endomorphism_pair(tt, p, bound)
+                    pairs.append([tt, p, bound, alpha.m, alpha.n, beta.m, beta.n])
+        assert len(pairs) == 2 * 596
+        record["pairs"] = pairs
+        text = json.dumps(record, sort_keys=True, default=lambda q: q.to_list())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestFieldRoutinesPinned:
