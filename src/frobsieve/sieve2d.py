@@ -35,6 +35,7 @@ recomputes all of it with gcds and Horner substitution.
 
 import random
 from itertools import chain, combinations
+from math import isqrt
 from operator import mul
 
 from .errors import (
@@ -696,16 +697,13 @@ class LinearSystemEE:
 
 
 def _extension_points(curve: Curve, e: int):
-    """Affine points of E over F_{p^e} in canonical order, one per
-    Frobenius orbit, skipping points defined over smaller fields."""
+    """Affine points of E over F_{p^e}, e >= 2, in canonical order, one per
+    Frobenius orbit, skipping the rational points."""
     p = curve.p
-    if e == 1:
-        return [(curve.ops, P) for P in curve.points()]
     fq = QuotientField(find_irreducible(p, e))
     squares = {}
     for yv in fq.elements():
         squares.setdefault(fq.mul(yv, yv).coeffs, []).append(yv)
-    out = []
     for xv in fq.elements():
         rhs = fq.add(
             fq.mul(fq.mul(xv, xv), xv),
@@ -713,14 +711,13 @@ def _extension_points(curve: Curve, e: int):
         )
         for yv in squares.get(rhs.coeffs, ()):
             if xv.degree <= 0 and yv.degree <= 0:
-                continue  # rational point, already seen at e = 1
+                continue  # rational point, already walked at degree 1
             conj = (fq.pow(xv, p), fq.pow(yv, p))
             key = (xv.coeffs, yv.coeffs)
             ckey = (conj[0].coeffs, conj[1].coeffs)
             if ckey < key:
                 continue  # keep one representative per conjugate pair
-            out.append((fq, (xv, yv)))
-    return out
+            yield fq, (xv, yv)
 
 
 def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
@@ -729,7 +726,11 @@ def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
     Rational points come first, walked as k*G0 from a fixed generator;
     when the base field cannot furnish enough conditions the stream
     continues with points over small extensions, one representative per
-    Frobenius orbit."""
+    Frobenius orbit.  The stream is lazy: a point, and its image under
+    xi, is built when the consumer asks for it.  So the extension points
+    are enumerated only once the rational points are used up, and
+    `linear_system_ee` builds its row and holdout points and the one point
+    that ends its loop, nothing more."""
     p = curve.p
     levels = []
     rational = curve.points()
@@ -743,15 +744,13 @@ def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
         levels.append((1, [(curve.ops, P) for P in walk]))
     for e in range(2, max_degree + 1):
         levels.append((e, _extension_points(curve, e)))
-    out = []
     for e, pts in levels:
         for ops, P in pts:
             frob = lambda R: (ops.pow(R[0], p), ops.pow(R[1], p))
             Q = ec_neg(ops, xi.apply(ops, curve.a4, P, frob))
             if Q is None:
                 continue  # kernel of xi; second factor has a pole here
-            out.append((ops, P, Q, e))
-    return out
+            yield ops, P, Q, e
 
 
 def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSystemEE:
@@ -847,16 +846,29 @@ class EESetup:
 
 def _endomorphism_pair(t: int, p: int, bound: int = 50):
     """alpha, beta in Z[phi] with beta*alpha = 2 - phi, minimizing the
-    larger norm.  alpha = 1 always works, so the search cannot fail
-    unless the bound is made silly."""
+    larger norm, with alpha = m + n*phi in the box |m|, |n| <= bound.
+    alpha = 1 always works, so the search cannot fail unless the bound is
+    made silly.
+
+    Every alpha that divides 2 - phi lies in the ellipse
+    N(alpha) <= N(2 - phi) = p + 4 - 2t, since N(alpha) N(beta) = N(2 - phi)
+    and N(beta) >= 1.  The norm form is positive definite,
+    4 N(m + n phi) = (2m + nt)^2 + n^2 (4p - t^2) with t^2 < 4p, so the walk
+    takes the rows n with n^2 (4p - t^2) <= 4 N(2 - phi), and in each the m
+    with |2m + nt| <= isqrt(4 N(2 - phi) - n^2 (4p - t^2)), clipped to the
+    box.  It meets every alpha that the whole box could offer and ranks
+    them by the same score, which no two alphas share, so the winner does
+    not depend on the order of the walk."""
     target = EndomorphismElement(2, -1, t, p)
+    top = 4 * target.norm()
+    disc = 4 * p - t * t
     best = None
-    for m in range(-bound, bound + 1):
-        for nn in range(-bound, bound + 1):
+    rows = min(bound, isqrt(top // disc))
+    for nn in range(-rows, rows + 1):
+        s = isqrt(top - nn * nn * disc)
+        for m in range(max(-bound, -((nn * t + s) // 2)), min(bound, (s - nn * t) // 2) + 1):
             alpha = EndomorphismElement(m, nn, t, p)
-            if alpha.norm() == 0:
-                continue
-            beta = target.exact_divide(alpha)
+            beta = target.exact_divide(alpha)  # None for alpha = 0
             if beta is None:
                 continue
             score = (

@@ -564,7 +564,75 @@ class TestECIntersections:
             effectivity_check(NSClassEE(0, 1, xi))
 
 
+def _odd_primes_below(n):
+    return [p for p in range(3, n, 2) if all(p % k for k in range(3, p, 2))]
+
+
+def _traces(p):
+    """Every t with t^2 < 4p, the traces a curve over F_p can have."""
+    return [t for t in range(-2 * p, 2 * p + 1) if t * t < 4 * p]
+
+
+def _box_endomorphism_pair(t, p, bound=50):
+    """The oracle: try every alpha = m + n*phi with |m|, |n| <= bound and
+    keep the best by _endomorphism_pair's score."""
+    target = EndomorphismElement(2, -1, t, p)
+    best = None
+    for m in range(-bound, bound + 1):
+        for nn in range(-bound, bound + 1):
+            alpha = EndomorphismElement(m, nn, t, p)
+            if alpha.norm() == 0:
+                continue
+            beta = target.exact_divide(alpha)
+            if beta is None:
+                continue
+            score = (max(alpha.norm(), beta.norm()), abs(m) + abs(nn), -m, -nn)
+            if best is None or score < best[0]:
+                best = (score, alpha, beta)
+    if best is None:
+        raise SearchFailed("empty box")
+    return best[1], best[2]
+
+
+class TestEndomorphismPairSearch:
+    """_endomorphism_pair walks the norm ellipse N(alpha) <= N(2 - phi)
+    inside the box; the box search is the reference."""
+
+    def test_matches_box_search(self):
+        cases = [(t, p, bound) for p in _odd_primes_below(100) for t in _traces(p)
+                 for bound in (1, 12)]
+        assert len(cases) == 2 * 596
+        cases += [(t, p, 50) for p in (11, 13, 17) for t in _traces(p)]
+        for case in cases:
+            assert _endomorphism_pair(*case) == _box_endomorphism_pair(*case), case
+
+    def test_empty_box_fails_alike(self):
+        for bound in (-1, 0):
+            with pytest.raises(SearchFailed):
+                _box_endomorphism_pair(5, 11, bound)
+            with pytest.raises(SearchFailed):
+                _endomorphism_pair(5, 11, bound)
+
+
 class TestLinearSystem:
+    def test_graph_points_built_on_demand(self, ee11, monkeypatch):
+        # each graph point costs one xi.apply; linear_system_ee uses a
+        # prefix of the stream (rows, then holdout) and pulls one point
+        # more to end its loop, so no point past that one is built
+        t = ee11.curve.trace()
+        c = NSClassEE(2, 2, EndomorphismElement(1, 0, t, 11))
+        built = []
+        real = EndomorphismElement.apply
+
+        def recording(self, ops, a4, P, frob):
+            built.append(P)
+            return real(self, ops, a4, P, frob)
+
+        monkeypatch.setattr(EndomorphismElement, "apply", recording)
+        lin = linear_system_ee(ee11, c)
+        used = built.index(lin.holdout[-1][1]) + 1
+        assert used <= len(built) <= used + 1
+
     def test_minimal_class(self, ee11):
         t = ee11.curve.trace()
         c = NSClassEE(2, 1, EndomorphismElement(1, 0, t, 11))
