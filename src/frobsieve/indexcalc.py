@@ -7,8 +7,9 @@ logarithms off the table.  The column logs are found modulo each prime
 power l^k of N = p^d - 1 and combined by CRT.  Below SMALL_PRIME_BOUND
 (2^20) Pohlig-Hellman reads them from the subgroup of order l^k, exactly
 and without relations; modulo each larger l the relations are solved by
-one elimination over F_l.  Every log is checked by exponentiation, and a
-column the relations leave undetermined sends the sieve back for more.
+one elimination over F_l.  Every log is checked by exponentiation; a
+column left undetermined pulls more relations from the same trial stream,
+which resumes where it stopped until its trial budget runs out.
 
 What the structural Frobenius buys is column count: polynomials in one
 orbit have logarithms that differ by powers of p and explicit scalars, so
@@ -17,6 +18,7 @@ bookkeeping also carries weights on the distinguished column x + tau,
 whose own orbit walks off to the place at infinity.
 """
 
+import itertools
 import random
 
 from .errors import InconsistentFrobenius, NotFound, RankDeficient, SieveTimeout
@@ -264,22 +266,18 @@ def _mix(seed: int, i: int) -> int:
     return seed * 0x9E3779B1 + i
 
 
-def sieve_trials(seed: int, budget: int, target, draw, relation):
-    """The trial loop behind every sieve.
+def trial_stream(seed: int, budget: int, draw, relation):
+    """The trial loop behind every sieve: a generator of relations.
 
     Trial i passes random.Random(_mix(seed, i)) to draw, which returns
     (key, candidate), or None for a degenerate draw.  A key already seen is
     skipped; otherwise relation(candidate) gives a relation or None.
-    Relations come back in trial order, so those for a smaller target are a
-    prefix of those for a larger one.  The loop stops at target relations
-    and raises SieveTimeout with the partial list if the budget of trials
-    runs out first; with target None it runs the whole budget.
+    Relations come in trial order, and the generator keeps its position and
+    seen keys, so pulling more resumes where it stopped.  It ends when the
+    budget of trials runs out.
     """
-    relations = []
     seen = set()
     for i in range(budget):
-        if target is not None and len(relations) >= target:
-            return relations
         drawn = draw(random.Random(_mix(seed, i)))
         if drawn is None:
             continue
@@ -289,29 +287,28 @@ def sieve_trials(seed: int, budget: int, target, draw, relation):
         seen.add(key)
         rel = relation(candidate)
         if rel is not None:
-            relations.append(rel)
+            yield rel
+
+
+def _take_relations(stream, relations, target, budget):
+    """Extend relations from stream to target of them (all, with target
+    None); raise SieveTimeout with them as its partial if it runs dry."""
+    count = None if target is None else max(target - len(relations), 0)
+    relations.extend(itertools.islice(stream, count))
     if target is not None and len(relations) < target:
-        raise SieveTimeout(
-            f"{len(relations)}/{target} relations in {budget} trials", relations
-        )
+        raise SieveTimeout(f"{len(relations)}/{target} relations in {budget} trials", relations)
     return relations
 
 
-def collect_relations(
-    rep: Representation,
-    fb: FactorBase,
-    target_count: int,
-    seed: int = 0,
-    g: Poly = None,
-    max_trials: int = 10**6,
-):
-    """Sieve for target_count relations g^e = smooth product.
+def sieve_trials(seed: int, budget: int, target, draw, relation):
+    """The first target relations of trial_stream (see _take_relations), so
+    those for a smaller target are a prefix of those for a larger one."""
+    return _take_relations(trial_stream(seed, budget, draw, relation), [], target, budget)
 
-    Trials run through sieve_trials, keyed by their exponent e, so an
-    exponent drawn twice gives one relation.
-    """
-    if g is None:
-        g = find_generator(rep)
+
+def relation_stream(rep: Representation, fb: FactorBase, g: Poly, seed: int, max_trials: int):
+    """The trial stream of relations g^e = smooth product, keyed by their
+    exponent e, so an exponent drawn twice gives one relation."""
     N = rep.order()
     powers = FixedBasePowers(rep.ring, g, N)
 
@@ -328,7 +325,16 @@ def collect_relations(
             raise ValueError(f"unsound relation for exponent {e}")
         return rel
 
-    return sieve_trials(seed, max_trials, target_count, draw, relation)
+    return trial_stream(seed, max_trials, draw, relation)
+
+
+def collect_relations(rep: Representation, fb: FactorBase, target_count: int,
+                      seed: int = 0, g: Poly = None, max_trials: int = 10**6):
+    """The first target_count relations of relation_stream."""
+    if g is None:
+        g = find_generator(rep)
+    stream = relation_stream(rep, fb, g, seed, max_trials)
+    return _take_relations(stream, [], target_count, max_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -537,34 +543,27 @@ def individual_log(
     raise SieveTimeout(f"no smooth randomization of target in {max_trials} trials")
 
 
-def compute_logs(
-    rep: Representation,
-    kappa: int,
-    seed: int = 0,
-    margin: int = 10,
-    max_trials: int = 10**6,
-):
+def compute_logs(rep: Representation, kappa: int, seed: int = 0, margin: int = 10,
+                 max_trials: int = 10**6):
     """Whole pipeline: factor base, generator, relations, solved table.
 
-    A column whose log fails its check (typically one the sieve happened
-    never to hit, or one left free modulo some large prime of N) triggers
-    a top-up: the target count grows and the trial stream is replayed, so
-    the result is still a deterministic function of the seed.
+    The sieved relations are pulled from one relation_stream.  A column
+    whose log fails its check (typically one the sieve happened never to
+    hit, or one left free modulo some large prime of N) makes the stream
+    yield max(16, ncols // 4) more, from where it stopped, and the system
+    is solved again.  The only stop is the trial budget max_trials, which
+    raises SieveTimeout with the relations found so far; the result is a
+    deterministic function of the seed.
     """
     fb = build_factor_base(rep, kappa)
     g = find_generator(rep)
     free = fb.free_relations()
+    stream = relation_stream(rep, fb, g, seed, max_trials)
+    sieved = []
     target = fb.ncols + margin
-    for round_ in range(6):
-        sieved = collect_relations(
-            rep, fb, target, seed=seed, g=g, max_trials=max_trials
-        )
+    while True:
+        _take_relations(stream, sieved, target, max_trials)
         try:
-            table = build_log_table(rep, fb, free + sieved, g)
+            return fb, g, free + sieved, build_log_table(rep, fb, free + sieved, g)
         except RankDeficient:
-            if round_ == 5:
-                raise
             target += max(16, fb.ncols // 4)
-            continue
-        return fb, g, free + sieved, table
-    raise AssertionError("unreachable")

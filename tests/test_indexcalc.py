@@ -99,6 +99,19 @@ def elliptic_run(elliptic_rep):
     return compute_logs(elliptic_rep, 2, seed=0)
 
 
+# field -> (builder, the one prime of N solved from relations, columns)
+LARGE_L_FIELDS = {
+    "artin-schreier-11^11": (lambda: build_artin_schreier(11), 1806113, 7),
+    "kummer-29^7": (lambda: build_kummer(29, 7), 88009573, 64),
+    "elliptic-17^7": (lambda: build_elliptic_residue(17, 7).rep, 25646167, 154),
+}
+
+
+@pytest.fixture(scope="module")
+def large_l_reps():
+    return {field: build() for field, (build, _, _) in LARGE_L_FIELDS.items()}
+
+
 # ---------------------------------------------------------------------------
 # Factor bases.
 
@@ -452,6 +465,56 @@ class TestCollectRelations:
                 assert (pow(norm, (p - 1) // ell, p) == 1) == (ring.pow(g, N // ell) == ring.one())
 
 
+class TestRelationStream:
+    """compute_logs pulls its relations from one stream that resumes
+    where it stopped, rather than replaying the trials from 0."""
+
+    @pytest.fixture(scope="class")
+    def torus0(self):
+        rep = build_torus(13, 7)
+        return rep, build_factor_base(rep, 2), find_generator(rep)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        import frobsieve.indexcalc as ic
+
+        drawn = []
+        real = ic._mix
+
+        def counting(seed, i):
+            drawn.append(i)
+            return real(seed, i)
+
+        monkeypatch.setattr(ic, "_mix", counting)
+        return drawn
+
+    def test_no_trial_drawn_twice(self, torus0, draws):
+        # seed 0 leaves a column undetermined twice: two top-up rounds,
+        # which replaying drew as 985 trials for these 464
+        rep, fb, g = torus0
+        _fb, _g, relations, table = compute_logs(rep, 2, seed=0)
+        assert table.verify_all(rep)
+        assert sorted(draws) == list(range(464))
+        sieved = relations[len(fb.free_relations()):]
+        assert len(sieved) == fb.ncols + 10 + 2 * 16
+        draws.clear()
+        # resuming gives what replaying to the final target gives
+        assert sieved == collect_relations(rep, fb, len(sieved), seed=0, g=g)
+
+    def test_budget_ends_a_top_up(self, torus0, draws):
+        # the first 25 relations lie within 300 trials, the 41 of the
+        # first top-up do not
+        rep, fb, g = torus0
+        with pytest.raises(SieveTimeout) as info:
+            compute_logs(rep, 2, seed=0, max_trials=300)
+        assert sorted(draws) == list(range(300))
+        partial = info.value.partial
+        assert fb.ncols + 10 < len(partial) < fb.ncols + 10 + 16
+        assert partial == collect_relations(rep, fb, len(partial), seed=0, g=g)
+        with pytest.raises(SieveTimeout):
+            collect_relations(rep, fb, len(partial) + 1, seed=0, g=g, max_trials=300)
+
+
 # ---------------------------------------------------------------------------
 # The log solver.
 
@@ -545,13 +608,16 @@ class TestSolver:
         assert table.logs == torus_run[3].logs
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_artin_schreier_11_seeds_complete(self, seed):
-        # l = 1806113 is solved from relations over the 7 columns: a
-        # large-l solve on a model other than the torus
-        rep = build_artin_schreier(11)
-        assert _order_split(rep)[1] == [1806113]
+    @pytest.mark.parametrize("field", sorted(LARGE_L_FIELDS))
+    def test_large_l_seeds_complete(self, large_l_reps, field, seed):
+        # the large l is solved from relations on a model other than the
+        # torus; Kummer 29^7 seeds 0-2 and elliptic 17^7 seeds 2-3 need
+        # more top-up rounds than the six the loop used to allow
+        rep = large_l_reps[field]
+        _build, large, ncols = LARGE_L_FIELDS[field]
+        assert _order_split(rep)[1] == [large]
         fb, _g, _rels, table = compute_logs(rep, 2, seed=seed)
-        assert fb.ncols == 7
+        assert fb.ncols == ncols
         assert table.verify_all(rep)
 
     def test_undetermined_column_raises(self, torus_rep):
