@@ -29,16 +29,15 @@ from .errors import (
 )
 from .ffcore import is_irreducible
 from .galoisrep import (
+    ARTIN_SCHREIER,
+    BUILDERS,
     ELLIPTIC,
     Representation,
     apply_frobenius,
-    build_artin_schreier,
-    build_kummer,
-    build_torus,
     degree,
     rep_from_json,
 )
-from .elliptic import build_elliptic_residue, EndomorphismElement
+from .elliptic import EndomorphismElement
 from .indexcalc import build_factor_base, compute_logs, individual_log
 from .sieve2d import (
     EERestriction,
@@ -117,43 +116,14 @@ def _load_rep(path: str) -> Representation:
     return rep_from_json(data)
 
 
-def _match_elliptic_model(rep: Representation, ext) -> None:
-    """Raise InconsistentFrobenius unless the elliptic rep stores the model
-    ext that build_elliptic_residue(p, d) builds: its modulus A, its curve
-    and its t*.  A rep whose copies of a value agree with each other passes
-    the cross-check at load, and is refused here if both were edited."""
-    for name, stored, rebuilt in (
-        ("A", rep.A, ext.rep.A),
-        ("curve (a4, a6)", [rep.params.get("a4"), rep.params.get("a6")],
-         [ext.curve.a4, ext.curve.a6]),
-        ("t_star", rep.params.get("t_star"), list(ext.t_star)),
-    ):
-        if stored != rebuilt:
-            raise InconsistentFrobenius(
-                f"the rep's {name} is {stored!r} but build_elliptic_residue"
-                f"({rep.p}, {rep.d}) builds {rebuilt!r}"
-            )
-
-
 def cmd_build(args) -> int:
-    kind = args.kind
-    if kind != "artin-schreier" and args.d is None:
-        raise ValueError(f"--d is required for kind {kind}")
-    if kind == "kummer":
-        rep = build_kummer(args.p, args.d, r=args.r)
-        body = rep.to_json()
-    elif kind == "artin-schreier":
-        if args.d is not None and args.d != args.p:
-            raise ValueError("the additive model forces d = p")
-        rep = build_artin_schreier(args.p, a=args.a if args.a is not None else 1)
-        body = rep.to_json()
-    elif kind == "torus":
-        rep = build_torus(args.p, args.d, u_r=args.u_r)
-        body = rep.to_json()
-    else:
-        ext = build_elliptic_residue(args.p, args.d)
-        body = ext.to_json()
-    _emit({"manifest": _manifest("build", args), "rep": body}, args)
+    if args.kind != ARTIN_SCHREIER and args.d is None:
+        raise ValueError(f"--d is required for kind {args.kind}")
+    # the loader's builders, so a written file loads back as its build
+    build, names = BUILDERS[args.kind]
+    inputs = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    rep = build(args.p, args.p if args.d is None else args.d, **inputs)
+    _emit({"manifest": _manifest("build", args), "rep": rep.to_json()}, args)
     return 0
 
 
@@ -165,7 +135,8 @@ def cmd_check(args) -> int:
 
     try:
         rep = _load_rep(args.rep)
-        record("frobenius-consistency", True, "x^p matches the structural action")
+        record("frobenius-consistency", True,
+               "the file is its build from (p, d, params); x^p matches the structural action")
     except InconsistentFrobenius as exc:
         record("frobenius-consistency", False, str(exc))
         _emit(
@@ -188,28 +159,15 @@ def cmd_check(args) -> int:
             break
     record("frobenius-sample", ok_pow, f"{args.samples} random elements")
 
-    # the elliptic degree needs the curve data a stored rep does not carry,
-    # so it is read on the model rebuilt from (p, d) once that matches
-    deg_rep = rep
-    if rep.kind == ELLIPTIC:
-        try:
-            ext = build_elliptic_residue(rep.p, rep.d)
-            _match_elliptic_model(rep, ext)
-            record("elliptic-model", True, "A, curve and t* as built from (p, d)")
-            deg_rep = ext.rep
-        except InconsistentFrobenius as exc:
-            record("elliptic-model", False, str(exc))
-            deg_rep = None
-    if deg_rep is not None:
-        ok_deg = True
-        for _ in range(args.samples):
-            z = ring.random_el(rng)
-            if z.is_zero():
-                continue
-            if degree(deg_rep, z) != degree(deg_rep, apply_frobenius(rep, z)):
-                ok_deg = False
-                break
-        record("degree-invariance", ok_deg, f"{args.samples} random elements")
+    ok_deg = True
+    for _ in range(args.samples):
+        z = ring.random_el(rng)
+        if z.is_zero():
+            continue
+        if degree(rep, z) != degree(rep, apply_frobenius(rep, z)):
+            ok_deg = False
+            break
+    record("degree-invariance", ok_deg, f"{args.samples} random elements")
 
     report = {
         "manifest": _manifest("check", args),
@@ -328,9 +286,8 @@ def cmd_ee_sieve(args) -> int:
     rep = _load_rep(args.rep)
     if rep.kind != ELLIPTIC:
         raise ValueError(f"ee-sieve needs an elliptic residue build, got {rep.kind}")
+    # the loaded rep is build_elliptic_residue(p, d), the model ee_setup builds
     setup = ee_setup(rep.p, rep.d)
-    # the sieve runs on the model ee_setup rebuilds from (p, d)
-    _match_elliptic_model(rep, setup.ext)
     cls = _parse_class(args.cls, setup.curve.trace(), rep.p)
     manifest = _manifest("ee-sieve", args)
     manifest["setup"] = setup.to_json()

@@ -36,7 +36,7 @@ from .ffcore import (
     poly_invert_mod,
     poly_pow_mod,
 )
-from .galoisrep import ELLIPTIC, CurveFrobenius, Representation
+from .galoisrep import ELLIPTIC, CurveFrobenius, Representation, verify_representation
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,6 @@ class EllipticResidueRep:
         self.subgroup = subgroup
         self.generator = generator
         rep.ext = self
-        rep.copies = {"curve.coeffs_short": [curve.a4, curve.a6], "t_star": list(t_star)}
 
     @property
     def ring(self):
@@ -389,15 +388,18 @@ class EllipticResidueRep:
             f"curve={self.curve!r})"
         )
 
+    def curve_json(self):
+        """The keys a stored elliptic rep keeps beside the Representation's."""
+        return {
+            "curve": self.curve.to_json(),
+            "isogeny": self.isogeny.to_json(),
+            "target": list(self.target),
+            "Y": self.Y.to_list(),
+            "t_star": list(self.t_star),
+        }
+
     def to_json(self):
-        data = self.rep.to_json()
-        data["params"] = dict(data["params"])
-        data["curve"] = self.curve.to_json()
-        data["isogeny"] = self.isogeny.to_json()
-        data["target"] = list(self.target)
-        data["Y"] = self.Y.to_list()
-        data["t_star"] = list(self.t_star)
-        return data
+        return self.rep.to_json()
 
 
 def translate_point(ext: EllipticResidueRep, P, t):
@@ -451,6 +453,7 @@ def build_elliptic_residue(p: int, d: int) -> EllipticResidueRep:
             iso = velu_quotient(crv, T_gen)
             ext = _fiber_scan(crv, iso, T_gen, gen)
             if ext is not None:
+                verify_representation(ext.rep)
                 return ext
     raise NotFound(f"no irreducible degree-{d} fiber found over F_{p}")
 

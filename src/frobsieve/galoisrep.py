@@ -22,11 +22,13 @@ and each orbit contributes one unknown (plus bookkeeping) instead of one
 unknown per polynomial.
 """
 
-from itertools import accumulate
+import json
+from itertools import accumulate, zip_longest
 from operator import mul
 
 from .errors import (
     DegreeNotCompatible,
+    FrobsieveError,
     InconsistentFrobenius,
     InvalidPoint,
     NotFound,
@@ -69,10 +71,6 @@ class HomographyFrobenius:
     def __repr__(self):
         return f"HomographyFrobenius{self.matrix}"
 
-    @property
-    def variant(self):
-        return "homography" if self.matrix[2] else "affine"
-
     def image(self, k: int, ring: QuotientField) -> Poly:
         """x^(p^k), from the k-th power of the matrix."""
         p = self.p
@@ -99,8 +97,6 @@ class HomographyFrobenius:
 class CurveFrobenius:
     """Precomputed images x^{p^k} for k = 0..d-1, supplied by the builder."""
 
-    variant = "curve-translation"
-
     def __init__(self, images):
         self.images = list(images)
 
@@ -112,7 +108,7 @@ class CurveFrobenius:
 
     def to_json(self):
         return {
-            "variant": self.variant,
+            "variant": "curve-translation",
             "images": [img.to_list() for img in self.images],
         }
 
@@ -130,9 +126,6 @@ class Representation:
         self.params = dict(params or {})
         self.ring = QuotientField(A)
         self.ext = None  # elliptic builder attaches its curve data here
-        # second copies of params values that a stored file keeps outside
-        # params (elliptic: curve and t_star), for `_stored_twice`
-        self.copies = {}
         self._image_cache = {}
         self._step_basis = {}  # orbit walk, see _step_basis
         self._order_factors = None
@@ -160,108 +153,29 @@ class Representation:
         return img
 
     def to_json(self):
-        return {
+        data = {
             "kind": self.kind,
             "p": self.p,
             "d": self.d,
             "A": self.A.to_list(),
             "frobenius": self.frobenius.to_json(),
-            "params": {k: v for k, v in self.params.items()},
+            "params": dict(self.params),
         }
-
-
-def _read(data, key, convert):
-    """convert(data[key]); a missing key, a wrong type or an out-of-range
-    value raises InconsistentFrobenius naming the key."""
-    try:
-        return convert(data[key])
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InconsistentFrobenius(f"bad representation field {key!r}: {exc!r}") from exc
-
-
-def rep_from_json(data) -> Representation:
-    field = _read(data, "p", lambda v: PrimeField(int(v)))
-    p = field.p
-    d = _read(data, "d", int)
-    A = _read(data, "A", lambda v: field.poly([int(c) for c in v]))
-    if d < 1 or A.degree != d:
-        raise InconsistentFrobenius(f"A has degree {A.degree} but d is {d}")
-    fr = _read(data, "frobenius", dict)
-    variant = _read(fr, "variant", str)
-    if variant == "affine":
-        frob = HomographyFrobenius(_read(fr, "u", int), _read(fr, "v", int), 0, 1, p)
-    elif variant == "homography":
-        tau = _read(fr, "tau", int)
-        frob = HomographyFrobenius(tau, _read(fr, "D", int), 1, tau, p)
-    elif variant == "curve-translation":
-        frob = CurveFrobenius(_read(fr, "images", lambda v: [
-            field.poly([int(c) for c in img]) % A for img in v]))
-    else:
-        raise InconsistentFrobenius(f"unknown frobenius variant {variant!r}")
-    params = _read(data, "params", lambda v: {
-        k: (int(x) if isinstance(x, str) and x.lstrip("-").isdigit() else x)
-        for k, x in v.items()}) if "params" in data else {}
-    rep = Representation(_read(data, "kind", str), field, d, A, frob, params)
-    if rep.kind == ELLIPTIC:
-        ints = lambda v: [int(c) for c in v]
-        rep.copies = {
-            "curve.coeffs_short": _read(_read(data, "curve", dict), "coeffs_short", ints),
-            "t_star": _read(data, "t_star", ints),
-        }
-    verify_representation(rep)
-    return rep
-
-
-_VARIANTS = {
-    KUMMER: "affine",
-    ARTIN_SCHREIER: "affine",
-    TORUS: "homography",
-    ELLIPTIC: "curve-translation",
-}
-
-
-def _stored_twice(rep: Representation):
-    """(name, stored value, the value it must equal) for every value the
-    representation stores twice: once in params and once in its Frobenius
-    object or modulus, or for an elliptic rep in the curve and t_star it
-    stores beside params (`rep.copies`)."""
-    params = rep.params
-    if rep.kind == ELLIPTIC:
-        a4, a6 = rep.copies["curve.coeffs_short"]
-        return [("params.a4 against curve.coeffs_short[0]", params.get("a4"), a4),
-                ("params.a6 against curve.coeffs_short[1]", params.get("a6"), a6),
-                ("params.t_star against t_star", params.get("t_star"), rep.copies["t_star"])]
-    a, b, _c, _d = rep.frobenius.matrix
-    if rep.kind == KUMMER:
-        r = params.get("r")
-        A = rep.field.poly([-r] + [0] * (rep.d - 1) + [1]) if isinstance(r, int) else None
-        return [("params.zeta", params.get("zeta"), a),
-                ("frobenius.v", b, 0),
-                ("A = X^d - params.r", rep.A, A)]
-    if rep.kind == ARTIN_SCHREIER:
-        return [("params.a", params.get("a"), b)]
-    return [("params.tau", params.get("tau"), a),
-            ("params.D", params.get("D"), b)]
+        if self.ext is not None:
+            data.update(self.ext.curve_json())
+        return data
 
 
 def verify_representation(rep: Representation):
-    """Check x^p really equals the claimed structural image, and that every
-    value stored twice agrees with the Frobenius object.
+    """Check x^p really equals the claimed structural image.
 
-    Cheap insurance against a corrupted or hand-edited file: one modular
-    exponentiation versus the closed form, then one comparison per value
-    kept in both params and the Frobenius object (or the modulus), so a
-    tampered params entry fails here rather than later in a sieve or solve.
-    Stored curve images x^(p^k) are checked as a whole chain: image 0 is x,
-    image k+1 is image k evaluated at x^p, and the chain closes at x.
+    Cheap insurance for every builder: one modular exponentiation versus
+    the closed form.  Curve images x^(p^k) are checked as a whole chain:
+    image 0 is x, image k+1 is image k evaluated at x^p, and the chain
+    closes at x.
     """
-    variant = _VARIANTS.get(rep.kind)
-    if rep.frobenius.variant != variant:
-        raise InconsistentFrobenius(
-            f"a {rep.kind} representation cannot carry a {rep.frobenius.variant} Frobenius"
-        )
     actual = rep.ring.pow(rep.ring.x(), rep.p)
-    if variant == "curve-translation":
+    if isinstance(rep.frobenius, CurveFrobenius):
         images = rep.frobenius.images
         if len(images) != rep.d:
             raise InconsistentFrobenius(f"curve Frobenius needs {rep.d} images")
@@ -275,11 +189,6 @@ def verify_representation(rep: Representation):
         raise InconsistentFrobenius(
             f"x^p mod A is {actual!r} but the structural action gives {claimed!r}"
         )
-    for name, stored, expected in _stored_twice(rep):
-        if stored != expected:
-            raise InconsistentFrobenius(
-                f"{name} is {stored!r} but the other copy gives {expected!r}"
-            )
 
 
 def apply_frobenius(rep: Representation, z: Poly, k: int = 1) -> Poly:
@@ -503,6 +412,103 @@ def build_torus(p: int, d: int, u_r=None) -> Representation:
 
 
 # ---------------------------------------------------------------------------
+# Loading: a stored representation is its build.
+
+
+def _read(data, key, convert, where=""):
+    """convert(data[key]); a missing key, a wrong type or an out-of-range
+    value raises InconsistentFrobenius naming the field where + key."""
+    try:
+        return convert(data[key])
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InconsistentFrobenius(
+            f"bad representation field '{where}{key}': {exc!r}") from exc
+
+
+def _artin_schreier(p, d, **inputs):
+    if d != p:
+        raise DegreeNotCompatible(f"the additive model forces d = p, got d={d}, p={p}")
+    return build_artin_schreier(p, **inputs)
+
+
+def _elliptic_residue(p, d):
+    from .elliptic import build_elliptic_residue  # elliptic imports this module
+
+    return build_elliptic_residue(p, d).rep
+
+
+# kind -> (build(p, d, **inputs), the names of the inputs, kept in params)
+BUILDERS = {
+    KUMMER: (build_kummer, ("r",)),
+    ARTIN_SCHREIER: (_artin_schreier, ("a",)),
+    TORUS: (build_torus, ("u_r",)),
+    ELLIPTIC: (_elliptic_residue, ()),
+}
+
+
+class _Missing:
+    def __repr__(self):
+        return "missing"
+
+
+_MISSING = _Missing()
+
+
+def _first_difference(stored, built, path=""):
+    """(path, stored value, built value) at the first field where two JSON
+    documents differ, or None.  Dicts are walked in built's key order and
+    then the keys only stored has, lists of lists (the curve images) item
+    by item; an absent value is _MISSING."""
+    if isinstance(stored, dict) and isinstance(built, dict):
+        keys = list(built) + [k for k in stored if k not in built]
+        pairs = [(stored.get(k, _MISSING), built.get(k, _MISSING), f"{path}.{k}" if path else k)
+                 for k in keys]
+    elif isinstance(stored, list) and isinstance(built, list) and built \
+            and isinstance(built[0], list):
+        pairs = [(s, b, f"{path}[{i}]")
+                 for i, (s, b) in enumerate(zip_longest(stored, built, fillvalue=_MISSING))]
+    else:
+        return None if stored == built else (path, stored, built)
+    return next(filter(None, (_first_difference(*pair) for pair in pairs)), None)
+
+
+def rep_from_json(data) -> Representation:
+    """Load a stored representation by building it again.
+
+    A representation is fixed by kind, p, d and its builder's inputs in
+    params (none for the elliptic residue).  The stored document must
+    equal the build's to_json(); otherwise InconsistentFrobenius names
+    the first field that differs, or the inputs the builder refuses.
+    The build is returned, so an elliptic rep carries its ext.
+    """
+    kind = _read(data, "kind", str)
+    if kind not in BUILDERS:
+        raise InconsistentFrobenius(f"bad representation field 'kind': {kind!r}")
+    build, names = BUILDERS[kind]
+    p = _read(data, "p", int)
+    d = _read(data, "d", int)
+    params = _read(data, "params", dict)
+    inputs = {name: _read(params, name, int, "params.") for name in names if name in params}
+    source = ", ".join([f"p={p}", f"d={d}"] + [f"params.{k}={v}" for k, v in inputs.items()])
+    try:
+        rep = build(p, d, **inputs)
+    except (FrobsieveError, ValueError) as exc:
+        raise InconsistentFrobenius(f"no {kind} representation builds from {source}: {exc}") from exc
+    try:
+        stored, built = (json.loads(json.dumps(doc)) for doc in (data, rep.to_json()))
+    except (TypeError, ValueError) as exc:
+        raise InconsistentFrobenius(f"representation is not a JSON document: {exc}") from exc
+    found = _first_difference(stored, built)
+    if found:
+        path, in_file, in_build = found
+        raise InconsistentFrobenius(
+            f"field '{path}' is {in_file!r} in the file but {in_build!r} in the {kind} build "
+            f"from {source}"
+        )
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # Frobenius orbits of monic irreducible polynomials in the residue x.
 #
 # For a monic irreducible q of degree n and x^p = (a x + b)/(c x + d),
@@ -716,7 +722,7 @@ def degree(rep: Representation, z: Poly) -> int:
         from .elliptic import function_degree
 
         if rep.ext is None:
-            raise ValueError("elliptic representation lost its curve data")
+            raise ValueError("an elliptic representation needs the curve data its builder attaches")
         return function_degree(rep.ext, z)
     return z.degree if z.degree >= 0 else 0
 

@@ -543,8 +543,11 @@ def individual_log(
     raise SieveTimeout(f"no smooth randomization of target in {max_trials} trials")
 
 
-def compute_logs(rep: Representation, kappa: int, seed: int = 0, margin: int = 10,
-                 max_trials: int = 10**6):
+# compute_logs first collects this many sieved relations beyond the columns
+RELATION_MARGIN = 10
+
+
+def compute_logs(rep: Representation, kappa: int, seed: int = 0, max_trials: int = 10**6):
     """Whole pipeline: factor base, generator, relations, solved table.
 
     The sieved relations are pulled from one relation_stream.  A column
@@ -560,7 +563,7 @@ def compute_logs(rep: Representation, kappa: int, seed: int = 0, margin: int = 1
     free = fb.free_relations()
     stream = relation_stream(rep, fb, g, seed, max_trials)
     sieved = []
-    target = fb.ncols + margin
+    target = fb.ncols + RELATION_MARGIN
     while True:
         _take_relations(stream, sieved, target, max_trials)
         try:

@@ -720,7 +720,13 @@ def _extension_points(curve: Curve, e: int):
             yield fq, (xv, yv)
 
 
-def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
+# Graph points come from F_p and F_{p^2}; a linear system keeps this many
+# more of them past its rows to check that its sections vanish there.
+GRAPH_MAX_DEGREE = 2
+HOLDOUT_POINTS = 20
+
+
+def _graph_points(curve: Curve, xi: EndomorphismElement):
     """Deterministic stream of (ops, P, -xi(P), degree) along the graph.
 
     Rational points come first, walked as k*G0 from a fixed generator;
@@ -742,7 +748,7 @@ def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
             walk.append(P)
             P = ec_add(curve.ops, curve.a4, P, g0)
         levels.append((1, [(curve.ops, P) for P in walk]))
-    for e in range(2, max_degree + 1):
+    for e in range(2, GRAPH_MAX_DEGREE + 1):
         levels.append((e, _extension_points(curve, e)))
     for e, pts in levels:
         for ops, P in pts:
@@ -753,7 +759,7 @@ def _graph_points(curve: Curve, xi: EndomorphismElement, max_degree: int = 2):
             yield ops, P, Q, e
 
 
-def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSystemEE:
+def linear_system_ee(setup, c: NSClassEE) -> LinearSystemEE:
     """Sections of the class c vanishing on the graph of -xi.
 
     Conditions are imposed at graph points over F_p and F_{p^2}; a point
@@ -782,7 +788,7 @@ def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSyst
     holdout = []
     for ops, P, Q, e in stream:
         if len(rows) >= needed + 4:
-            if len(holdout) < holdout_count:
+            if len(holdout) < HOLDOUT_POINTS:
                 holdout.append((ops, P, Q))
                 continue
             break
@@ -793,7 +799,7 @@ def linear_system_ee(setup, c: NSClassEE, holdout_count: int = 20) -> LinearSyst
         raise InsufficientPoints(
             f"only {len(rows)} usable graph conditions; need {needed}"
         )
-    if len(holdout) < holdout_count:
+    if len(holdout) < HOLDOUT_POINTS:
         raise InsufficientPoints(
             f"only {len(holdout)} graph points left for holdout checks"
         )
@@ -844,7 +850,11 @@ class EESetup:
         }
 
 
-def _endomorphism_pair(t: int, p: int, bound: int = 50):
+# alpha = m + n*phi is sought in the box |m|, |n| <= ENDOMORPHISM_BOUND
+ENDOMORPHISM_BOUND = 50
+
+
+def _endomorphism_pair(t: int, p: int, bound: int = ENDOMORPHISM_BOUND):
     """alpha, beta in Z[phi] with beta*alpha = 2 - phi, minimizing the
     larger norm, with alpha = m + n*phi in the box |m|, |n| <= bound.
     alpha = 1 always works, so the search cannot fail unless the bound is
@@ -884,7 +894,7 @@ def _endomorphism_pair(t: int, p: int, bound: int = 50):
     return best[1], best[2]
 
 
-def ee_setup(p: int, d: int, bound: int = 50) -> EESetup:
+def ee_setup(p: int, d: int) -> EESetup:
     """Build the E x E sieve context over F_{p^d}.
 
     The residue-field construction fixes the curve and the order-d
@@ -894,7 +904,7 @@ def ee_setup(p: int, d: int, bound: int = 50) -> EESetup:
     """
     ext = build_elliptic_residue(p, d)
     curve = ext.curve
-    alpha, beta = _endomorphism_pair(curve.trace(), p, bound)
+    alpha, beta = _endomorphism_pair(curve.trace(), p)
 
     one = EndomorphismElement(1, 0, curve.trace(), p)
     phi = EndomorphismElement(0, 1, curve.trace(), p)

@@ -11,6 +11,7 @@ import pytest
 from frobsieve.cli import main
 from frobsieve.elliptic import EndomorphismElement
 from frobsieve.ffcore import Poly, is_irreducible
+from frobsieve.galoisrep import rep_from_json
 from frobsieve.sieve2d import (
     BivariatePoly,
     EERestriction,
@@ -74,6 +75,28 @@ class TestBuild:
         assert main(["build", "--kind", "artin-schreier", "--p", "7",
                      "--d", "6"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "kummer", "--p", "43", "--d", "6"],
+            ["--kind", "kummer", "--p", "43", "--d", "6", "--r", "5"],
+            ["--kind", "artin-schreier", "--p", "7"],
+            ["--kind", "artin-schreier", "--p", "7", "--a", "3"],
+            ["--kind", "torus", "--p", "13", "--d", "7"],
+            ["--kind", "torus", "--p", "13", "--d", "7", "--u-r", "8"],
+            ["--kind", "elliptic-residue", "--p", "11", "--d", "7"],
+        ],
+        ids=["kummer", "kummer-r", "artin-schreier", "artin-schreier-a", "torus",
+             "torus-u_r", "elliptic-residue"],
+    )
+    def test_written_file_loads_back(self, tmp_path, argv):
+        # a file is its build: loading it rebuilds the same document
+        out = tmp_path / "rep.json"
+        assert main(["build"] + argv + ["--out", str(out)]) == 0
+        stored = json.loads(out.read_text())["rep"]
+        assert rep_from_json(stored).to_json() == stored
+        assert main(["check", str(out), "--out", str(tmp_path / "check.json")]) == 0
+
     def test_seed_flag_gone(self, rep_files):
         # no builder draws at random, so build takes no seed
         assert "seed" not in json.loads(rep_files["kummer"].read_text())["manifest"]["params"]
@@ -97,16 +120,16 @@ class TestCheck:
 
     def test_elliptic_lists_skipped_check(self, rep_files, tmp_path):
         # degree-invariance runs on every kind, on an elliptic rep through
-        # the model rebuilt from (p, d), so no check is reported skipped
+        # the curve data its load carries, so no check is reported skipped
+        # and every kind runs the same four checks
         for kind, path in rep_files.items():
             out = tmp_path / f"{kind}.json"
             assert main(["check", str(path), "--out", str(out)]) == 0
             doc = json.loads(out.read_text())
             names = [c["name"] for c in doc["checks"]]
-            assert "degree-invariance" in names
+            assert names == ["frobenius-consistency", "modulus-irreducible",
+                             "frobenius-sample", "degree-invariance"]
             assert "skipped" not in doc
-            if kind == "elliptic-residue":
-                assert names.index("elliptic-model") < names.index("degree-invariance")
 
     def test_raw_rep_accepted(self, rep_files, tmp_path):
         raw = json.loads(rep_files["kummer"].read_text())["rep"]
@@ -154,7 +177,65 @@ class TestCheck:
         report = json.loads(out.read_text())
         failed = [c for c in report["checks"] if not c["ok"]]
         assert failed and failed[0]["name"] == "frobenius-consistency"
-        assert "image 3" in failed[0]["detail"]
+        assert "field 'frobenius.images[3]'" in failed[0]["detail"]
+
+    # hand edits of values the file stores once, so that no second copy in
+    # it disagrees: params.u_r, m and sign of the 13^7 torus file, and the
+    # curve data of the 11^7 elliptic file; each differs from the build
+    SINGLE_EDITS = {
+        "params.u_r": ("torus", lambda rep: rep["params"].update(u_r=9)),
+        "params.m": ("torus", lambda rep: rep["params"].update(m=3)),
+        "params.sign": ("torus", lambda rep: rep["params"].update(sign="+")),
+        "Y": ("elliptic-residue", lambda rep: rep["Y"].__setitem__(0, (rep["Y"][0] + 1) % 11)),
+        "isogeny.kernel_poly": ("elliptic-residue", lambda rep: rep["isogeny"]["kernel_poly"]
+                                .__setitem__(0, (rep["isogeny"]["kernel_poly"][0] + 1) % 11)),
+        # -a, the other point of E/T with the same x: its fiber is the same
+        "target": ("elliptic-residue", lambda rep: rep["target"]
+                   .__setitem__(1, -rep["target"][1] % 11)),
+        "curve.order": ("elliptic-residue", lambda rep: rep["curve"].update(order=8)),
+        "params.x_a": ("elliptic-residue", lambda rep: rep["params"].update(x_a=7)),
+    }
+
+    def _single_edit(self, rep_files, tmp_path, name):
+        kind, edit = self.SINGLE_EDITS[name]
+        doc = json.loads(rep_files[kind].read_text())
+        before = json.dumps(doc)
+        edit(doc["rep"])
+        assert json.dumps(doc) != before
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    @pytest.mark.parametrize("name", list(SINGLE_EDITS))
+    def test_single_edit_exits_4(self, rep_files, tmp_path, name):
+        bad = self._single_edit(rep_files, tmp_path, name)
+        out = tmp_path / "check.json"
+        assert main(["check", str(bad), "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert report["ok"] is False
+        assert [c["name"] for c in report["checks"]] == ["frobenius-consistency"]
+        assert name in report["checks"][0]["detail"]
+
+    @pytest.mark.parametrize(
+        "name", [n for n, (kind, _) in SINGLE_EDITS.items() if kind == "elliptic-residue"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["orbits", "{rep}", "--kappa", "2"],
+         ["dlog", "{rep}", "--kappa", "2"],
+         ["ee-sieve", "--rep", "{rep}", "--class", "2,2,1,0", "--budget", "5"]],
+        ids=["orbits", "dlog", "ee-sieve"],
+    )
+    def test_single_elliptic_edit_refused_by_every_command(self, rep_files, tmp_path,
+                                                           capsys, name, command):
+        bad = self._single_edit(rep_files, tmp_path, name)
+        out = tmp_path / "out.json"
+        argv = [str(bad) if a == "{rep}" else a for a in command]
+        assert main(argv + ["--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "InconsistentFrobenius"
+        assert f"field '{name}' is " in err["message"]
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
@@ -399,15 +480,16 @@ class TestEESieve:
 
     @pytest.mark.parametrize("name", list(EDITS))
     def test_one_copy_edited_exits_4(self, rep_files, tmp_path, capsys, name):
-        # the value is stored twice, in params and beside it, and the two
-        # copies disagree: check and ee-sieve both refuse the file
+        # the value is stored twice, in params and beside it, and the
+        # edited copy differs from the build: check and ee-sieve both
+        # refuse the file and name that copy
         bad = self._edited(rep_files, tmp_path, [name])
         out = tmp_path / "check.json"
         assert main(["check", str(bad), "--out", str(out)]) == 4
         failed = [c for c in json.loads(out.read_text())["checks"] if not c["ok"]]
         assert failed and failed[0]["name"] == "frobenius-consistency"
-        field = name.split(".")[-1]
-        assert f"params.{field} against" in failed[0]["detail"]
+        field = {"curve.a4": "curve.coeffs_short"}.get(name, name)
+        assert f"field '{field}' is " in failed[0]["detail"]
         capsys.readouterr()
         assert main(["ee-sieve", "--rep", str(bad), "--class", "2,2,1,0",
                      "--budget", "5", "--out", str(tmp_path / "ee.jsonl")]) == 4
@@ -415,35 +497,37 @@ class TestEESieve:
 
     @pytest.mark.parametrize(
         "names, what",
-        [(["params.t_star", "t_star"], "t_star"), (["params.a4", "curve.a4"], "curve")],
+        [(["params.t_star", "t_star"], "params.t_star"),
+         (["params.a4", "curve.a4"], "params.a4")],
         ids=["t_star", "curve"],
     )
     def test_both_copies_edited_refused_by_ee_sieve(self, rep_files, tmp_path, capsys,
                                                      names, what):
-        # copies that agree pass the cross-check, but ee-sieve rebuilds its
-        # model from (p, d) and refuses a rep that stores another one
+        # copies that agree with each other still differ from the build
+        # from (p, d): the load refuses the file at its first such field
         bad = self._edited(rep_files, tmp_path, names)
         out = tmp_path / "ee.jsonl"
         assert main(["ee-sieve", "--rep", str(bad), "--class", "2,2,1,0",
                      "--budget", "5", "--out", str(out)]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "InconsistentFrobenius"
-        assert f"the rep's {what}" in err["message"]
+        assert f"field '{what}' is " in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "names, what",
-        [(["params.t_star", "t_star"], "t_star"), (["params.a4", "curve.a4"], "curve")],
+        [(["params.t_star", "t_star"], "params.t_star"),
+         (["params.a4", "curve.a4"], "params.a4")],
         ids=["t_star", "curve"],
     )
     def test_both_copies_edited_refused_by_check(self, rep_files, tmp_path, names, what):
-        # check rebuilds the model from (p, d) too, and names the field
+        # check loads through the same builder, and names the field
         bad = self._edited(rep_files, tmp_path, names)
         out = tmp_path / "check.json"
         assert main(["check", str(bad), "--out", str(out)]) == 4
         failed = [c for c in json.loads(out.read_text())["checks"] if not c["ok"]]
-        assert [c["name"] for c in failed] == ["elliptic-model"]
-        assert f"the rep's {what}" in failed[0]["detail"]
+        assert [c["name"] for c in failed] == ["frobenius-consistency"]
+        assert f"field '{what}' is " in failed[0]["detail"]
 
     def test_wrong_kind_rejected(self, rep_files, capsys):
         code = main(["ee-sieve", "--rep", str(rep_files["kummer"]),

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
 
+from frobsieve import elliptic
 from frobsieve.elliptic import (
     Curve,
     EndomorphismElement,
@@ -32,7 +34,13 @@ from frobsieve.errors import (
     NotFound,
 )
 from frobsieve.ffcore import factorize_int, poly_pow_mod
-from frobsieve.galoisrep import apply_frobenius, rep_from_json, verify_representation
+from frobsieve.galoisrep import (
+    CurveFrobenius,
+    apply_frobenius,
+    degree,
+    rep_from_json,
+    verify_representation,
+)
 
 
 REFERENCE_LONG = (11, 1, 0, 0, 2, 8)  # y^2 + xy = x^3 + 2x + 8
@@ -448,43 +456,73 @@ class TestJson:
 
     @pytest.mark.parametrize("k", [0, 2, 3, 6])
     def test_corrupted_image_detected(self, k):
-        # image 1 is x^p itself; the others are only caught by the chain
+        # image 1 is x^p itself; every image is compared with the build's,
+        # whose chain the builder checks
         data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
         images = data["frobenius"]["images"]
         images[k] = [(c + 1) % 11 for c in images[k]]
-        with pytest.raises(InconsistentFrobenius, match=f"stored image {k} "):
+        with pytest.raises(InconsistentFrobenius,
+                           match=re.escape(f"field 'frobenius.images[{k}]' is ")):
             rep_from_json(data)
+
+    def test_builder_checks_the_image_chain(self, monkeypatch):
+        # build_elliptic_residue runs verify_representation, so a wrong
+        # image k >= 2 out of the fiber scan is refused at build time
+        class OffByOne(CurveFrobenius):
+            def __init__(self, images):
+                images = list(images)
+                images[3] = images[3] + 1
+                super().__init__(images)
+
+        monkeypatch.setattr(elliptic, "CurveFrobenius", OffByOne)
+        with pytest.raises(InconsistentFrobenius, match="stored image 3 "):
+            build_elliptic_residue(11, 7)
 
     @pytest.mark.parametrize(
         "edit, name",
         [
             (lambda d: d["params"].update(t_star=[6, 2]), "params.t_star"),
-            (lambda d: d.update(t_star=[6, 2]), "params.t_star"),
+            (lambda d: d.update(t_star=[6, 2]), "t_star"),
             (lambda d: d["params"].update(a6=8), "params.a6"),
-            (lambda d: d["curve"].update(coeffs_short=[3, 7]), "params.a4"),
+            (lambda d: d["curve"].update(coeffs_short=[3, 7]), "curve.coeffs_short"),
         ],
         ids=["params-t_star", "t_star", "params-a6", "curve-a4"],
     )
     def test_second_copies_cross_checked(self, edit, name):
-        # a4, a6 and t* are stored in params and again in curve and t_star
+        # a4, a6 and t* are stored in params and again in curve and t_star;
+        # each copy is compared with the build from (p, d)
         data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
         assert verify_representation(rep_from_json(data)) is None
         edit(data)
-        with pytest.raises(InconsistentFrobenius, match=rf"{name} against"):
+        with pytest.raises(InconsistentFrobenius, match=re.escape(f"field '{name}' is ")):
             rep_from_json(data)
 
-    def test_built_rep_carries_its_copies(self):
+    def test_loaded_rep_carries_its_curve(self):
         ext = build_elliptic_residue(11, 7)
-        verify_representation(ext.rep)
-        data = ext.to_json()
-        assert ext.rep.copies == {"curve.coeffs_short": data["curve"]["coeffs_short"],
-                                  "t_star": data["t_star"]}
+        data = json.loads(json.dumps(ext.to_json()))
+        rep = rep_from_json(data)
+        assert rep.ext is not None and rep.ext.rep is rep
+        assert (rep.ext.curve, rep.ext.t_star, rep.ext.Y) == (ext.curve, ext.t_star, ext.Y)
+        assert rep.to_json() == ext.to_json()
         del data["t_star"]
-        with pytest.raises(InconsistentFrobenius, match="field 't_star'"):
+        with pytest.raises(InconsistentFrobenius, match="field 't_star' is missing"):
             rep_from_json(data)
+
+    def test_degree_on_loaded_rep(self):
+        # the loaded rep is the build, so its filtration degree needs no
+        # second model
+        ext = build_elliptic_residue(11, 7)
+        rep = rep_from_json(json.loads(json.dumps(ext.to_json())))
+        rng = random.Random(5)
+        for _ in range(6):
+            z = rep.ring.random_el(rng)
+            if not z.is_zero():
+                assert degree(rep, z) == function_degree(ext, z)
+        assert degree(rep, rep.ring.x()) == 2
 
     def test_missing_image_detected(self):
         data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
         data["frobenius"]["images"].pop()
-        with pytest.raises(InconsistentFrobenius, match="7 images"):
+        with pytest.raises(InconsistentFrobenius,
+                           match=re.escape("field 'frobenius.images[6]' is missing")):
             rep_from_json(data)
