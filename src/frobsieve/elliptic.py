@@ -28,11 +28,13 @@ from .ffcore import (
     PrimeOps,
     QuotientField,
     _combine,
+    double_and_add,
     factorize_int,
     fraction_kernel,
     horner,
     is_irreducible,
     is_prime,
+    order_from_multiple,
     poly_invert_mod,
     poly_pow_mod,
 )
@@ -86,23 +88,12 @@ def ec_sub(ops, a4, P, Q):
 def ec_scalar(ops, a4, k: int, P):
     if k < 0:
         return ec_scalar(ops, a4, -k, ec_neg(ops, P))
-    R = None
-    Q = P
-    while k:
-        if k & 1:
-            R = ec_add(ops, a4, R, Q)
-        Q = ec_add(ops, a4, Q, Q)
-        k >>= 1
-    return R
+    return double_and_add(lambda Q, R: ec_add(ops, a4, Q, R), None, P, k)
 
 
 def ec_point_order(ops, a4, P, n: int, n_factors) -> int:
     """Exact order of P given a multiple n of it with known factorization."""
-    order = n
-    for ell in n_factors:
-        while order % ell == 0 and ec_scalar(ops, a4, order // ell, P) is None:
-            order //= ell
-    return order
+    return order_from_multiple(n, n_factors, lambda m: ec_scalar(ops, a4, m, P) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +199,6 @@ class Curve:
             "order": self.point_count(),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        if data.get("coeffs_long"):
-            crv = cls.from_long(int(data["p"]), *[int(c) for c in data["coeffs_long"]])
-        else:
-            a4, a6 = data["coeffs_short"]
-            crv = cls(int(data["p"]), int(a4), int(a6))
-        if "order" in data and data["order"] is not None:
-            if crv.point_count() != int(data["order"]):
-                raise InconsistentFrobenius("stored curve order does not match recount")
-        return crv
-
 
 def point_count(curve: Curve) -> int:
     return curve.point_count()
@@ -303,13 +282,14 @@ def velu_quotient(E: Curve, T_gen) -> Isogeny:
         raise InvalidPoint("kernel generator must not be the identity")
     if not ec_on_curve(ops, E.a4, E.a6, T_gen):
         raise InvalidPoint(f"{T_gen} is not on the curve")
-    d = 1
+    kernel = [None]
     Q = T_gen
     while Q is not None:
-        Q = ec_add(ops, E.a4, Q, T_gen)
-        d += 1
-        if d > 4 * p:
+        kernel.append(Q)
+        if len(kernel) > 4 * p:
             raise InvalidPoint("kernel generator order exceeds the group bound")
+        Q = ec_add(ops, E.a4, Q, T_gen)
+    d = len(kernel)
     if d % 2 == 0:
         raise DegreeNotCompatible("even-degree quotients are not supported")
     if d % p == 0:
@@ -317,14 +297,8 @@ def velu_quotient(E: Curve, T_gen) -> Isogeny:
     if d < 3:
         raise DegreeNotCompatible("kernel must have order at least 3")
 
-    kernel = [None]
-    Q = T_gen
-    for _ in range(d - 1):
-        kernel.append(Q)
-        Q = ec_add(ops, E.a4, Q, T_gen)
-
     field = PrimeField(p)
-    half = [ec_scalar(ops, E.a4, i, T_gen) for i in range(1, (d - 1) // 2 + 1)]
+    half = kernel[1:(d - 1) // 2 + 1]
     t_sum = w_sum = 0
     h = field.poly([1])
     data = []
@@ -451,14 +425,14 @@ def build_elliptic_residue(p: int, d: int) -> EllipticResidueRep:
                 continue  # rational points not cyclic on this curve
             T_gen = ec_scalar(crv.ops, crv.a4, D // d, gen)
             iso = velu_quotient(crv, T_gen)
-            ext = _fiber_scan(crv, iso, T_gen, gen)
+            ext = _fiber_scan(crv, iso, gen)
             if ext is not None:
                 verify_representation(ext.rep)
                 return ext
     raise NotFound(f"no irreducible degree-{d} fiber found over F_{p}")
 
 
-def _fiber_scan(crv: Curve, iso: Isogeny, T_gen, gen):
+def _fiber_scan(crv: Curve, iso: Isogeny, gen):
     p = crv.p
     d = iso.degree
     field = PrimeField(p)
@@ -479,7 +453,7 @@ def _fiber_scan(crv: Curve, iso: Isogeny, T_gen, gen):
         if ring.mul(Y, Y) != ring.el(f_poly):
             continue
 
-        subgroup = [ec_scalar(crv.ops, crv.a4, k, T_gen) for k in range(d)]
+        subgroup = iso.kernel_points
         B = (ring.x(), Y)
         x_p = poly_pow_mod(ring.x(), p, A)
         t_star = next((t for t in subgroup

@@ -40,8 +40,11 @@ The field routines that the models and sieves share are written once,
 here: extended Euclid on coefficient lists (`_rational_split`, whose
 bound-0 case is `poly_invert_mod`), the coefficient matrix of a list of
 elements (`coefficient_rows`) and the kernel of num - z * den over their
-span (`fraction_kernel`), and F_p combinations of fixed polynomials
-(`_combine`).
+span (`fraction_kernel`), F_p combinations of fixed polynomials
+(`_combine`), and, for every cyclic group the models use (curve points,
+torus points, powers in the function field), the binary method
+(`double_and_add`) and the exact order from a known multiple
+(`order_from_multiple`).
 """
 
 from __future__ import annotations
@@ -193,6 +196,29 @@ def crt(residues: list[int], moduli: list[int]) -> int:
         x += m * t
         m *= q
     return x % m
+
+
+def double_and_add(add, zero, x, k: int):
+    """The k-fold sum of x under `add`, for k >= 0, by the binary method
+    from the low bit up: one `add` per set bit of k, one doubling per bit
+    below the top, and none after it."""
+    acc = zero
+    while k:
+        if k & 1:
+            acc = add(acc, x)
+        k >>= 1
+        if k:
+            x = add(x, x)
+    return acc
+
+
+def order_from_multiple(n: int, primes, vanishes) -> int:
+    """Exact order of a group element, given a multiple n of it, the primes
+    of n, and vanishes(m): whether the m-fold element is the identity."""
+    for ell in primes:
+        while n % ell == 0 and vanishes(n // ell):
+            n //= ell
+    return n
 
 
 class PrimeField:

@@ -37,10 +37,12 @@ from .ffcore import (
     Poly,
     PrimeField,
     QuotientField,
+    double_and_add,
     factorize_int,
     fraction_kernel,
     horner,
     is_irreducible,
+    order_from_multiple,
     primitive_root,
 )
 
@@ -247,14 +249,7 @@ def torus_neg(P, p: int):
 def torus_scalar(k: int, P, D: int, p: int):
     if k < 0:
         return torus_scalar(-k, torus_neg(P, p), D, p)
-    R = NEUTRAL
-    Q = P
-    while k:
-        if k & 1:
-            R = torus_add(R, Q, D, p)
-        Q = torus_add(Q, Q, D, p)
-        k >>= 1
-    return torus_normalize(R, p)
+    return torus_normalize(double_and_add(lambda Q, R: torus_add(Q, R, D, p), NEUTRAL, P, k), p)
 
 
 def torus_u(P, p: int):
@@ -265,11 +260,9 @@ def torus_u(P, p: int):
 
 
 def torus_order(P, D: int, p: int, group_factors) -> int:
-    n = p + 1
-    for ell in group_factors:
-        while n % ell == 0 and torus_is_neutral(torus_scalar(n // ell, P, D, p), p):
-            n //= ell
-    return n
+    return order_from_multiple(
+        p + 1, group_factors, lambda m: torus_is_neutral(torus_scalar(m, P, D, p), p)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .ffcore import (
     QuotientField,
     _combine,
     coefficient_rows,
+    double_and_add,
     factor,
     find_irreducible,
     frobenius_ladder,
@@ -152,13 +153,6 @@ class BivariatePoly:
         for layer in reversed(layers):
             coeffs = [layer.get(i, 0) for i in range(max(layer, default=0) + 1)]
             acc = acc * q + Poly(coeffs, self.p)
-        return acc
-
-    def evaluate(self, ops, xv, yv):
-        acc = ops.zero()
-        for (i, j), c in self.coeffs.items():
-            term = ops.mul(ops.pow(xv, i), ops.pow(yv, j))
-            acc = ops.add(acc, ops.mul(ops.embed(c), term))
         return acc
 
     def to_json(self):
@@ -575,14 +569,7 @@ class FuncFieldOps:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        acc = self.one()
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return double_and_add(self.mul, self.one(), a, e)
 
     def eq(self, a, b) -> bool:
         return a[0] == b[0] and a[1] == b[1]

@@ -46,6 +46,19 @@ from frobsieve.galoisrep import (
 REFERENCE_LONG = (11, 1, 0, 0, 2, 8)  # y^2 + xy = x^3 + 2x + 8
 
 
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestPointCount:
     def test_reference_curve_has_seven_points(self):
         E = Curve.from_long(*REFERENCE_LONG)
@@ -143,6 +156,18 @@ class TestGroupLaw:
             assert ec_scalar(E.ops, E.a4, n, P) is None
             assert n % ec_point_order(E.ops, E.a4, P, n, facs) == 0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 15, 16, 45, 100])
+    def test_scalar_adds_once_per_set_bit_and_lower_bit(self, monkeypatch, k):
+        # no doubling after the top bit: popcount(k) + bit_length(k) - 1
+        E = self.E
+        P = self.pts[1]
+        expect = None
+        for _ in range(k):
+            expect = ec_add(E.ops, E.a4, expect, P)
+        calls = _count_calls(monkeypatch, elliptic, "ec_add")
+        assert ec_scalar(E.ops, E.a4, k, P) == expect
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
+
 
 class TestVelu:
     def setup_method(self):
@@ -177,6 +202,20 @@ class TestVelu:
                 lhs = iso.apply(ec_add(self.E.ops, self.E.a4, P, Q))
                 rhs = ec_add(F.ops, F.a4, iso.apply(P), iso.apply(Q))
                 assert lhs == rhs
+
+    def test_kernel_walked_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, elliptic, "ec_add")
+        iso = velu_quotient(self.E, self.gen)
+        assert len(calls) == iso.degree - 1
+        assert iso.kernel_points == [
+            ec_scalar(self.E.ops, self.E.a4, k, self.gen) for k in range(iso.degree)
+        ]
+
+    def test_residue_subgroup_is_the_kernel(self):
+        ext = build_elliptic_residue(11, 7)
+        E, T = ext.curve, ext.subgroup[1]
+        assert ext.subgroup == [ec_scalar(E.ops, E.a4, k, T) for k in range(7)]
+        assert ext.subgroup == ext.isogeny.kernel_points
 
     def test_degree_three_toy(self):
         # a curve over F_13 with a rational 3-torsion point
@@ -421,25 +460,6 @@ class TestEndomorphismRing:
 
 
 class TestJson:
-    def test_curve_roundtrip(self):
-        E = Curve.from_long(*REFERENCE_LONG)
-        data = E.to_json()
-        back = Curve.from_json(data)
-        assert back == E
-        assert back.point_count() == 7
-
-    def test_short_curve_roundtrip(self):
-        E = curve_search(11, 7)
-        back = Curve.from_json(E.to_json())
-        assert back == E
-
-    def test_corrupted_order_detected(self):
-        E = curve_search(11, 7)
-        data = E.to_json()
-        data["order"] = 8
-        with pytest.raises(InconsistentFrobenius):
-            Curve.from_json(data)
-
     def test_residue_rep_serializes(self):
         ext = build_elliptic_residue(11, 7)
         data = ext.to_json()

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from frobsieve import galoisrep
 from frobsieve.errors import (
     DegreeNotCompatible,
     InconsistentFrobenius,
@@ -222,6 +223,23 @@ class TestTorusGroup:
         for k in range(1, 30):
             acc = torus_add(acc, P, self.D, self.p)
             assert torus_eq(torus_scalar(k, P, self.D, self.p), acc, self.p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 15, 16, 45, 100])
+    def test_scalar_adds_once_per_set_bit_and_lower_bit(self, monkeypatch, k):
+        # no doubling after the top bit: popcount(k) + bit_length(k) - 1
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return torus_add(*args)
+
+        monkeypatch.setattr(galoisrep, "torus_add", counted)
+        P = (2, 1)
+        expect = NEUTRAL
+        for _ in range(k):
+            expect = torus_add(expect, P, self.D, self.p)
+        assert torus_eq(torus_scalar(k, P, self.D, self.p), expect, self.p)
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
 
     def test_negative_scalar(self):
         P = (2, 1)
