@@ -8,33 +8,43 @@ Products modulo a fixed polynomial A of degree d, the inner loop of every
 modular power, go through one packed kernel instead (Kronecker
 substitution): an element is one int holding its d coefficients in slots
 of S bits, and a product is one bigint multiply.  The product of two
-reduced elements has slots below d(p-1)^2; folding its d-1 high slots,
-each first reduced mod p, back through the rows x^(d+i) mod A adds less
-than (d-1)(p-1)^2 more, so every slot stays below 2d(p-1)^2 < 2^S with
-S = bit_length(2d(p-1)^2), no slot carries into the next, and the result
-is exact for every p.  A pass mod p then normalises the d low slots.
+reduced elements has slots of at most d(p-1)^2; shifted up one slot (a
+product times X, which is how a power of X multiplies) it still does.
+Folding its high slots, at most d of them and each first reduced mod p,
+back through the rows x^(d+i) mod A adds at most d(p-1)^2 more, so every
+slot stays at most 2d(p-1)^2 < 2^S with S = bit_length(2d(p-1)^2), no
+slot carries into the next, and the result is exact for every p.  A pass
+mod p then normalises the d low slots.
 
 Where a loop runs over every candidate, it avoids the expensive test:
 primality is Miller-Rabin rather than trial division, the monic
 irreducibles of a factor base come from a sieve rather than an
 irreducibility test each, and a sieve candidate is tested for
 kappa-smoothness before it is factored.  `frobenius_ladder` decides it
-exactly without factoring: f is kappa-smooth if and only if f divides
+exactly from the Frobenius powers h_k = X^(p^k) mod f: one p-th power
+h_1 = X^p in the packed kernel of f, then each further step by the
+p-power matrix, whose rows are h_1^i for i < deg f (Berlekamp, 1967):
+a^p = sum_i a_i h_1^i, since the coefficients a_i are fixed by
+Frobenius.  A step is one sum of those rows and one pass mod p, the fold
+of a product, and its slots stay at most d(p-1)^2.
+
+Up to degree 2 kappa the decider is the distinct-degree peel that
+`factor` runs (von zur Gathen and Shoup, 1992): g = gcd(rest, h_k - X)
+takes the irreducibles of degree k out of what is left of f, repeated
+gcds of g with what is left peel their multiplicities, and once
+deg rest < 2(k + 1) what is left is irreducible.  The peel works on
+coefficient lists and builds a Poly only for the factors it returns.  A
+passer hands `factor` its pieces, and only the equal-degree split is
+left: the quadratic formula for two roots over odd p, Cantor-Zassenhaus
+(1981) otherwise.  Above 2 kappa most candidates fail, and the gcds cost
+more than the product test: f is kappa-smooth if and only if f divides
 F^m for F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F
 is the product of the monic irreducibles of degree <= kappa (each at
-least once) and no irreducible divides f more than deg f times.  That
-takes one p-th power h_1 = X^p mod f in the packed kernel of f, and
-then each further Frobenius step by the p-power matrix, whose rows are
-h_1^i for i < deg f (Berlekamp, 1967): a^p = sum_i a_i h_1^i, since the
-coefficients a_i are fixed by Frobenius.  A step is one sum of those
-rows and one pass mod p, the fold of a product, and its slots stay below
-d(p-1)^2.  A few squarings modulo f finish the test.  Only the
-candidates that pass are factored, and `factor` takes their Frobenius
-powers from the test (von zur Gathen and Shoup, 1992), so the
-distinct-degree split of a passer raises nothing to a p^k-th power
-again; a squarefree quadratic is decided by Euler's criterion on its
-discriminant, and the equal-degree split is the quadratic formula or
-Cantor-Zassenhaus.
+least once) and no irreducible divides f more than deg f times; a few
+squarings modulo f finish it.  A passer there hands `factor` its h_k,
+and the peel reads them, so the split of a passer computes no X^(p^k)
+again.  `frobenius_ladder` gives the measurements behind the 2 kappa
+rule.
 
 The field routines that the models and sieves share are written once,
 here: extended Euclid on coefficient lists (`_rational_split`, whose
@@ -526,16 +536,16 @@ class PackedModulus:
         width = -(-(2 * d * (p - 1) ** 2).bit_length() // 8)  # bytes for S bits
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8
-        self._full = _slot_codec(2 * d - 1, width)  # a product before folding
+        self._full = _slot_codec(2 * d, width)  # a product, or one times X, before folding
         self._low = _slot_codec(d, width)
         self._low_mask = (1 << (8 * width * d)) - 1
         self._zeros = (0,) * d
-        # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-2
+        # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-1
         inv_lc = pow(modulus.lc(), -1, p)
         top = [-c * inv_lc % p for c in modulus.coeffs[:-1]]  # x^d mod A
         row = top
         self._rows = []
-        for _ in range(d - 1):
+        for _ in range(d):
             self._rows.append(int.from_bytes(self._low.pack(*row), "little"))
             t = row[-1]
             row = [(lo + t * c) % p for lo, c in zip([0] + row[:-1], top)]
@@ -554,10 +564,17 @@ class PackedModulus:
     def unpack(self, a: int) -> Poly:
         return Poly(self._low.unpack(a.to_bytes(self._low.size, "little")), self.p)
 
+    def to_list(self, a: int) -> list[int]:
+        """The coefficient list of a packed element, without leading zeros."""
+        return _strip(list(self._low.unpack(a.to_bytes(self._low.size, "little"))))
+
     def mul(self, a: int, b: int) -> int:
         """The packed product of two packed elements."""
+        return self._fold(a * b)
+
+    def _fold(self, c: int) -> int:
+        # c, of up to 2d slots, reduced modulo the modulus
         p, d = self.p, self.d
-        c = a * b
         slots = self._full.unpack(c.to_bytes(self._full.size, "little"))
         c = sum(map(operator.mul, [v % p for v in slots[d:]], self._rows), c & self._low_mask)
         slots = self._low.unpack(c.to_bytes(self._low.size, "little"))
@@ -594,9 +611,20 @@ class PackedModulus:
         return int.from_bytes(low.pack(*[v % p for v in slots]), "little")
 
     def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0, square and multiply from the top bit down."""
+        """a^e for e >= 0, square and multiply from the top bit down.
+
+        For a = X (d > 1), whose packed form is one slot shifted, the
+        multiply is that shift of the square before it is folded, so X^e
+        costs one fold per bit of e.
+        """
         if e == 0:
             return 1  # the constant 1 is slot 0 = 1
+        if a == self._x and self.d > 1:
+            fold = self._fold
+            r = a
+            for bit in bin(e)[3:]:
+                r = fold(r * r * a if bit == "1" else r * r)
+            return r
         kmul = self.mul
         r = a
         for bit in bin(e)[3:]:
@@ -676,68 +704,113 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic f into pairwise coprime squarefree parts with multiplicities."""
-    p = f.p
-    out: list[tuple[Poly, int]] = []
-    deriv = f.derivative()
-    if deriv.is_zero():
-        for g, m in squarefree_decomposition(f.pth_root()):
-            out.append((g, m * p))
-        return out
-    c = poly_gcd(f, deriv)
-    if c.degree == 0:
-        return [(f, 1)]
-    w = f // c
-    m = 1
-    while w.degree != 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree != 0:
-            out.append((z, m))
-        w = y
-        c = c // y
-        m += 1
-    if c.degree != 0:
-        for g, mm in squarefree_decomposition(c.pth_root()):
-            out.append((g, mm * p))
-    return out
+def _strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _ddf(f: Poly, ladder=()) -> list[tuple[int, Poly]]:
-    # Distinct-degree split of a squarefree monic polynomial.  ladder[k-1]
-    # is X^(p^k) modulo a multiple of f, for the first len(ladder) steps;
-    # later steps are Frobenius steps in the packed kernel of what is left,
-    # which reads X^p from the first step.  A quadratic over odd p is
-    # decided by Euler's criterion on its discriminant instead.
-    p = f.p
-    if f.degree == 2 and p > 2:
-        c, b, _ = f.coeffs
-        return [(1 if _is_square(b * b - 4 * c, p) else 2, f)]
-    x = Poly([0, 1], p)
-    out = []
-    h = x
-    xp = ladder[0] if ladder else None  # X^p modulo a multiple of rest
+def _list_rem(a: list, b: list, p: int) -> list:
+    """a mod b on coefficient lists, as a new list; b is nonzero and has no
+    leading zero, a has none either."""
+    r = list(a)
+    nb = len(b) - 1
+    if len(r) <= nb:
+        return r
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for i in range(len(r) - 1, nb - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            s = i - nb
+            for j, v in enumerate(low):
+                r[s + j] = (r[s + j] - c * v) % p
+    del r[nb:]
+    return _strip(r)
+
+
+def _list_quo(a: list, b: list, p: int) -> list:
+    """a / b on coefficient lists, for a monic b that divides a exactly."""
+    r = list(a)
+    nb = len(b) - 1
+    q = [0] * (len(r) - nb)
+    low = b[:-1]
+    for i in range(len(r) - 1, nb - 1, -1):
+        c = q[i - nb] = r[i]
+        if c:
+            s = i - nb
+            for j, v in enumerate(low):
+                r[s + j] = (r[s + j] - c * v) % p
+    return q
+
+
+def _list_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of two coefficient lists, a nonzero."""
+    while b:
+        a, b = b, _list_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _peel(rest: list, p: int, powers) -> list:
+    # The distinct-degree peel of the monic coefficient list `rest`, of
+    # degree >= 1: (k, m, piece) triples, piece the product of the monic
+    # irreducibles of degree k that divide rest exactly m times.  Step k
+    # takes h_k = X^(p^k) modulo a multiple of rest from `powers`, read
+    # only as far as needed, and g = gcd(rest, h_k - X), the irreducibles
+    # of degree k in rest once each (those of lower degree are gone).  g is
+    # divided out, and the multiplicities peeled by the gcd of g with what
+    # is left, until nothing of g is.  Once deg rest < 2(k + 1), every
+    # factor left has degree > k, so rest is one irreducible.  A quadratic
+    # over odd p is decided by Euler's criterion on its discriminant.
+    if len(rest) == 3 and p > 2:
+        c, b, _ = rest
+        disc = (b * b - 4 * c) % p
+        if not disc:
+            return [(1, 2, [b * (p + 1) // 2 % p, 1])]
+        return [(1 if _is_square(disc, p) else 2, 1, rest)]
+    pieces = []
     k = 0
-    rest = f
-    packed = None  # the kernel of rest, built when first needed
-    while rest.degree >= 2 * (k + 1):
+    while len(rest) > 2 * k + 2:
         k += 1
-        if k <= len(ladder):
-            h = ladder[k - 1] % rest
-        else:
-            packed = packed or PackedModulus(rest, xp)
-            h = packed.unpack(packed.frobenius(packed.pack(h)))
-            xp = xp or h
-        g = poly_gcd(rest, h - x)
-        if g.degree != 0:
-            out.append((k, g))
-            rest = rest // g
-            h = h % rest
-            packed = None
-    if rest.degree != 0:
-        out.append((rest.degree, rest))
-    return out
+        h = _list_rem(next(powers), rest, p)
+        h += [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        g = _list_gcd(rest, _strip(h), p)
+        m = 0
+        while len(g) > 1:
+            m += 1
+            rest = _list_quo(rest, g, p)
+            more = _list_gcd(rest, g, p)  # the part of g still in rest
+            if len(more) < len(g):
+                pieces.append((k, m, g if len(more) == 1 else _list_quo(g, more, p)))
+            g = more
+    if len(rest) > 1:
+        pieces.append((len(rest) - 1, 1, rest))
+    return pieces
+
+
+def _x_powers(f: Poly, ladder=()):
+    # X^(p^k) mod f as coefficient lists, for k = 1, 2, ...: ladder[k - 1]
+    # while it lasts, then Frobenius steps in the packed kernel of f, built
+    # only if the ladder runs out.
+    for h in ladder:
+        yield list(h.coeffs)
+    packed = PackedModulus(f, ladder[0] if ladder else None)
+    h = packed.pack(ladder[-1]) if ladder else packed._x
+    while True:
+        h = packed.frobenius(h)
+        yield packed.to_list(h)
+
+
+class DistinctDegree(tuple):
+    """The distinct-degree split of a kappa-smooth polynomial, as
+    `frobenius_ladder` returns it for degree <= 2 kappa: (k, m, piece)
+    triples, piece the coefficient list of the product of the monic
+    irreducibles of degree k that divide it exactly m times.  `factor`
+    only runs the equal-degree split on it."""
+
+    __slots__ = ()
 
 
 def _is_square(a: int, p: int) -> bool:
@@ -823,13 +896,21 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
     """Full factorization over F_p.
 
     Returns (unit, factors) with unit in F_p^* and factors a sorted list of
-    (monic irreducible, multiplicity).  Deterministic for a given seed: the
+    (monic irreducible, multiplicity).  The distinct-degree peel (see
+    `_peel`) splits the monic f into pieces by degree and multiplicity,
+    with no squarefree decomposition first, and the equal-degree split
+    finishes each piece.  A p-th power f = g(X^p) = g^p is split as g,
+    whose kernel is p times smaller.  Deterministic for a given seed: the
     equal-degree stage draws from an RNG keyed on the seed and f itself,
     built on its first draw (most smooth candidates split without one).
+
     `ladder` is what `frobenius_ladder` returned for f, when the caller has
-    it: the distinct-degree split then reads X^(p^k) modulo each squarefree
-    part (a divisor of f) from it instead of raising X to the p^k-th again.
-    The factors do not depend on it.
+    it.  For degree <= 2 kappa that is the peel's pieces, and only the
+    equal-degree split is left; for a higher degree it is X^(p^k) mod f,
+    k = 1..kappa, which the peel reads instead of raising X to the p^k-th
+    again.  Powers the ladder does not hold are Frobenius steps in the
+    packed kernel of f.  The factors do not depend on it.
+    `frobenius_ladder` gives the measurements behind the 2 kappa rule.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -848,43 +929,79 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
             rng = random.Random(mix)
         return [rng.randrange(p) for _ in range(n)]
 
-    work = f.monic()
-    factors: list[tuple[Poly, int]] = []
-    for sqf, mult in squarefree_decomposition(work):
-        for k, piece in _ddf(sqf, ladder):
-            for irr in _edf(piece, k, draw):
-                factors.append((irr, mult))
+    cs = f.coeffs
+    if isinstance(ladder, DistinctDegree):
+        pieces = ladder
+    elif len(cs) > p and not any(cs[i] for i in range(len(cs)) if i % p):
+        g = f.pth_root()  # f = g^p; the ladder's powers hold modulo g
+        unit, factors = factor(g, seed, tuple(h % g for h in ladder))
+        return unit, [(q, m * p) for q, m in factors]
+    else:
+        pieces = _peel(_monic_list(f), p, _x_powers(f, ladder))
+    factors = [(irr, m) for k, m, piece in pieces for irr in _edf(Poly(piece, p), k, draw)]
     factors.sort(key=lambda t: poly_sort_key(t[0]))
     return unit, factors
 
 
+def _monic_list(f: Poly) -> list[int]:
+    cs = f.coeffs
+    if cs[-1] == 1:
+        return list(cs)
+    inv = pow(cs[-1], -1, f.p)
+    return [c * inv % f.p for c in cs]
+
+
 def frobenius_ladder(f: Poly, kappa: int):
-    """(X^(p^k) mod f for k = 1..kappa) if f is kappa-smooth, else None.
+    """A split-ready ladder if f is kappa-smooth, else None.
 
-    The smoothness test, exact and with no factoring: with
-    F = prod_{k <= kappa} (X^(p^k) - X), f is kappa-smooth if and only if
-    f divides F^m for some m >= deg f.  X^(p^k) - X is the product of the
-    monic irreducibles of degree dividing k, so the irreducibles dividing
-    F are exactly those of degree <= kappa, each at least once.  An
-    irreducible q divides f at most deg f times, so for m >= deg f its
-    whole power in f divides F^m when deg q <= kappa, while a q of degree
-    > kappa never divides F^m.  One packed kernel of f computes
-    h_k = X^(p^k) mod f by Frobenius steps (one p-th power, then the
-    p-power matrix), multiplies the (h_k - X) together, and squares the
-    product ceil(log2 deg f) times, stopping once it is zero.
+    The smoothness test, exact, by one of two deciders on the Frobenius
+    powers h_k = X^(p^k) mod f, computed in one packed kernel of f (one
+    p-th power, then steps by the p-power matrix).
 
-    The powers h_k of a passer are returned so that `factor(f,
-    ladder=...)` splits it without computing them again; only passers
-    unpack them.  A constant, or any f of degree <= kappa, is smooth with
-    an empty ladder.  The zero polynomial raises ValueError.
+    For deg f <= 2 kappa the decider is the distinct-degree peel of
+    `factor` itself: gcd(rest, h_k - X) takes out the irreducibles of
+    degree k, with their multiplicities, and the peel stops once
+    deg rest < 2(k + 1), when rest is irreducible; f is smooth when that
+    rest has degree <= kappa.  A passer's pieces come back as a
+    `DistinctDegree`, so `factor(f, ladder=...)` runs only the
+    equal-degree split.  The peel takes at most deg f // 2 steps, a gcd
+    or two each.
+
+    Above 2 kappa most candidates fail, and the product test is cheaper
+    than the gcds: with F = prod_{k <= kappa} (X^(p^k) - X), f is
+    kappa-smooth if and only if f divides F^m for some m >= deg f.
+    X^(p^k) - X is the product of the monic
+    irreducibles of degree dividing k, so the irreducibles dividing F are
+    exactly those of degree <= kappa, each at least once.  An irreducible
+    q divides f at most deg f times, so for m >= deg f its whole power in
+    f divides F^m when deg q <= kappa, while a q of degree > kappa never
+    divides F^m.  The test multiplies the (h_k - X) together and squares
+    the product ceil(log2 deg f) times, stopping once it is zero.  A
+    passer gets back the tuple (h_1, ..., h_kappa), from which `factor`
+    peels it without a further Frobenius step; only passers unpack them.
+
+    The 2 kappa rule is measured at p = 43 over 600 random candidates per
+    degree (medians of 11-15 alternating rounds in one process, 2-core
+    host, Python 3.11.7).  At kappa = 2, test plus split with the peel
+    took 0.79 of the time of the product test followed by the split of
+    its passers at degree 3 and 0.93 at degree 4; peeling every
+    candidate took 1.20, 1.32, 1.47 and 1.60 times the product test's
+    time at degrees 5 to 8.  At kappa = 3 the peel's test plus split took
+    0.76 at degree 4, 0.92 at 5 and 1.05 at 6.
+
+    A constant, or any f of degree <= kappa, is smooth with an empty
+    ladder.  The zero polynomial raises ValueError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no smoothness")
     n = f.degree
     if n <= max(kappa, 0):
         return ()
+    if n <= 2 * kappa:
+        pieces = _peel(_monic_list(f), f.p, _x_powers(f))
+        return DistinctDegree(pieces) if all(k <= kappa for k, _, _ in pieces) else None
     packed = PackedModulus(f)
-    h = x = packed.pack(Poly([0, 1], f.p))
+    h = x = packed._x
     acc = 1  # the packed constant 1
     ladder = []
     for _ in range(kappa):

@@ -12,6 +12,7 @@ import pytest
 
 from frobsieve.ffcore import (
     NEG_INF,
+    DistinctDegree,
     FixedBasePowers,
     PackedModulus,
     Poly,
@@ -33,6 +34,7 @@ from frobsieve.ffcore import (
     poly_invert_mod,
     poly_mul_mod,
     poly_pow_mod,
+    poly_sort_key,
     primitive_root,
     resultant,
     solve_mod_prime,
@@ -176,7 +178,7 @@ def test_factor_pth_power():
     f = base * base * base
     unit, factors = factor(f)
     assert unit == 1
-    assert factors == [(Poly([1, 0, 1], p), 3)] or all(m % 3 == 0 or True for _, m in factors)
+    assert factors == [(Poly([1, 0, 1], p), 3)]
     prod = Poly([1], p)
     for q, m in factors:
         for _ in range(m):
@@ -493,6 +495,21 @@ def test_packed_pow_matches_schoolbook(p, d):
 
 
 @pytest.mark.parametrize("p, d", KERNEL_FIELDS)
+def test_packed_x_power_matches_schoolbook(p, d):
+    # X^e folds each square shifted by one slot where e has a set bit
+    rng = random.Random(p * 41 + d)
+    monic = find_irreducible(p, d)
+    non_monic = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)
+    linear = Poly([rng.randrange(p), rng.randrange(1, p)], p)
+    all_top = Poly([p - 1] * (d + 1), p)  # the largest rows to fold through
+    x = Poly([0, 1], p)
+    N = p ** d - 1
+    for m in (monic, non_monic, linear, all_top):
+        for e in [0, 1, 2, 3, 2 * d - 1, p, p ** 2, N, 2 ** 40 - 1] + [rng.randrange(N) for _ in range(6)]:
+            assert poly_pow_mod(x, e, m) == _schoolbook_pow(x, e, list(m.coeffs), p), (m, e)
+
+
+@pytest.mark.parametrize("p, d", KERNEL_FIELDS)
 def test_packed_frobenius_matches_schoolbook(p, d):
     # a^p by the p-power matrix, from X^p computed or handed in
     rng = random.Random(p * 43 + d)
@@ -673,6 +690,10 @@ def _ladder_cases(p, kappa, rng):
             h = h * _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
         cases.append(_power(h, p) * rng.randrange(1, p))
         cases.append(_power(h, 2) * _random_irreducible(p, kappa, rng))
+    # passers of degree kappa + 1 and 2 kappa, which the peel decides
+    q = _random_irreducible(p, kappa, rng)
+    cases.append(q * _random_irreducible(p, 1, rng))
+    cases.append(q * _random_irreducible(p, kappa, rng))
     for _ in range(2):
         # degree >= 10: p-power matrices of many rows, passers and not
         h = Poly([1], p)
@@ -688,7 +709,8 @@ def _ladder_cases(p, kappa, rng):
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 43, 199])
 def test_ladder_split_matches_factor(p, kappa):
     # the split of a passer from its ladder is the plain factorization;
-    # the ladder is X^(p^k) mod f, or empty when deg f <= kappa
+    # the ladder is empty when deg f <= kappa, the peel's pieces up to
+    # 2 kappa, and X^(p^k) mod f above
     rng = random.Random(p * 11 + kappa)
     x = Poly([0, 1], p)
     kinds = set()
@@ -700,6 +722,13 @@ def test_ladder_split_matches_factor(p, kappa):
         if f.degree <= kappa:
             assert ladder == ()
             kinds.add("low degree")
+        elif f.degree <= 2 * kappa:
+            assert isinstance(ladder, DistinctDegree)
+            prod = Poly([1], p)
+            for k, m, piece in ladder:
+                prod = prod * _power(Poly(piece, p), m)
+            assert prod == f.monic()
+            kinds.add("peeled")
         else:
             packed = PackedModulus(f)
             want = tuple(poly_pow_mod(x, p ** k, f, packed) for k in range(1, kappa + 1))
@@ -713,7 +742,7 @@ def test_ladder_split_matches_factor(p, kappa):
             kinds.add("repeated factor")
         if f.degree >= 10:
             kinds.add("degree >= 10")
-    assert kinds == {"low degree", "p-th power", "repeated factor", "degree >= 10"}
+    assert kinds == {"low degree", "peeled", "p-th power", "repeated factor", "degree >= 10"}
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97])
@@ -786,6 +815,172 @@ def test_ladder_split_against_sympy():
                 unit, got = factor(f, ladder=ladder)
                 assert unit == int(lc) % p
                 assert sorted((q.coeffs, m) for q, m in got) == want
+
+
+# ---------------------------------------------------------------------------
+# The factorization oracle: the squarefree decomposition and distinct-degree
+# split that `factor` ran before the peel, on Poly values.
+
+
+def _squarefree_decomposition(f):
+    """Monic f into pairwise coprime squarefree parts with multiplicities."""
+    p = f.p
+    out = []
+    deriv = f.derivative()
+    if deriv.is_zero():
+        for g, m in _squarefree_decomposition(f.pth_root()):
+            out.append((g, m * p))
+        return out
+    c = poly_gcd(f, deriv)
+    if c.degree == 0:
+        return [(f, 1)]
+    w = f // c
+    m = 1
+    while w.degree != 0:
+        y = poly_gcd(w, c)
+        z = w // y
+        if z.degree != 0:
+            out.append((z, m))
+        w = y
+        c = c // y
+        m += 1
+    if c.degree != 0:
+        for g, mm in _squarefree_decomposition(c.pth_root()):
+            out.append((g, mm * p))
+    return out
+
+
+def _ddf(f):
+    """Distinct-degree split of a squarefree monic f: (k, product of its
+    irreducibles of degree k)."""
+    p = f.p
+    x = Poly([0, 1], p)
+    out = []
+    h = x
+    k = 0
+    rest = f
+    while rest.degree >= 2 * (k + 1):
+        k += 1
+        h = _schoolbook_pow(h, p, list(rest.coeffs), p)
+        g = poly_gcd(rest, h - x)
+        if g.degree != 0:
+            out.append((k, g))
+            rest = rest // g
+            h = h % rest
+    if rest.degree != 0:
+        out.append((rest.degree, rest))
+    return out
+
+
+def _reference_factor(f):
+    rng = random.Random(0)
+    draw = lambda n: [rng.randrange(f.p) for _ in range(n)]
+    factors = []
+    for sqf, m in _squarefree_decomposition(f.monic()):
+        for k, piece in _ddf(sqf):
+            factors += [(q, m) for q in _edf(piece, k, draw)]
+    factors.sort(key=lambda t: poly_sort_key(t[0]))
+    return f.lc(), factors
+
+
+def _oracle_cases(p, rng):
+    """Degree 1-14 over F_p: random polynomials, and products of random
+    irreducibles with repeated factors and, where they fit, p-th powers
+    times other factors (so f' != 0 but f is not squarefree)."""
+    cases = [
+        Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
+        for n in range(1, 15)
+    ]
+    for _ in range(20):
+        f = Poly([rng.randrange(1, p)], p)
+        while True:
+            q = _random_irreducible(p, rng.randrange(1, 5), rng)
+            e = rng.choice([1, 1, 2, 3, p, p + 1, 2 * p])
+            if f.degree + e * q.degree > 14:
+                break
+            f = f * _power(q, e)
+        if f.degree >= 1:
+            cases.append(f)
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 43, 199])
+def test_factor_matches_reference(p):
+    # factor, with and without each ladder, is the squarefree-then-
+    # distinct-degree factorization, on both sides of deg f = 2 kappa
+    rng = random.Random(p * 13 + 1)
+    sides = set()
+    for f in _oracle_cases(p, rng):
+        want = _reference_factor(f)
+        assert factor(f) == want, f
+        assert factor(f, ladder=()) == want, f
+        for kappa in range(1, 8):
+            ladder = frobenius_ladder(f, kappa)
+            assert (ladder is not None) == all(q.degree <= kappa for q, _ in want[1])
+            if ladder is not None:
+                assert factor(f, ladder=ladder) == want, (f, kappa)
+                sides.add(f.degree <= 2 * kappa)
+        if any(m >= p for _, m in want[1]):
+            sides.add("p-th power factor")
+    assert sides >= {True, False} | ({"p-th power factor"} if p <= 5 else set())
+
+
+def test_factor_against_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p in (2, 3, 5, 43, 199):
+        rng = random.Random(p * 13 + 1)
+        for f in _oracle_cases(p, rng):
+            lc, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+            want = sorted((tuple(c % p for c in reversed(q.all_coeffs())), m) for q, m in facs)
+            unit, got = factor(f)
+            assert unit == int(lc) % p
+            assert sorted((q.coeffs, m) for q, m in got) == want, f
+
+
+def test_peeled_passer_split_without_frobenius(monkeypatch):
+    # a passer's ladder leaves `factor` no Frobenius step and no p-th
+    # power outside the equal-degree split: the peel's pieces when
+    # deg f <= 2 kappa, X^(p^k) mod f above
+    import frobsieve.ffcore as ffcore
+
+    outside = {"frobenius": 0, "pow": 0}
+    depth = [0]
+    real_frobenius, real_pow, real_edf = PackedModulus.frobenius, PackedModulus.pow, ffcore._edf
+
+    def counted(name, real):
+        def wrapper(self, *args):
+            if not depth[0]:
+                outside[name] += 1
+            return real(self, *args)
+        return wrapper
+
+    def edf(*args):
+        depth[0] += 1
+        try:
+            return real_edf(*args)
+        finally:
+            depth[0] -= 1
+
+    rng = random.Random(23)
+    passers = {True: 0, False: 0}
+    for p in (2, 3, 43, 199):
+        for kappa in (1, 2, 3):
+            for _ in range(40):
+                n = rng.randrange(kappa + 1, 2 * kappa + 4)
+                f = Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
+                ladder = frobenius_ladder(f, kappa)
+                if ladder is None:
+                    continue
+                want = factor(f)
+                with monkeypatch.context() as m:
+                    m.setattr(PackedModulus, "frobenius", counted("frobenius", real_frobenius))
+                    m.setattr(PackedModulus, "pow", counted("pow", real_pow))
+                    m.setattr(ffcore, "_edf", edf)
+                    assert factor(f, ladder=ladder) == want
+                assert outside == {"frobenius": 0, "pow": 0}, (f, kappa)
+                passers[n <= 2 * kappa] += 1
+    assert min(passers.values()) >= 20, passers
 
 
 def test_is_smooth_edges():
