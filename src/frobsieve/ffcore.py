@@ -8,13 +8,11 @@ Products modulo a fixed polynomial A of degree d, the inner loop of every
 modular power, go through one packed kernel instead (Kronecker
 substitution): an element is one int holding its d coefficients in slots
 of S bits, and a product is one bigint multiply.  The product of two
-reduced elements has slots of at most d(p-1)^2; shifted up one slot (a
-product times X, which is how a power of X multiplies) it still does.
-Folding its high slots, at most d of them and each first reduced mod p,
-back through the rows x^(d+i) mod A adds at most d(p-1)^2 more, so every
-slot stays at most 2d(p-1)^2 < 2^S with S = bit_length(2d(p-1)^2), no
-slot carries into the next, and the result is exact for every p.  A pass
-mod p then normalises the d low slots.
+reduced elements has slots below d(p-1)^2; folding its d-1 high slots,
+each first reduced mod p, back through the rows x^(d+i) mod A adds less
+than (d-1)(p-1)^2 more, so every slot stays below 2d(p-1)^2 < 2^S with
+S = bit_length(2d(p-1)^2), no slot carries into the next, and the result
+is exact for every p.  A pass mod p then normalises the d low slots.
 
 Where a loop runs over every candidate, it avoids the expensive test:
 primality is Miller-Rabin rather than trial division, the monic
@@ -26,7 +24,7 @@ h_1 = X^p in the packed kernel of f, then each further step by the
 p-power matrix, whose rows are h_1^i for i < deg f (Berlekamp, 1967):
 a^p = sum_i a_i h_1^i, since the coefficients a_i are fixed by
 Frobenius.  A step is one sum of those rows and one pass mod p, the fold
-of a product, and its slots stay at most d(p-1)^2.
+of a product, and its slots stay below d(p-1)^2.
 
 Up to degree 2 kappa the decider is the distinct-degree peel that
 `factor` runs (von zur Gathen and Shoup, 1992): g = gcd(rest, h_k - X)
@@ -364,22 +362,10 @@ class Poly:
         other = self._coerce(other)
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly([], p), self
-        quo = [0] * (dq + 1)
-        inv_lc = pow(other.coeffs[-1], p - 2, p)
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1]
-            if c == 0:
-                continue
-            q = c * inv_lc % p
-            quo[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = (rem[i + j] - q * b) % p
-        return Poly(quo, p), Poly(rem, p)
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly([], self.p), self
+        quo, rem = _list_divmod(self.coeffs, other.coeffs, self.p)
+        return Poly(quo, self.p), Poly(rem, self.p)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -413,17 +399,6 @@ class Poly:
             acc = acc * inner + c
         return acc
 
-    def pth_root(self) -> "Poly":
-        """For f = g(X^p), recover g.  Coefficients are F_p-fixed under x -> x^p."""
-        p = self.p
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                out.append(c)
-            elif c != 0:
-                raise ValueError("polynomial is not a p-th power")
-        return Poly(out, p)
-
     def to_list(self) -> list[int]:
         return list(self.coeffs)
 
@@ -439,11 +414,46 @@ def horner(ops, poly: Poly, x):
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    while g:
-        f, g = g, f % g
-    if not f:
-        return f
-    return f.monic()
+    g = f._coerce(g)
+    return Poly(_list_gcd(f.coeffs, g.coeffs, f.p), f.p)
+
+
+def _strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _list_divmod(a, b, p: int) -> tuple[list, list]:
+    """(a // b, a mod b) on coefficient sequences with no leading zeros,
+    b nonzero, as new lists; the one long division behind `Poly`, the gcds
+    and extended Euclid."""
+    r = list(a)
+    nb = len(b) - 1
+    if len(r) <= nb:
+        return [], r
+    q = [0] * (len(r) - nb)
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for i in range(len(r) - 1, nb - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            s = i - nb
+            q[s] = c
+            for j, v in enumerate(low):
+                r[s + j] = (r[s + j] - c * v) % p
+    del r[nb:]
+    return q, _strip(r)
+
+
+def _list_gcd(a, b, p: int) -> list:
+    """The monic gcd of two coefficient sequences, [] when both are zero."""
+    while b:
+        a, b = b, _list_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def resultant(f: Poly, g: Poly) -> int:
@@ -536,16 +546,16 @@ class PackedModulus:
         width = -(-(2 * d * (p - 1) ** 2).bit_length() // 8)  # bytes for S bits
         if width <= 8:
             width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8
-        self._full = _slot_codec(2 * d, width)  # a product, or one times X, before folding
+        self._full = _slot_codec(2 * d - 1, width)  # a product before folding
         self._low = _slot_codec(d, width)
         self._low_mask = (1 << (8 * width * d)) - 1
         self._zeros = (0,) * d
-        # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-1
+        # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-2
         inv_lc = pow(modulus.lc(), -1, p)
         top = [-c * inv_lc % p for c in modulus.coeffs[:-1]]  # x^d mod A
         row = top
         self._rows = []
-        for _ in range(d):
+        for _ in range(d - 1):
             self._rows.append(int.from_bytes(self._low.pack(*row), "little"))
             t = row[-1]
             row = [(lo + t * c) % p for lo, c in zip([0] + row[:-1], top)]
@@ -570,11 +580,8 @@ class PackedModulus:
 
     def mul(self, a: int, b: int) -> int:
         """The packed product of two packed elements."""
-        return self._fold(a * b)
-
-    def _fold(self, c: int) -> int:
-        # c, of up to 2d slots, reduced modulo the modulus
         p, d = self.p, self.d
+        c = a * b
         slots = self._full.unpack(c.to_bytes(self._full.size, "little"))
         c = sum(map(operator.mul, [v % p for v in slots[d:]], self._rows), c & self._low_mask)
         slots = self._low.unpack(c.to_bytes(self._low.size, "little"))
@@ -611,20 +618,9 @@ class PackedModulus:
         return int.from_bytes(low.pack(*[v % p for v in slots]), "little")
 
     def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0, square and multiply from the top bit down.
-
-        For a = X (d > 1), whose packed form is one slot shifted, the
-        multiply is that shift of the square before it is folded, so X^e
-        costs one fold per bit of e.
-        """
+        """a^e for e >= 0, square and multiply from the top bit down."""
         if e == 0:
             return 1  # the constant 1 is slot 0 = 1
-        if a == self._x and self.d > 1:
-            fold = self._fold
-            r = a
-            for bit in bin(e)[3:]:
-                r = fold(r * r * a if bit == "1" else r * r)
-            return r
         kmul = self.mul
         r = a
         for bit in bin(e)[3:]:
@@ -651,19 +647,8 @@ def _rational_split(modulus: Poly, z: Poly, bound: int):
     r0, r1 = list(modulus.coeffs), list(z.coeffs)
     t0, t1 = [], [1]
     while len(r1) > bound + 1:
-        # r0 = q * r1 + r, in place in r0; then t = t0 - q * t1
-        n1 = len(r1)
-        inv = pow(r1[-1], -1, p)
-        q = [0] * (len(r0) - n1 + 1)
-        for i in range(len(q) - 1, -1, -1):
-            c = r0[i + n1 - 1] * inv % p
-            q[i] = c
-            if c:
-                for j, b in enumerate(r1):
-                    r0[i + j] = (r0[i + j] - c * b) % p
-        del r0[n1 - 1:]
-        while r0 and not r0[-1]:
-            r0.pop()
+        # r0 = q * r1 + r; then t = t0 - q * t1
+        q, r0 = _list_divmod(r0, r1, p)
         t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
         for i, c in enumerate(q):
             if c:
@@ -704,54 +689,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _strip(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _list_rem(a: list, b: list, p: int) -> list:
-    """a mod b on coefficient lists, as a new list; b is nonzero and has no
-    leading zero, a has none either."""
-    r = list(a)
-    nb = len(b) - 1
-    if len(r) <= nb:
-        return r
-    inv = pow(b[-1], -1, p)
-    low = b[:-1]
-    for i in range(len(r) - 1, nb - 1, -1):
-        c = r[i] * inv % p
-        if c:
-            s = i - nb
-            for j, v in enumerate(low):
-                r[s + j] = (r[s + j] - c * v) % p
-    del r[nb:]
-    return _strip(r)
-
-
-def _list_quo(a: list, b: list, p: int) -> list:
-    """a / b on coefficient lists, for a monic b that divides a exactly."""
-    r = list(a)
-    nb = len(b) - 1
-    q = [0] * (len(r) - nb)
-    low = b[:-1]
-    for i in range(len(r) - 1, nb - 1, -1):
-        c = q[i - nb] = r[i]
-        if c:
-            s = i - nb
-            for j, v in enumerate(low):
-                r[s + j] = (r[s + j] - c * v) % p
-    return q
-
-
-def _list_gcd(a: list, b: list, p: int) -> list:
-    """The monic gcd of two coefficient lists, a nonzero."""
-    while b:
-        a, b = b, _list_rem(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _peel(rest: list, p: int, powers) -> list:
     # The distinct-degree peel of the monic coefficient list `rest`, of
     # degree >= 1: (k, m, piece) triples, piece the product of the monic
@@ -773,17 +710,17 @@ def _peel(rest: list, p: int, powers) -> list:
     k = 0
     while len(rest) > 2 * k + 2:
         k += 1
-        h = _list_rem(next(powers), rest, p)
+        h = _list_divmod(next(powers), rest, p)[1]
         h += [0] * (2 - len(h))
         h[1] = (h[1] - 1) % p
         g = _list_gcd(rest, _strip(h), p)
         m = 0
         while len(g) > 1:
             m += 1
-            rest = _list_quo(rest, g, p)
+            rest = _list_divmod(rest, g, p)[0]
             more = _list_gcd(rest, g, p)  # the part of g still in rest
             if len(more) < len(g):
-                pieces.append((k, m, g if len(more) == 1 else _list_quo(g, more, p)))
+                pieces.append((k, m, g if len(more) == 1 else _list_divmod(g, more, p)[0]))
             g = more
     if len(rest) > 1:
         pieces.append((len(rest) - 1, 1, rest))
@@ -899,8 +836,7 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
     (monic irreducible, multiplicity).  The distinct-degree peel (see
     `_peel`) splits the monic f into pieces by degree and multiplicity,
     with no squarefree decomposition first, and the equal-degree split
-    finishes each piece.  A p-th power f = g(X^p) = g^p is split as g,
-    whose kernel is p times smaller.  Deterministic for a given seed: the
+    finishes each piece.  Deterministic for a given seed: the
     equal-degree stage draws from an RNG keyed on the seed and f itself,
     built on its first draw (most smooth candidates split without one).
 
@@ -929,13 +865,8 @@ def factor(f: Poly, seed: int = 0, ladder=()) -> tuple[int, list[tuple[Poly, int
             rng = random.Random(mix)
         return [rng.randrange(p) for _ in range(n)]
 
-    cs = f.coeffs
     if isinstance(ladder, DistinctDegree):
         pieces = ladder
-    elif len(cs) > p and not any(cs[i] for i in range(len(cs)) if i % p):
-        g = f.pth_root()  # f = g^p; the ladder's powers hold modulo g
-        unit, factors = factor(g, seed, tuple(h % g for h in ladder))
-        return unit, [(q, m * p) for q, m in factors]
     else:
         pieces = _peel(_monic_list(f), p, _x_powers(f, ladder))
     factors = [(irr, m) for k, m, piece in pieces for irr in _edf(Poly(piece, p), k, draw)]
@@ -983,11 +914,11 @@ def frobenius_ladder(f: Poly, kappa: int):
     The 2 kappa rule is measured at p = 43 over 600 random candidates per
     degree (medians of 11-15 alternating rounds in one process, 2-core
     host, Python 3.11.7).  At kappa = 2, test plus split with the peel
-    took 0.79 of the time of the product test followed by the split of
-    its passers at degree 3 and 0.93 at degree 4; peeling every
-    candidate took 1.20, 1.32, 1.47 and 1.60 times the product test's
-    time at degrees 5 to 8.  At kappa = 3 the peel's test plus split took
-    0.76 at degree 4, 0.92 at 5 and 1.05 at 6.
+    took 0.84 of the time of the product test followed by the split of
+    its passers at degree 3 and 0.94 at degree 4; peeling every
+    candidate, test plus split, took 1.14, 1.30, 1.46 and 1.62 times as
+    long at degrees 5 to 8.  At kappa = 3 the peel's test plus split took
+    0.81 at degree 4, 0.84 at 5 and 1.03 at 6.
 
     A constant, or any f of degree <= kappa, is smooth with an empty
     ladder.  The zero polynomial raises ValueError.
