@@ -200,10 +200,6 @@ class Curve:
         }
 
 
-def point_count(curve: Curve) -> int:
-    return curve.point_count()
-
-
 def curve_iter(p: int, target: int):
     """All short curves with the given point count and nonzero trace mod p,
     in lexicographic (a4, a6) order."""
@@ -246,13 +242,12 @@ class Isogeny:
     def __repr__(self):
         return f"Isogeny(degree={self.degree}, p={self.domain.p})"
 
-    def apply(self, P, ops=None):
-        """Image of a point; works over extensions when given their ops and
-        the polynomial maps evaluated through them."""
+    def apply(self, P):
+        """Image of a rational point of the domain; None maps to None, and
+        so does a point of the kernel."""
         if P is None:
             return None
-        if ops is None:
-            ops = self.domain.ops
+        ops = self.domain.ops
         x, y = P
         hx = horner(ops, self.h, x)
         if ops.is_zero(hx):

@@ -22,7 +22,6 @@ from frobsieve.elliptic import (
     ec_scalar,
     function_degree,
     interpolate,
-    point_count,
     translate_point,
     translate_x,
     velu_quotient,
@@ -62,13 +61,13 @@ def _count_calls(monkeypatch, module, name):
 class TestPointCount:
     def test_reference_curve_has_seven_points(self):
         E = Curve.from_long(*REFERENCE_LONG)
-        assert point_count(E) == 7
+        assert E.point_count() == 7
         assert E.trace() == 5
         assert E.is_ordinary()
 
     def test_hasse_bound_small_curve(self):
         E = Curve(5, 1, 0)
-        n = point_count(E)
+        n = E.point_count()
         assert (5 + 1 - n) ** 2 <= 4 * 5
 
     @pytest.mark.parametrize("p,a4,a6", [(11, 2, 7), (13, 1, 1), (17, 3, 5)])
@@ -80,7 +79,7 @@ class TestPointCount:
             for y in range(p)
             if (y * y - x**3 - a4 * x - a6) % p == 0
         )
-        assert point_count(E) == brute
+        assert E.point_count() == brute
         assert len(E.points()) == brute - 1
 
     def test_long_form_points_map_to_short_model(self):
@@ -104,7 +103,7 @@ class TestPointCount:
 class TestCurveSearch:
     def test_order_seven_exists_at_p11(self):
         E = curve_search(11, 7)
-        assert point_count(E) == 7
+        assert E.point_count() == 7
         assert E.trace() % 11 != 0
 
     def test_supersingular_targets_rejected(self):
@@ -114,7 +113,7 @@ class TestCurveSearch:
 
     def test_order_nine_at_p11_verified_by_recount(self):
         E = curve_search(11, 9)
-        assert point_count(E) == 9
+        assert E.point_count() == 9
 
     def test_deterministic(self):
         assert curve_search(11, 7) == curve_search(11, 7)
@@ -150,7 +149,7 @@ class TestGroupLaw:
 
     def test_scalar_and_order(self):
         E = self.E
-        n = point_count(E)
+        n = E.point_count()
         facs = factorize_int(n)
         for P in self.pts[1:]:
             assert ec_scalar(E.ops, E.a4, n, P) is None
@@ -242,7 +241,7 @@ class TestVelu:
 
     def test_even_order_kernel_rejected(self):
         E = curve_search(13, 16)
-        n = point_count(E)
+        n = E.point_count()
         facs = factorize_int(n)
         two = next(
             P for P in E.points()

@@ -141,6 +141,90 @@ def test_is_irreducible_vs_trial_division(p, maxdeg):
             assert is_irreducible(f) == _trial_division_irreducible(f)
 
 
+# ---------------------------------------------------------------------------
+# The irreducibility oracle: Rabin's test, which `is_irreducible` ran before
+# the distinct-degree peel.
+
+
+def _rabin_irreducible(f):
+    """Rabin (1980): f of degree n >= 1 is irreducible exactly when f
+    divides X^(p^n) - X and gcd(f, X^(p^(n/l)) - X) = 1 for every prime l
+    dividing n."""
+    n = f.degree
+    if n is NEG_INF or n == 0:
+        return False
+    p = f.p
+    x = Poly([0, 1], p)
+    if poly_pow_mod(x, p ** n, f) != x % f:
+        return False
+    return all(
+        poly_gcd(f, poly_pow_mod(x, p ** (n // ell), f) - x).degree == 0
+        for ell in factorize_int(n)
+    )
+
+
+IRREDUCIBILITY_PRIMES = [2, 3, 11, 43, 199]
+
+
+def _irreducibility_cases(p):
+    """Random monic and non-monic polynomials of degree 0-24, products of
+    two irreducibles of equal degree, squares of irreducibles and p-th
+    powers g(X^p)."""
+    rng = random.Random(p * 17 + 3)
+    cases = []
+    for n in range(25):
+        cases.append(Poly([rng.randrange(p) for _ in range(n)] + [1], p))
+        cases.append(Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p))
+    for k in range(1, 7):
+        g = _random_irreducible(p, k, rng)
+        cases.append(g * _random_irreducible(p, k, rng) * rng.randrange(1, p))
+        cases.append(g * g)
+    for k in (1, 2) if p < 43 else (1,):
+        g = Poly([rng.randrange(p) for _ in range(k)] + [1], p)
+        cases.append(g.compose(Poly([0] * p + [1], p)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def builder_moduli():
+    """The moduli the builders confirm (Kummer 43^6 and 199^11, torus 13^7
+    and 109^11, Artin-Schreier 7 and 31, elliptic 11^7), each followed by
+    its shifts by the constants 1, 2 and 3, which may or may not factor."""
+    from frobsieve.elliptic import build_elliptic_residue
+    from frobsieve.galoisrep import build_artin_schreier, build_kummer, build_torus
+
+    reps = [build_kummer(43, 6), build_kummer(199, 11), build_torus(13, 7),
+            build_torus(109, 11), build_artin_schreier(7), build_artin_schreier(31),
+            build_elliptic_residue(11, 7).rep]
+    return [rep.A + c for rep in reps for c in range(4)]
+
+
+@pytest.mark.parametrize("p", IRREDUCIBILITY_PRIMES)
+def test_is_irreducible_matches_rabin(p):
+    seen = set()
+    for f in _irreducibility_cases(p):
+        want = _rabin_irreducible(f)
+        assert is_irreducible(f) == want, f
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_builder_moduli_irreducible(builder_moduli):
+    for i, f in enumerate(builder_moduli):
+        want = _rabin_irreducible(f)
+        assert want or i % 4, f  # each modulus itself, before its shifts
+        assert is_irreducible(f) == want, f
+
+
+def test_is_irreducible_against_sympy(builder_moduli):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    cases = [f for p in IRREDUCIBILITY_PRIMES for f in _irreducibility_cases(p)]
+    for f in cases + builder_moduli:
+        want = f.degree >= 1 and sympy.Poly(f.coeffs[::-1], x, modulus=f.p).is_irreducible
+        assert is_irreducible(f) == want, f
+
+
 def test_factor_recomposition_bulk():
     # 1000+ random polynomials across several small fields
     rng = random.Random(42)
@@ -165,10 +249,10 @@ def test_factor_components_irreducible_and_deterministic():
     F = PrimeField(13)
     for _ in range(50):
         f = F.random_poly(rng, 8)
-        _, factors = factor(f, seed=9)
+        _, factors = factor(f)
         for q, _ in factors:
             assert is_irreducible(q)
-        assert factor(f, seed=9) == factor(f, seed=9)
+        assert factor(f) == factor(f)
 
 
 def test_factor_pth_power():
@@ -496,7 +580,7 @@ def test_packed_pow_matches_schoolbook(p, d):
 
 @pytest.mark.parametrize("p, d", KERNEL_FIELDS)
 def test_packed_frobenius_matches_schoolbook(p, d):
-    # a^p by the p-power matrix, from X^p computed or handed in
+    # a^p by the p-power matrix
     rng = random.Random(p * 43 + d)
     monic = find_irreducible(p, d)
     non_monic = Poly([rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)], p)
@@ -504,15 +588,13 @@ def test_packed_frobenius_matches_schoolbook(p, d):
     x = Poly([0, 1], p)
     for m in (monic, non_monic, linear):
         mods = list(m.coeffs)
-        multiple = m * Poly([rng.randrange(p), 1], p)
-        given = PackedModulus(m, xp=_schoolbook_pow(x, p, list(multiple.coeffs), p))
         elements = [x, Poly([p - 1] * d, p)] + [
             Poly([rng.randrange(p) for _ in range(d)], p) for _ in range(10)
         ]
-        for k in (PackedModulus(m), given):
-            for a in elements:
-                got = k.unpack(k.frobenius(k.pack(a)))
-                assert got == _schoolbook_pow(a, p, mods, p), (m, a)
+        k = PackedModulus(m)
+        for a in elements:
+            got = k.unpack(k.frobenius(k.pack(a)))
+            assert got == _schoolbook_pow(a, p, mods, p), (m, a)
 
 
 def test_poly_pow_mod_against_sympy():
