@@ -34,17 +34,18 @@ left of f, repeated gcds of g with what is left peel their
 multiplicities, and once deg rest < 2(k + 1) what is left is
 irreducible.  The peel works on coefficient lists and builds a Poly only
 for the factors it returns.  A passer hands `factor` its pieces, and
-only the equal-degree split is left: the quadratic formula for two roots
-over odd p, Cantor-Zassenhaus (1981) otherwise.  Above 2 kappa most
-candidates fail, and the gcds cost more than the product test: f is
-kappa-smooth if and only if f divides F^m for
-F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f, since F is the
-product of the monic irreducibles of degree <= kappa (each at least
-once) and no irreducible divides f more than deg f times; a few
-squarings modulo f finish it.  A passer there hands `factor` its h_k,
-and the peel reads them, so the split of a passer computes no X^(p^k)
-again.  `frobenius_ladder` gives the measurements behind the 2 kappa
-rule.
+only the equal-degree split is left, by Cantor-Zassenhaus (1981).  For
+p <= EVAL_PRIME_BOUND, step 1 and the linear split read the roots from
+one evaluation at every point of F_p (`_roots`): a cubic or quartic with
+a root needs no X^p.  Above 2 kappa most candidates fail, and the gcds
+cost more than the product test: f is kappa-smooth if and only if f
+divides F^m for F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f,
+since F is the product of the monic irreducibles of degree <= kappa
+(each at least once) and no irreducible divides f more than deg f
+times; a few squarings modulo f finish it.  A passer there hands
+`factor` its h_k, and the peel reads them, so the split of a passer
+computes no X^(p^k) again.  `frobenius_ladder` gives the measurements
+behind the 2 kappa rule.
 
 The field routines that the models and sieves share are written once,
 here: extended Euclid on coefficient lists (`_rational_split`, whose
@@ -62,7 +63,7 @@ from __future__ import annotations
 import operator
 import random
 import struct
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 
 from .errors import NonInvertible
@@ -692,15 +693,53 @@ def is_irreducible(f: Poly) -> bool:
     return _peel(_monic_list(f), f.p, _x_powers(f))[0][0] == n
 
 
+# Primes up to this bound find linear factors by `_roots`; above it, by
+# gcd(f, X^p - X) and Cantor-Zassenhaus.  `factor` time with `_roots` over
+# time with the gcd, 300 random monic polynomials of degree 3/4/5/6/8/11
+# (medians of 7 alternating rounds, 2-core host, Python 3.11.7): p = 43
+# .24/.54/.72/.77/.82/.86, p = 199 .35/.60/.76/.85/.87/.92, p = 251
+# .36/.63/.83/.86/.95/.91, p = 401 .57/.78/.94/1.02/.95/.95, p = 509
+# .62/.82/.92/.98/1.03/.98, p = 1021 .98/1.14/1.30/1.24/1.17/1.10.
+EVAL_PRIME_BOUND = 256
+
+_EVAL_TABLES = {}  # p -> (codec of p 4-byte slots, [row x^j for j = 0, 1, ...])
+
+
+def _roots(f, p: int) -> list[int]:
+    """The distinct roots in F_p, ascending, of a nonzero coefficient list.
+
+    Row j of the table of p is one packed int whose slot x holds x^j mod p,
+    so sum_j f_j row_j holds f(x) in slot x.  f is first reduced mod
+    X^p - X (x^j = x^(j - p + 1) for j >= p), so the table has at most p
+    rows, added as degrees need them, and every slot stays below
+    p(p - 1)^2 < 2^32 for p <= 1024.
+    """
+    if len(f) > p:
+        g = list(f[:p])
+        for j in range(p, len(f)):
+            i = (j - 1) % (p - 1) + 1
+            g[i] = (g[i] + f[j]) % p
+        f = g
+    if p not in _EVAL_TABLES:
+        _EVAL_TABLES[p] = (struct.Struct(f"<{p}I"), [])
+    codec, rows = _EVAL_TABLES[p]
+    while len(rows) < len(f):
+        j = len(rows)
+        rows.append(int.from_bytes(codec.pack(*[pow(x, j, p) for x in range(p)]), "little"))
+    values = codec.unpack(sum(map(operator.mul, f, rows)).to_bytes(codec.size, "little"))
+    return [x for x, v in enumerate(values) if not v % p]
+
+
 def _peel(rest: list, p: int, powers) -> list:
     # The distinct-degree peel of the monic coefficient list `rest`, of
     # degree >= 1: (k, m, piece) triples, piece the product of the monic
     # irreducibles of degree k that divide rest exactly m times.  Step k
     # takes h_k = X^(p^k) modulo a multiple of rest from `powers`, read
     # only as far as needed, and g = gcd(rest, h_k - X), the irreducibles
-    # of degree k in rest once each (those of lower degree are gone).  g is
-    # divided out, and the multiplicities peeled by the gcd of g with what
-    # is left, until nothing of g is.  Once deg rest < 2(k + 1), every
+    # of degree k in rest once each (those of lower degree are gone), or
+    # for k = 1 and p <= EVAL_PRIME_BOUND, prod (X - r) over its roots r.
+    # g is divided out, and the multiplicities peeled by the gcd of g with
+    # what is left, until nothing of g is.  Once deg rest < 2(k + 1), every
     # factor left has degree > k, so rest is one irreducible.  A quadratic
     # over odd p is decided by Euler's criterion on its discriminant.
     if len(rest) == 3 and p > 2:
@@ -708,15 +747,21 @@ def _peel(rest: list, p: int, powers) -> list:
         disc = (b * b - 4 * c) % p
         if not disc:
             return [(1, 2, [b * (p + 1) // 2 % p, 1])]
-        return [(1 if _is_square(disc, p) else 2, 1, rest)]
+        return [(2 if pow(disc, p // 2, p) == p - 1 else 1, 1, rest)]
     pieces = []
     k = 0
     while len(rest) > 2 * k + 2:
         k += 1
-        h = _list_divmod(next(powers), rest, p)[1]
-        h += [0] * (2 - len(h))
-        h[1] = (h[1] - 1) % p
-        g = _list_gcd(rest, _strip(h), p)
+        if k == 1 and p <= EVAL_PRIME_BOUND:
+            g = [1]
+            for r in _roots(rest, p):
+                g = [(a - r * b) % p for a, b in zip([0] + g, g + [0])]
+            powers = islice(powers, 1, None)
+        else:
+            h = _list_divmod(next(powers), rest, p)[1]
+            h += [0] * (2 - len(h))
+            h[1] = (h[1] - 1) % p
+            g = _list_gcd(rest, _strip(h), p)
         m = 0
         while len(g) > 1:
             m += 1
@@ -753,35 +798,6 @@ class DistinctDegree(tuple):
     __slots__ = ()
 
 
-def _is_square(a: int, p: int) -> bool:
-    """Whether a is a square mod an odd prime p (Euler's criterion)."""
-    return pow(a, (p - 1) // 2, p) != p - 1
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the square a mod an odd prime p (Tonelli-Shanks)."""
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 # Cantor-Zassenhaus draws before `_edf` gives up on a piece.  A piece of
 # r >= 2 factors of degree k splits on one draw with probability at least
 # 4/9 (r = 2, p^k = 3), so a true piece fails this many draws with
@@ -790,27 +806,24 @@ _EDF_DRAWS = 128
 
 
 def _edf(f: Poly, k: int, draw) -> list[Poly]:
-    # Equal-degree split: every factor of f has degree k.  Two roots (the
-    # commonest split piece at kappa = 2) come from the quadratic formula
-    # for odd p, any other piece from Cantor-Zassenhaus on random
-    # polynomials, draw(n) giving n random coefficients.  A mislabelled
-    # piece raises ValueError instead of looping: its degree is not a
-    # multiple of k, its discriminant is not a square, or it does not
-    # split in _EDF_DRAWS draws.
+    # Equal-degree split: every factor of f has degree k.  Linear factors
+    # (most split pieces at kappa = 2) are read off `_roots` for p up to
+    # EVAL_PRIME_BOUND; any other piece comes from Cantor-Zassenhaus on
+    # random polynomials, draw(n) giving n random coefficients.  A
+    # mislabelled piece raises ValueError instead of looping: its degree is
+    # not a multiple of k, it has fewer roots than its degree, or it does
+    # not split in _EDF_DRAWS draws.
     n = f.degree
     if n == k:
         return [f]
     if n % k:
         raise ValueError(f"a piece of degree {n} has no split into degree {k}")
     p = f.p
-    if n == 2 and p > 2:
-        c, b, _ = f.coeffs  # f = X^2 + bX + c = (X + (b - s)/2)(X + (b + s)/2)
-        disc = (b * b - 4 * c) % p
-        if not _is_square(disc, p):
-            raise ValueError(f"{f} has no roots in F_{p}")
-        s = _sqrt_mod(disc, p)
-        half = (p + 1) // 2
-        return [Poly([(b - s) * half, 1], p), Poly([(b + s) * half, 1], p)]
+    if k == 1 and p <= EVAL_PRIME_BOUND:
+        roots = _roots(f.coeffs, p)
+        if len(roots) < n:
+            raise ValueError(f"{f} has fewer than {n} distinct roots in F_{p}")
+        return [Poly([-r, 1], p) for r in roots]
     packed = None  # the kernel of f, built when first needed
     for _ in range(_EDF_DRAWS):
         h = Poly(draw(n), p)
@@ -839,9 +852,9 @@ def factor(f: Poly, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
     (monic irreducible, multiplicity).  The distinct-degree peel (see
     `_peel`) splits the monic f into pieces by degree and multiplicity,
     with no squarefree decomposition first, and the equal-degree split
-    finishes each piece.  Deterministic: the equal-degree stage draws
-    from an RNG keyed on f itself, built on its first draw (most smooth
-    candidates split without one).
+    finishes each piece (see `_edf`).  Deterministic: the equal-degree
+    stage draws from an RNG keyed on f itself, built on its first draw
+    (most smooth candidates split without one).
 
     `ladder` is what `frobenius_ladder` returned for f, when the caller has
     it.  For degree <= 2 kappa that is the peel's pieces, and only the
@@ -915,13 +928,14 @@ def frobenius_ladder(f: Poly, kappa: int):
     peels it without a further Frobenius step; only passers unpack them.
 
     The 2 kappa rule is measured at p = 43 over 600 random candidates per
-    degree (medians of 11-15 alternating rounds in one process, 2-core
-    host, Python 3.11.7).  At kappa = 2, test plus split with the peel
-    took 0.84 of the time of the product test followed by the split of
-    its passers at degree 3 and 0.94 at degree 4; peeling every
-    candidate, test plus split, took 1.14, 1.30, 1.46 and 1.62 times as
-    long at degrees 5 to 8.  At kappa = 3 the peel's test plus split took
-    0.81 at degree 4, 0.84 at 5 and 1.03 at 6.
+    degree (medians of 13 alternating rounds in one process, 2-core host,
+    Python 3.11.7), with both deciders' step 1 and linear split by roots.
+    At kappa = 2, test plus split with the peel took 0.25 of the time of
+    the product test followed by the split of its passers at degree 3 and
+    0.65 at degree 4; peeling every candidate, test plus split, took 0.93,
+    1.15, 1.34 and 1.45 times as long at degrees 5 to 8.  At kappa = 3 the
+    peel's test plus split took 0.57 at degree 4, 0.79 at 5, 0.96 at 6
+    and 1.07 at 7.
 
     A constant, or any f of degree <= kappa, is smooth with an empty
     ladder.  The zero polynomial raises ValueError.

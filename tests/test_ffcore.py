@@ -7,10 +7,13 @@ trusting the implementation under test.
 
 import random
 import time
+from itertools import count
 
 import pytest
 
+import frobsieve.ffcore as ffcore
 from frobsieve.ffcore import (
+    EVAL_PRIME_BOUND,
     NEG_INF,
     DistinctDegree,
     FixedBasePowers,
@@ -40,7 +43,13 @@ from frobsieve.ffcore import (
     solve_mod_prime,
 )
 from frobsieve.errors import NonInvertible
-from frobsieve.ffcore import _edf
+from frobsieve.ffcore import _edf, _roots
+
+# The primes on either side of EVAL_PRIME_BOUND: linear factors come from
+# `_roots` up to the first, from gcd(f, X^p - X) and Cantor-Zassenhaus at
+# the second.
+_EVAL_TOP = max(q for q in range(2, EVAL_PRIME_BOUND + 1) if is_prime(q))
+_ABOVE_EVAL = next(q for q in count(EVAL_PRIME_BOUND + 1) if is_prime(q))
 
 
 def test_kummer_ring_examples():
@@ -812,10 +821,10 @@ def test_ladder_split_matches_factor(p, kappa):
     assert kinds == {"low degree", "peeled", "p-th power", "repeated factor", "degree >= 10"}
 
 
-@pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97])
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97, _ABOVE_EVAL])
 def test_two_roots_split_by_quadratic_formula(p):
-    # every pair of distinct roots, including the p = 1 mod 8 fields where
-    # the square root takes more than one Tonelli-Shanks step
+    # pairs of distinct roots split into their two linear factors, from
+    # `_roots` and, above EVAL_PRIME_BOUND, from Cantor-Zassenhaus
     rng = random.Random(p)
     for _ in range(60):
         r1, r2 = rng.sample(range(p), 2)
@@ -848,7 +857,7 @@ def _mislabelled_edf(f, k):
         _edf(f, k, lambda n: [rng.randrange(f.p) for _ in range(n)])
 
 
-@pytest.mark.parametrize("p", [2, 3, 43])
+@pytest.mark.parametrize("p", [2, 3, 43, _ABOVE_EVAL])
 def test_edf_rejects_mislabelled_pieces(p):
     # a piece whose factors are not all of degree k raises ValueError
     # instead of drawing forever
@@ -863,6 +872,59 @@ def test_edf_rejects_mislabelled_pieces(p):
     _mislabelled_edf(_random_irreducible(p, 4, rng), 2)
     _mislabelled_edf(_random_irreducible(p, 3, rng), 2)  # 2 does not divide 3
     _mislabelled_edf(quad * _random_irreducible(p, 3, rng), 2)
+
+
+def _roots_by_horner(f, p):
+    roots = []
+    for x in range(p):
+        v = 0
+        for c in reversed(f):
+            v = (v * x + c) % p
+        if not v:
+            roots.append(x)
+    return roots
+
+
+def _root_cases(p, top, rng):
+    """Coefficient lists over F_p: random ones of degree 1 to top (every
+    degree up to 46, a stride of 17 above, and the last five), X^p - X,
+    whose roots are all of F_p, and products of linear factors with
+    repeats, each with the root 0."""
+    degrees = sorted({*range(1, min(top, 46) + 1), *range(47, top + 1, 17),
+                      *range(max(1, top - 4), top + 1)})
+    cases = [[rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)] for n in degrees]
+    cases.append([0, p - 1] + [0] * (p - 2) + [1])
+    for _ in range(10):
+        f = Poly([0, rng.randrange(1, p)], p)
+        for _ in range(rng.randrange(1, 5)):
+            f = f * _power(Poly([rng.randrange(p), 1], p), rng.randrange(1, 4))
+        cases.append(list(f.coeffs))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 43, 199, _EVAL_TOP])
+def test_roots_match_horner(p):
+    # evaluation at every point of F_p at once finds the distinct roots
+    # that Horner's rule finds point by point, on both sides of degree p,
+    # where f is first reduced mod X^p - X: the table of p never holds
+    # more than p rows, so at most p terms add up in a slot
+    rng = random.Random(p * 7 + 3)
+    for f in _root_cases(p, p + 3, rng):
+        assert _roots(f, p) == _roots_by_horner(f, p), f
+    assert _roots([0, p - 1] + [0] * (p - 2) + [1], p) == list(range(p))
+    assert len(ffcore._EVAL_TABLES[p][1]) == p
+
+
+def test_roots_against_sympy():
+    # sympy's ground_roots, up to degree 48 (sympy takes seconds a call
+    # at degree 250 over F_251), and X^p - X
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p in (2, 3, 11, 43, 199, _EVAL_TOP):
+        rng = random.Random(p * 7 + 4)
+        for f in _root_cases(p, min(p + 3, 48), rng):
+            want = sympy.Poly(list(reversed(f)), x, modulus=p).ground_roots()
+            assert _roots(f, p) == sorted(r % p for r in want), f
 
 
 def test_ladder_split_against_sympy():
@@ -1011,12 +1073,33 @@ def test_factor_against_sympy_factor_list():
             assert sorted((q.coeffs, m) for q, m in got) == want, f
 
 
+def test_factor_above_eval_bound_against_sympy():
+    # at the first prime above EVAL_PRIME_BOUND, step 1 of the peel is
+    # gcd(f, X^p - X) and linear pieces split by Cantor-Zassenhaus; no
+    # evaluation table is built there
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    p = _ABOVE_EVAL
+    rng = random.Random(p)
+    cases = _oracle_cases(p, rng)
+    for _ in range(20):
+        f = Poly([rng.randrange(1, p)], p)
+        for _ in range(rng.randrange(1, 6)):
+            f = f * _power(Poly([rng.randrange(p), 1], p), rng.randrange(1, 3))
+        cases.append(f)
+    for f in cases:
+        lc, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+        want = sorted((tuple(c % p for c in reversed(q.all_coeffs())), m) for q, m in facs)
+        unit, got = factor(f)
+        assert unit == int(lc) % p
+        assert sorted((q.coeffs, m) for q, m in got) == want, f
+    assert p not in ffcore._EVAL_TABLES
+
+
 def test_peeled_passer_split_without_frobenius(monkeypatch):
     # a passer's ladder leaves `factor` no Frobenius step and no p-th
     # power outside the equal-degree split: the peel's pieces when
     # deg f <= 2 kappa, X^(p^k) mod f above
-    import frobsieve.ffcore as ffcore
-
     outside = {"frobenius": 0, "pow": 0}
     depth = [0]
     real_frobenius, real_pow, real_edf = PackedModulus.frobenius, PackedModulus.pow, ffcore._edf
@@ -1054,6 +1137,37 @@ def test_peeled_passer_split_without_frobenius(monkeypatch):
                 assert outside == {"frobenius": 0, "pow": 0}, (f, kappa)
                 passers[n <= 2 * kappa] += 1
     assert min(passers.values()) >= 20, passers
+
+
+def test_linear_factors_without_packed_kernel(monkeypatch):
+    # at p <= EVAL_PRIME_BOUND the peel's first step and the linear split
+    # read roots: at kappa = 2, testing and splitting a cubic, or a quartic
+    # with a root, builds no PackedModulus; above the bound step 1 takes
+    # X^p mod f in one
+    builds = [0]
+    real_init = PackedModulus.__init__
+
+    def counted(self, modulus):
+        builds[0] += 1
+        real_init(self, modulus)
+
+    monkeypatch.setattr(PackedModulus, "__init__", counted)
+    rng = random.Random(29)
+    passers = {3: 0, 4: 0}
+    for p in (2, 3, 43, 199, _EVAL_TOP):
+        for n in (3, 4):
+            for _ in range(40):
+                f = Poly([rng.randrange(p) for _ in range(3)] + [rng.randrange(1, p)], p)
+                if n == 4:
+                    f = f * Poly([rng.randrange(p), 1], p)
+                ladder = frobenius_ladder(f, 2)
+                if ladder is not None:
+                    assert factor(f, ladder=ladder) == factor(f)
+                    passers[n] += 1
+    assert builds[0] == 0
+    assert min(passers.values()) >= 40, passers
+    frobenius_ladder(Poly([1, 2, 3, 1], _ABOVE_EVAL), 2)
+    assert builds[0] == 1
 
 
 def test_is_smooth_edges():
