@@ -391,6 +391,13 @@ def translate_x(ext: EllipticResidueRep, t) -> Poly:
     return translate_point(ext, ext.point(), t)[0]
 
 
+def hasse_multiples(p: int, d: int) -> range:
+    """The positive multiples of d in [p + 1 - 2 isqrt(p), p + 1 + 2 isqrt(p)]:
+    the curve orders over F_p the builder scans, inside Hasse's bound."""
+    root = 2 * math.isqrt(p)
+    return range(-(-max(p + 1 - root, 1) // d) * d, p + 2 + root, d)
+
+
 def build_elliptic_residue(p: int, d: int) -> EllipticResidueRep:
     """Full pipeline: curve with d | #E and cyclic rational points, Vélu
     quotient by the order-d subgroup, scan for an irreducible fiber, then
@@ -402,9 +409,7 @@ def build_elliptic_residue(p: int, d: int) -> EllipticResidueRep:
     if d % p == 0:
         raise DegreeNotCompatible("degree divisible by p needs a different model")
 
-    root = 2 * math.isqrt(p)
-    lo, hi = p + 1 - root, p + 1 + root
-    candidates = [n for n in range(lo, hi + 1) if n % d == 0 and n > 0]
+    candidates = hasse_multiples(p, d)
     if not candidates:
         raise NotFound(f"no multiple of {d} in the Hasse interval of F_{p}")
 

@@ -19,7 +19,7 @@ primality is Miller-Rabin rather than trial division, the monic
 irreducibles of a factor base come from a sieve rather than an
 irreducibility test each, that test is the distinct-degree peel below
 rather than Rabin's power X^(p^n), and a sieve candidate is tested
-for kappa-smoothness before it is factored.  `frobenius_ladder` decides
+for kappa-smoothness before it is factored.  `smooth_pieces` decides
 it exactly from the Frobenius powers h_k = X^(p^k) mod f: one p-th power
 h_1 = X^p in the packed kernel of f, then each further step by the
 p-power matrix, whose rows are h_1^i for i < deg f (Berlekamp, 1967):
@@ -33,7 +33,7 @@ g = gcd(rest, h_k - X) takes the irreducibles of degree k out of what is
 left of f, repeated gcds of g with what is left peel their
 multiplicities, and once deg rest < 2(k + 1) what is left is
 irreducible.  The peel works on coefficient lists and builds a Poly only
-for the factors it returns.  A passer hands `factor` its pieces, and
+for the factors it returns.  Every passer hands `factor` its pieces, and
 only the equal-degree split is left, by Cantor-Zassenhaus (1981).  For
 p <= EVAL_PRIME_BOUND, step 1 and the linear split read the roots from
 one evaluation at every point of F_p (`_roots`): a cubic or quartic with
@@ -42,10 +42,10 @@ cost more than the product test: f is kappa-smooth if and only if f
 divides F^m for F = prod_{k <= kappa} (X^(p^k) - X) and any m >= deg f,
 since F is the product of the monic irreducibles of degree <= kappa
 (each at least once) and no irreducible divides f more than deg f
-times; a few squarings modulo f finish it.  A passer there hands
-`factor` its h_k, and the peel reads them, so the split of a passer
-computes no X^(p^k) again.  `frobenius_ladder` gives the measurements
-behind the 2 kappa rule.
+times; a few squarings modulo f finish it.  A passer there is peeled
+at once from the h_1..h_kappa the test computed: it is used up by step
+kappa, so its split computes no X^(p^k) again.  `smooth_pieces` gives
+the measurements behind the 2 kappa rule.
 
 The field routines that the models and sieves share are written once,
 here: extended Euclid on coefficient lists (`_rational_split`, whose
@@ -775,27 +775,14 @@ def _peel(rest: list, p: int, powers) -> list:
     return pieces
 
 
-def _x_powers(f: Poly, ladder=()):
-    # X^(p^k) mod f as coefficient lists, for k = 1, 2, ...: ladder[k - 1]
-    # while it lasts, then Frobenius steps in the packed kernel of f, built
-    # only if the ladder runs out.
-    for h in ladder:
-        yield list(h.coeffs)
+def _x_powers(f: Poly):
+    # X^(p^k) mod f as coefficient lists, for k = 1, 2, ..., by Frobenius
+    # steps in the packed kernel of f, built on the first one.
     packed = PackedModulus(f)
-    h = packed.pack(ladder[-1]) if ladder else packed._x
+    h = packed._x
     while True:
         h = packed.frobenius(h)
         yield packed.to_list(h)
-
-
-class DistinctDegree(tuple):
-    """The distinct-degree split of a kappa-smooth polynomial, as
-    `frobenius_ladder` returns it for degree <= 2 kappa: (k, m, piece)
-    triples, piece the coefficient list of the product of the monic
-    irreducibles of degree k that divide it exactly m times.  `factor`
-    only runs the equal-degree split on it."""
-
-    __slots__ = ()
 
 
 # Cantor-Zassenhaus draws before `_edf` gives up on a piece.  A piece of
@@ -845,7 +832,7 @@ def _edf(f: Poly, k: int, draw) -> list[Poly]:
     raise ValueError(f"no split of a degree-{n} piece into degree {k} in {_EDF_DRAWS} draws")
 
 
-def factor(f: Poly, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
+def factor(f: Poly, pieces=()) -> tuple[int, list[tuple[Poly, int]]]:
     """Full factorization over F_p.
 
     Returns (unit, factors) with unit in F_p^* and factors a sorted list of
@@ -856,13 +843,13 @@ def factor(f: Poly, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
     stage draws from an RNG keyed on f itself, built on its first draw
     (most smooth candidates split without one).
 
-    `ladder` is what `frobenius_ladder` returned for f, when the caller has
-    it.  For degree <= 2 kappa that is the peel's pieces, and only the
-    equal-degree split is left; for a higher degree it is X^(p^k) mod f,
-    k = 1..kappa, which the peel reads instead of raising X to the p^k-th
-    again.  Powers the ladder does not hold are Frobenius steps in the
-    packed kernel of f.  The factors do not depend on it.
-    `frobenius_ladder` gives the measurements behind the 2 kappa rule.
+    `pieces` is what `smooth_pieces` returned for f, when the caller has
+    it: the peel's pieces of a kappa-smooth f of degree > kappa, so only
+    the equal-degree split is left.  Empty pieces (no test, or deg f
+    <= kappa) leave the peel to `factor`, by Frobenius steps in the
+    packed kernel of f.  The factors do not depend on it.  `smooth_pieces`
+    gives the measurements behind the 2 kappa rule, and those that keep
+    the product test above it.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -881,10 +868,7 @@ def factor(f: Poly, ladder=()) -> tuple[int, list[tuple[Poly, int]]]:
             rng = random.Random(mix)
         return [rng.randrange(p) for _ in range(n)]
 
-    if isinstance(ladder, DistinctDegree):
-        pieces = ladder
-    else:
-        pieces = _peel(_monic_list(f), p, _x_powers(f, ladder))
+    pieces = pieces or _peel(_monic_list(f), p, _x_powers(f))
     factors = [(irr, m) for k, m, piece in pieces for irr in _edf(Poly(piece, p), k, draw)]
     factors.sort(key=lambda t: poly_sort_key(t[0]))
     return unit, factors
@@ -898,21 +882,21 @@ def _monic_list(f: Poly) -> list[int]:
     return [c * inv % f.p for c in cs]
 
 
-def frobenius_ladder(f: Poly, kappa: int):
-    """A split-ready ladder if f is kappa-smooth, else None.
+def smooth_pieces(f: Poly, kappa: int):
+    """The distinct-degree pieces of f if f is kappa-smooth, else None.
 
     The smoothness test, exact, by one of two deciders on the Frobenius
     powers h_k = X^(p^k) mod f, computed in one packed kernel of f (one
-    p-th power, then steps by the p-power matrix).
+    p-th power, then steps by the p-power matrix).  A passer of degree
+    > kappa gets back its distinct-degree pieces, the (k, m, piece)
+    triples of `_peel`, every k <= kappa, so `factor(f, pieces=...)` runs
+    only the equal-degree split.
 
-    For deg f <= 2 kappa the decider is the distinct-degree peel of
-    `factor` itself: gcd(rest, h_k - X) takes out the irreducibles of
-    degree k, with their multiplicities, and the peel stops once
-    deg rest < 2(k + 1), when rest is irreducible; f is smooth when that
-    rest has degree <= kappa.  A passer's pieces come back as a
-    `DistinctDegree`, so `factor(f, ladder=...)` runs only the
-    equal-degree split.  The peel takes at most deg f // 2 steps, a gcd
-    or two each.
+    For deg f <= 2 kappa the decider is the peel itself: gcd(rest, h_k - X)
+    takes out the irreducibles of degree k, with their multiplicities, and
+    the peel stops once deg rest < 2(k + 1), when rest is irreducible; f
+    is smooth when that rest has degree <= kappa.  The peel takes at most
+    deg f // 2 steps, a gcd or two each.
 
     Above 2 kappa most candidates fail, and the product test is cheaper
     than the gcds: with F = prod_{k <= kappa} (X^(p^k) - X), f is
@@ -924,8 +908,9 @@ def frobenius_ladder(f: Poly, kappa: int):
     f divides F^m when deg q <= kappa, while a q of degree > kappa never
     divides F^m.  The test multiplies the (h_k - X) together and squares
     the product ceil(log2 deg f) times, stopping once it is zero.  A
-    passer gets back the tuple (h_1, ..., h_kappa), from which `factor`
-    peels it without a further Frobenius step; only passers unpack them.
+    passer is then peeled from the h_1..h_kappa the test holds; a
+    kappa-smooth f is used up by step kappa, so the peel reads no further
+    power, and only passers unpack them.
 
     The 2 kappa rule is measured at p = 43 over 600 random candidates per
     degree (medians of 13 alternating rounds in one process, 2-core host,
@@ -935,10 +920,13 @@ def frobenius_ladder(f: Poly, kappa: int):
     0.65 at degree 4; peeling every candidate, test plus split, took 0.93,
     1.15, 1.34 and 1.45 times as long at degrees 5 to 8.  At kappa = 3 the
     peel's test plus split took 0.57 at degree 4, 0.79 at 5, 0.96 at 6
-    and 1.07 at 7.
+    and 1.07 at 7.  At kappa = 4, p = 11 (the sieve candidates of one EE
+    class at 11^7, half of them of degree 11 or 13), peeling every
+    candidate took 205 against 163 us per test plus split at degree 11,
+    and 257 against 169 us at degree 13, so the product test stays.
 
-    A constant, or any f of degree <= kappa, is smooth with an empty
-    ladder.  The zero polynomial raises ValueError.
+    A constant, or any f of degree <= kappa, is smooth with no pieces,
+    (), and `factor` peels it.  The zero polynomial raises ValueError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no smoothness")
@@ -947,7 +935,7 @@ def frobenius_ladder(f: Poly, kappa: int):
         return ()
     if n <= 2 * kappa:
         pieces = _peel(_monic_list(f), f.p, _x_powers(f))
-        return DistinctDegree(pieces) if all(k <= kappa for k, _, _ in pieces) else None
+        return pieces if all(k <= kappa for k, _, _ in pieces) else None
     packed = PackedModulus(f)
     h = x = packed._x
     acc = 1  # the packed constant 1
@@ -962,7 +950,7 @@ def frobenius_ladder(f: Poly, kappa: int):
         acc = packed.mul(acc, acc)
     if acc:
         return None
-    return tuple(map(packed.unpack, ladder))
+    return _peel(_monic_list(f), f.p, map(packed.to_list, ladder))
 
 
 def poly_sort_key(q: Poly):

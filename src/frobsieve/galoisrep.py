@@ -471,8 +471,10 @@ def rep_from_json(data) -> Representation:
     A representation is fixed by kind, p, d and its builder's inputs in
     params (none for the elliptic residue).  The stored document must
     equal the build's to_json(); otherwise InconsistentFrobenius names
-    the first field that differs, or the inputs the builder refuses.
-    The build is returned, so an elliptic rep carries its ext.
+    the first field that differs, or the inputs the builder refuses; an
+    elliptic file whose curve order no build from (p, d) has is refused
+    before the build.  The build is returned, so an elliptic rep carries
+    its ext.
     """
     kind = _read(data, "kind", str)
     if kind not in BUILDERS:
@@ -484,6 +486,13 @@ def rep_from_json(data) -> Representation:
     inputs = {name: _read(params, name, int, "params.") for name in names if name in params}
     source = ", ".join([f"p={p}", f"d={d}"] + [f"params.{k}={v}" for k, v in inputs.items()])
     try:
+        if kind == ELLIPTIC:  # refused before a curve search of about p^2 steps
+            from .elliptic import hasse_multiples  # elliptic imports this module
+
+            order = _read(_read(data, "curve", dict), "order", int, "curve.")
+            if d > 0 and order not in hasse_multiples(p, d):
+                raise InconsistentFrobenius(f"field 'curve.order' is {order} in the file, "
+                                            "not a multiple of d in the Hasse interval")
         rep = build(p, d, **inputs)
     except (FrobsieveError, ValueError) as exc:
         raise InconsistentFrobenius(f"no {kind} representation builds from {source}: {exc}") from exc

@@ -30,10 +30,10 @@ from .ffcore import (
     bsgs_dlog,
     crt,
     factor,
-    frobenius_ladder,
     monic_irreducibles,
     primitive_root,
     resultant,
+    smooth_pieces,
     solve_mod_prime,
 )
 from .galoisrep import ELLIPTIC, Representation, orbit_partition
@@ -199,21 +199,21 @@ def smooth_factor(fb: FactorBase, z: Poly):
     so its log folds into the anchor column with weight p^j, a scalar
     correction on the constant column, and (torus) a weight on the kernel
     column.  The leading unit also lands on the constant column.  z is
-    tested for smoothness first, and a passer is split from the Frobenius
-    powers the test computed; a z of degree <= kappa that is a scalar
-    times a base polynomial is looked up, not split.
+    tested for smoothness first, and a passer is split from the
+    distinct-degree pieces the test returns; a z of degree <= kappa that
+    is a scalar times a base polynomial is looked up, not split.
     """
     rep = fb.rep
     N = rep.order()
     if z.is_zero():
         raise ValueError("cannot factor the zero element")
-    ladder = frobenius_ladder(z, fb.kappa)
-    if ladder is None:
+    pieces = smooth_pieces(z, fb.kappa)
+    if pieces is None:
         return None
     if 0 < z.degree <= fb.kappa and fb.member_of(z.monic()):
         unit, factors = z.lc(), [(z.monic(), 1)]
     else:
-        unit, factors = factor(z, ladder=ladder)
+        unit, factors = factor(z, pieces=pieces)
     cols = {}
     const = fb.scalar_log(unit)
     for q, mult in factors:

@@ -53,13 +53,13 @@ from .ffcore import (
     double_and_add,
     factor,
     find_irreducible,
-    frobenius_ladder,
     horner,
     is_irreducible,
     kernel_basis,
     monic_irreducibles,
     poly_gcd,
     poly_sort_key,
+    smooth_pieces,
 )
 from .elliptic import (
     Curve,
@@ -395,15 +395,15 @@ def jl_relation(setup: JLSetup, lam: BivariatePoly, kappa: int):
     if lam.is_zero():
         return None
     a_poly = setup._restrict(lam, "a")
-    ladder_a = None if a_poly.is_zero() else frobenius_ladder(a_poly, kappa)
-    if ladder_a is None:
+    pieces_a = None if a_poly.is_zero() else smooth_pieces(a_poly, kappa)
+    if pieces_a is None:
         return None
     b_poly = setup._restrict(lam, "b")
-    ladder_b = None if b_poly.is_zero() else frobenius_ladder(b_poly, kappa)
-    if ladder_b is None:
+    pieces_b = None if b_poly.is_zero() else smooth_pieces(b_poly, kappa)
+    if pieces_b is None:
         return None
     rel = JLRelation(
-        lam, factor(a_poly, ladder=ladder_a), factor(b_poly, ladder=ladder_b)
+        lam, factor(a_poly, pieces=pieces_a), factor(b_poly, pieces=pieces_b)
     )
     va = _jl_consistent(setup, rel, a_poly, b_poly)
     if va is None:
@@ -1255,14 +1255,14 @@ def _stripped_norm(restr: EERestriction, uv, side: str):
 
 
 def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
-    """(quotient, ladder, denominator factors) of one side's norm when the
+    """(quotient, pieces, denominator factors) of one side's norm when the
     restriction is nonzero and its norm is kappa-smooth, else None.
 
     The fixed factors F are in every norm's numerator, so a side where one
     has degree > kappa is rejected before anything is restricted.  The
     denominator is smooth exactly when every r left in it has degree
-    <= kappa, so only the quotient gets a smoothness test, whose Frobenius
-    powers (ladder) `_factor_side` splits it from."""
+    <= kappa, so only the quotient gets a smoothness test, whose pieces
+    leave `_factor_side` only the equal-degree split."""
     if any(q.degree > kappa for q, _ in restr.fixed[side][1]):
         return None
     uv = restr.restrict(coeffs, side)
@@ -1271,17 +1271,17 @@ def _smooth_norm(restr: EERestriction, coeffs, side: str, kappa: int):
     num, den = _stripped_norm(restr, uv, side)
     if any(r.degree > kappa for r, _ in den):
         return None
-    ladder = frobenius_ladder(num, kappa)
-    if ladder is None:
+    pieces = smooth_pieces(num, kappa)
+    if pieces is None:
         return None
-    return num, ladder, den
+    return num, pieces, den
 
 
-def _factor_side(num: Poly, ladder, den, fixed, classes: PlaceClasses):
-    """Split a smooth side's quotient from its ladder, add in the fixed
+def _factor_side(num: Poly, pieces, den, fixed, classes: PlaceClasses):
+    """Split a smooth side's quotient from its pieces, add in the fixed
     factors (multiplicities add, sorted as `factor` sorts), and group both
     factor lists into place classes; den is monic, so the unit is num's."""
-    unit, facs = factor(num, ladder=ladder)
+    unit, facs = factor(num, pieces=pieces)
     mult = dict(fixed)
     for q, e in facs:
         mult[q] = mult.get(q, 0) + e

@@ -516,6 +516,22 @@ class TestJson:
         with pytest.raises(InconsistentFrobenius, match=re.escape(f"field '{name}' is ")):
             rep_from_json(data)
 
+    def test_upward_p_refused_before_the_build(self, monkeypatch):
+        # with p edited to 4001 the stored curve order 7 is no multiple of
+        # 7 in the Hasse interval of 4001, so the load refuses the file
+        # without the builder's curve search (about 24 s at that p)
+        data = json.loads(json.dumps(build_elliptic_residue(11, 7).to_json()))
+        assert rep_from_json(json.loads(json.dumps(data))).to_json() == data
+        data["p"] = 4001
+        builds = []
+        monkeypatch.setattr(elliptic, "build_elliptic_residue", lambda *args: builds.append(args))
+        start = time.perf_counter()
+        with pytest.raises(InconsistentFrobenius,
+                           match=re.escape("field 'curve.order' is 7 in the file")):
+            rep_from_json(data)
+        assert time.perf_counter() - start < 1
+        assert builds == []
+
     def test_loaded_rep_carries_its_curve(self):
         ext = build_elliptic_residue(11, 7)
         data = json.loads(json.dumps(ext.to_json()))

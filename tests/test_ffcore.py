@@ -15,7 +15,6 @@ import frobsieve.ffcore as ffcore
 from frobsieve.ffcore import (
     EVAL_PRIME_BOUND,
     NEG_INF,
-    DistinctDegree,
     FixedBasePowers,
     PackedModulus,
     Poly,
@@ -27,7 +26,7 @@ from frobsieve.ffcore import (
     factor,
     factorize_int,
     find_irreducible,
-    frobenius_ladder,
+    smooth_pieces,
     horner,
     is_irreducible,
     is_prime,
@@ -751,7 +750,7 @@ def test_is_smooth_matches_factor(p, kappa):
     seen = set()
     for f in _smoothness_cases(p, kappa, rng):
         want = _smooth_by_factor(f, kappa)
-        assert (frobenius_ladder(f, kappa) is not None) == want, (f, kappa)
+        assert (smooth_pieces(f, kappa) is not None) == want, (f, kappa)
         seen.add(want)
     assert seen == {True, False}
 
@@ -784,32 +783,29 @@ def _ladder_cases(p, kappa, rng):
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 43, 199])
 def test_ladder_split_matches_factor(p, kappa):
-    # the split of a passer from its ladder is the plain factorization;
-    # the ladder is empty when deg f <= kappa, the peel's pieces up to
-    # 2 kappa, and X^(p^k) mod f above
+    # every passer of degree > kappa, on both sides of 2 kappa, gets back
+    # its distinct-degree pieces: monic, of degree a multiple of k <= kappa,
+    # multiplying back to the monic f; a passer of degree <= kappa gets
+    # none.  The split from them is the plain factorization
     rng = random.Random(p * 11 + kappa)
-    x = Poly([0, 1], p)
     kinds = set()
     for f in _ladder_cases(p, kappa, rng):
-        ladder = frobenius_ladder(f, kappa)
-        assert (ladder is not None) == _smooth_by_factor(f, kappa), (f, kappa)
-        if ladder is None:
+        pieces = smooth_pieces(f, kappa)
+        assert (pieces is not None) == _smooth_by_factor(f, kappa), (f, kappa)
+        if pieces is None:
             continue
         if f.degree <= kappa:
-            assert ladder == ()
+            assert pieces == ()
             kinds.add("low degree")
-        elif f.degree <= 2 * kappa:
-            assert isinstance(ladder, DistinctDegree)
-            prod = Poly([1], p)
-            for k, m, piece in ladder:
-                prod = prod * _power(Poly(piece, p), m)
-            assert prod == f.monic()
-            kinds.add("peeled")
         else:
-            packed = PackedModulus(f)
-            want = tuple(poly_pow_mod(x, p ** k, f, packed) for k in range(1, kappa + 1))
-            assert ladder == want
-        unit, facs = factor(f, ladder=ladder)
+            prod = Poly([1], p)
+            for k, m, piece in pieces:
+                assert 1 <= k <= kappa and m >= 1, (f, kappa, pieces)
+                assert piece[-1] == 1 and (len(piece) - 1) % k == 0, (f, kappa, pieces)
+                prod = prod * _power(Poly(piece, p), m)
+            assert prod == f.monic(), (f, kappa)
+            kinds.add("peeled" if f.degree <= 2 * kappa else "product test")
+        unit, facs = factor(f, pieces=pieces)
         assert (unit, facs) == factor(f)
         assert all(is_irreducible(q) and q.degree <= kappa for q, _ in facs)
         if f.derivative().is_zero() and f.degree > 0:
@@ -818,7 +814,8 @@ def test_ladder_split_matches_factor(p, kappa):
             kinds.add("repeated factor")
         if f.degree >= 10:
             kinds.add("degree >= 10")
-    assert kinds == {"low degree", "peeled", "p-th power", "repeated factor", "degree >= 10"}
+    assert kinds == {"low degree", "peeled", "product test", "p-th power", "repeated factor",
+                     "degree >= 10"}
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 43, 97, _ABOVE_EVAL])
@@ -934,14 +931,14 @@ def test_ladder_split_against_sympy():
     for p in (2, 3, 5, 43):
         for kappa in (1, 2, 3, 4):
             for f in _ladder_cases(p, kappa, rng):
-                ladder = frobenius_ladder(f, kappa)
-                if ladder is None or f.degree == 0:
+                pieces = smooth_pieces(f, kappa)
+                if pieces is None or f.degree == 0:
                     continue
                 lc, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
                 want = sorted(
                     (tuple(c % p for c in reversed(q.all_coeffs())), m) for q, m in facs
                 )
-                unit, got = factor(f, ladder=ladder)
+                unit, got = factor(f, pieces=pieces)
                 assert unit == int(lc) % p
                 assert sorted((q.coeffs, m) for q, m in got) == want
 
@@ -1041,19 +1038,19 @@ def _oracle_cases(p, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 43, 199])
 def test_factor_matches_reference(p):
-    # factor, with and without each ladder, is the squarefree-then-
+    # factor, with and without the pieces for each kappa, is the squarefree-then-
     # distinct-degree factorization, on both sides of deg f = 2 kappa
     rng = random.Random(p * 13 + 1)
     sides = set()
     for f in _oracle_cases(p, rng):
         want = _reference_factor(f)
         assert factor(f) == want, f
-        assert factor(f, ladder=()) == want, f
+        assert factor(f, pieces=()) == want, f
         for kappa in range(1, 8):
-            ladder = frobenius_ladder(f, kappa)
-            assert (ladder is not None) == all(q.degree <= kappa for q, _ in want[1])
-            if ladder is not None:
-                assert factor(f, ladder=ladder) == want, (f, kappa)
+            pieces = smooth_pieces(f, kappa)
+            assert (pieces is not None) == all(q.degree <= kappa for q, _ in want[1])
+            if pieces is not None:
+                assert factor(f, pieces=pieces) == want, (f, kappa)
                 sides.add(f.degree <= 2 * kappa)
         if any(m >= p for _, m in want[1]):
             sides.add("p-th power factor")
@@ -1097,12 +1094,16 @@ def test_factor_above_eval_bound_against_sympy():
 
 
 def test_peeled_passer_split_without_frobenius(monkeypatch):
-    # a passer's ladder leaves `factor` no Frobenius step and no p-th
-    # power outside the equal-degree split: the peel's pieces when
-    # deg f <= 2 kappa, X^(p^k) mod f above
-    outside = {"frobenius": 0, "pow": 0}
+    # a passer's pieces leave `factor` no Frobenius step and no p-th
+    # power outside the equal-degree split, on both sides of 2 kappa.
+    # Above 2 kappa the test and the peel together build one packed
+    # kernel and take exactly kappa Frobenius steps: the peel reads the
+    # powers the product test computed
+    outside = {"init": 0, "frobenius": 0, "pow": 0}
     depth = [0]
-    real_frobenius, real_pow, real_edf = PackedModulus.frobenius, PackedModulus.pow, ffcore._edf
+    real_init, real_frobenius, real_pow = (
+        PackedModulus.__init__, PackedModulus.frobenius, PackedModulus.pow)
+    real_edf = ffcore._edf
 
     def counted(name, real):
         def wrapper(self, *args):
@@ -1125,16 +1126,21 @@ def test_peeled_passer_split_without_frobenius(monkeypatch):
             for _ in range(40):
                 n = rng.randrange(kappa + 1, 2 * kappa + 4)
                 f = Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
-                ladder = frobenius_ladder(f, kappa)
-                if ladder is None:
-                    continue
                 want = factor(f)
+                outside.update(init=0, frobenius=0, pow=0)
                 with monkeypatch.context() as m:
+                    m.setattr(PackedModulus, "__init__", counted("init", real_init))
                     m.setattr(PackedModulus, "frobenius", counted("frobenius", real_frobenius))
                     m.setattr(PackedModulus, "pow", counted("pow", real_pow))
                     m.setattr(ffcore, "_edf", edf)
-                    assert factor(f, ladder=ladder) == want
-                assert outside == {"frobenius": 0, "pow": 0}, (f, kappa)
+                    pieces = smooth_pieces(f, kappa)
+                    if pieces is None:
+                        continue
+                    tested = dict(outside)
+                    assert factor(f, pieces=pieces) == want
+                if n > 2 * kappa:
+                    assert (tested["init"], tested["frobenius"]) == (1, kappa), (f, kappa)
+                assert outside == tested, (f, kappa)
                 passers[n <= 2 * kappa] += 1
     assert min(passers.values()) >= 20, passers
 
@@ -1160,19 +1166,19 @@ def test_linear_factors_without_packed_kernel(monkeypatch):
                 f = Poly([rng.randrange(p) for _ in range(3)] + [rng.randrange(1, p)], p)
                 if n == 4:
                     f = f * Poly([rng.randrange(p), 1], p)
-                ladder = frobenius_ladder(f, 2)
-                if ladder is not None:
-                    assert factor(f, ladder=ladder) == factor(f)
+                pieces = smooth_pieces(f, 2)
+                if pieces is not None:
+                    assert factor(f, pieces=pieces) == factor(f)
                     passers[n] += 1
     assert builds[0] == 0
     assert min(passers.values()) >= 40, passers
-    frobenius_ladder(Poly([1, 2, 3, 1], _ABOVE_EVAL), 2)
+    smooth_pieces(Poly([1, 2, 3, 1], _ABOVE_EVAL), 2)
     assert builds[0] == 1
 
 
 def test_is_smooth_edges():
     def smooth(f, kappa):
-        return frobenius_ladder(f, kappa) is not None
+        return smooth_pieces(f, kappa) is not None
 
     for p in (2, 43):
         with pytest.raises(ValueError):
@@ -1189,15 +1195,54 @@ def test_is_smooth_edges():
         assert not smooth(_power(lin, p + 2) * q, 2)
 
 
+def _smooth_degree_cases(p, kappa, degrees, rng):
+    """Per degree n: a random polynomial, a kappa-smooth product of degree
+    n with a repeated factor, and a kappa-smooth product of degree
+    n - kappa - 1 times one irreducible of degree kappa + 1."""
+
+    def smooth(m):
+        q = _random_irreducible(p, rng.randrange(1, kappa + 1), rng)
+        f = _power(q, 2) if 2 * q.degree <= m else Poly([1], p)
+        while f.degree < m:
+            f = f * _random_irreducible(p, rng.randrange(1, min(kappa, m - f.degree) + 1), rng)
+        return f
+
+    cases = []
+    for n in degrees:
+        cases.append(Poly([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p))
+        cases.append(smooth(n) * rng.randrange(1, p))
+        cases.append(smooth(n - kappa - 1) * _random_irreducible(p, kappa + 1, rng))
+    return cases
+
+
 def test_is_smooth_against_sympy():
+    # the test's answer against sympy's factor_list, and the split of a
+    # passer from its pieces against the same list: at p = 3 and 43, at
+    # the first prime above EVAL_PRIME_BOUND, and at kappa = 4, p = 11 on
+    # degrees 9-13, where the product test decides and its passers are
+    # peeled from its Frobenius powers
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(13)
-    for p in (3, 43):
-        for kappa in (1, 2, 3):
-            for f in _smoothness_cases(p, kappa, rng):
-                if f.degree == 0:
-                    continue
-                _, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
-                want = all(q.degree() <= kappa for q, _ in facs)
-                assert (frobenius_ladder(f, kappa) is not None) == want
+    runs = [(p, kappa, _smoothness_cases(p, kappa, rng))
+            for p in (3, 43, _ABOVE_EVAL) for kappa in (1, 2, 3)]
+    runs.append((11, 4, _smooth_degree_cases(11, 4, range(9, 14), rng)))
+    passers_above = {}
+    for p, kappa, cases in runs:
+        for f in cases:
+            if f.degree == 0:
+                continue
+            lc, facs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+            want = all(q.degree() <= kappa for q, _ in facs)
+            pieces = smooth_pieces(f, kappa)
+            assert (pieces is not None) == want, (f, kappa)
+            if pieces is None:
+                continue
+            unit, got = factor(f, pieces=pieces)
+            assert unit == int(lc) % p
+            assert sorted((q.coeffs, m) for q, m in got) == sorted(
+                (tuple(c % p for c in reversed(q.all_coeffs())), m) for q, m in facs
+            ), (f, kappa)
+            if f.degree > 2 * kappa:
+                passers_above[p] = passers_above.get(p, 0) + 1
+    assert passers_above.get(11, 0) >= 5 and passers_above.get(_ABOVE_EVAL, 0) >= 1, passers_above

@@ -371,27 +371,27 @@ class TestCollectRelations:
 
     def test_rejected_candidates_never_factored(self, as_rep, monkeypatch):
         # every trial runs the smoothness test; only a passer is split, and
-        # from the Frobenius powers its own test returned
+        # from the pieces its own test returned
         import frobsieve.indexcalc as ic
 
         calls = {"trials": 0, "smooth": 0, "split": 0}
         passed = {}
-        real_ladder, real_factor = ic.frobenius_ladder, ic.factor
+        real_pieces, real_factor = ic.smooth_pieces, ic.factor
 
-        def counting_ladder(f, kappa):
+        def counting_pieces(f, kappa):
             calls["trials"] += 1
-            ladder = real_ladder(f, kappa)
-            if ladder is not None:
+            pieces = real_pieces(f, kappa)
+            if pieces is not None:
                 calls["smooth"] += 1
-                passed[id(f)] = ladder
-            return ladder
+                passed[id(f)] = pieces
+            return pieces
 
-        def counting_factor(f, *args, ladder=()):
+        def counting_factor(f, *args, pieces=()):
             calls["split"] += 1
-            assert passed[id(f)] is ladder
-            return real_factor(f, *args, ladder=ladder)
+            assert passed[id(f)] is pieces
+            return real_factor(f, *args, pieces=pieces)
 
-        monkeypatch.setattr(ic, "frobenius_ladder", counting_ladder)
+        monkeypatch.setattr(ic, "smooth_pieces", counting_pieces)
         monkeypatch.setattr(ic, "factor", counting_factor)
         fb = build_factor_base(as_rep, 2)
         rels = collect_relations(as_rep, fb, 60, seed=0)

@@ -13,7 +13,7 @@ from frobsieve.ffcore import (
     Poly,
     QuotientField,
     factor,
-    frobenius_ladder,
+    smooth_pieces,
     is_irreducible,
     poly_sort_key,
 )
@@ -78,10 +78,10 @@ def test_ladder_decides_smoothness(f, low, extra):
     n = max(f.degree, 0)
     kappa = max(1, (n + 1) // 2 + extra) if low else max(1, (n - 1) // 2 - extra)
     _, factors = factor(f)
-    ladder = frobenius_ladder(f, kappa)
-    assert (ladder is not None) == all(q.degree <= kappa for q, _ in factors)
-    if ladder is not None:
-        assert factor(f, ladder=ladder) == factor(f)
+    pieces = smooth_pieces(f, kappa)
+    assert (pieces is not None) == all(q.degree <= kappa for q, _ in factors)
+    if pieces is not None:
+        assert factor(f, pieces=pieces) == factor(f)
 
 
 KUMMER = build_kummer(43, 6).ring

@@ -371,27 +371,27 @@ class TestJLSieve:
         assert _digest(rels) == "635896dc13569bf7f15edab8166bbca9ed7ed5d89fd28a0fa2e27ba63951b72f"
 
     def test_rejected_candidates_never_factored(self, jl43, monkeypatch):
-        # both sides of a relation are split, each from the Frobenius
-        # powers of its own smoothness test; nothing else is split
+        # both sides of a relation are split, each from the pieces of its
+        # own smoothness test; nothing else is split
         import frobsieve.sieve2d as s2d
 
         calls = {"trials": 0, "split": 0}
         passed = {}
-        real_ladder, real_factor = s2d.frobenius_ladder, s2d.factor
+        real_pieces, real_factor = s2d.smooth_pieces, s2d.factor
 
-        def counting_ladder(f, kappa):
+        def counting_pieces(f, kappa):
             calls["trials"] += 1
-            ladder = real_ladder(f, kappa)
-            if ladder is not None:
-                passed[id(f)] = ladder
-            return ladder
+            pieces = real_pieces(f, kappa)
+            if pieces is not None:
+                passed[id(f)] = pieces
+            return pieces
 
-        def counting_factor(f, *args, ladder=()):
+        def counting_factor(f, *args, pieces=()):
             calls["split"] += 1
-            assert passed[id(f)] is ladder
-            return real_factor(f, *args, ladder=ladder)
+            assert passed[id(f)] is pieces
+            return real_factor(f, *args, pieces=pieces)
 
-        monkeypatch.setattr(s2d, "frobenius_ladder", counting_ladder)
+        monkeypatch.setattr(s2d, "smooth_pieces", counting_pieces)
         monkeypatch.setattr(s2d, "factor", counting_factor)
         rels = jl_sieve(jl43, 1, 1, 2, budget=400, seed=3)
         assert len(rels) > 0
@@ -907,7 +907,7 @@ class TestEESieve:
     def test_rejected_candidates_never_factored(self, ee11, sieved, monkeypatch):
         # two splits per relation whose projective class is new in the
         # call, the quotient of each side's numerator by its fixed part G,
-        # each from the Frobenius powers of its own smoothness test; a
+        # each from the pieces of its own smoothness test; a
         # scalar multiple of an earlier relation is rescaled from it and
         # splits nothing.  A denominator divides D^2 and is read off the
         # factorization of D that the restriction cached when it was built
@@ -921,27 +921,27 @@ class TestEESieve:
         fresh = EERestriction(ee11, restr.lin, 4)
         calls = {"factor": 0, "split": 0, "translate": 0}
         passed = {}
-        real_ladder, real_factor = s2d.frobenius_ladder, s2d.factor
+        real_pieces, real_factor = s2d.smooth_pieces, s2d.factor
         real_translate = s2d.translate_place
 
-        def counting_ladder(f, kappa):
-            ladder = real_ladder(f, kappa)
-            if ladder is not None:
-                passed[id(f)] = ladder
-            return ladder
+        def counting_pieces(f, kappa):
+            pieces = real_pieces(f, kappa)
+            if pieces is not None:
+                passed[id(f)] = pieces
+            return pieces
 
         def counting_factor(f, *args, **kwargs):
             calls["factor"] += 1
-            if "ladder" in kwargs:
+            if "pieces" in kwargs:
                 calls["split"] += 1
-                assert passed[id(f)] is kwargs["ladder"]
+                assert passed[id(f)] is kwargs["pieces"]
             return real_factor(f, *args, **kwargs)
 
         def counting_translate(*args):
             calls["translate"] += 1
             return real_translate(*args)
 
-        monkeypatch.setattr(s2d, "frobenius_ladder", counting_ladder)
+        monkeypatch.setattr(s2d, "smooth_pieces", counting_pieces)
         monkeypatch.setattr(s2d, "factor", counting_factor)
         monkeypatch.setattr(s2d, "translate_place", counting_translate)
         rels = ee_sieve(ee11, c, 4, budget=100, seed=2, restriction=fresh)
@@ -1219,7 +1219,7 @@ class TestEETrialCaches:
         # denominator alone
         import frobsieve.sieve2d as s2d
 
-        monkeypatch.setattr(s2d, "frobenius_ladder", lambda f, kappa: ())
+        monkeypatch.setattr(s2d, "smooth_pieces", lambda f, kappa: ())
         counts = {"fixed": 0, "den": 0, "passed": 0}
         for restr, sections in ((sieved[1], candidates), sieved_minus):
             for coeffs in sections:
@@ -1326,19 +1326,19 @@ class TestEEFixedPart:
 
     def test_side_a_quotient_needs_no_smoothness_test(self, sieved, monkeypatch):
         # at 11^7, kappa = 4, side a's norm is G = (x + 4)(x^3 + 5x^2 + 9x
-        # + 3)(x + 5)^3 times a quotient of degree <= kappa, so its ladder
-        # returns at once
+        # + 3)(x + 5)^3 times a quotient of degree <= kappa, so its smoothness
+        # test returns at once
         import frobsieve.sieve2d as s2d
 
         c, restr, _ = sieved
         degrees = []
-        real = s2d.frobenius_ladder
+        real = s2d.smooth_pieces
 
         def recording(f, kappa):
             degrees.append(f.degree)
             return real(f, kappa)
 
-        monkeypatch.setattr(s2d, "frobenius_ladder", recording)
+        monkeypatch.setattr(s2d, "smooth_pieces", recording)
         for coeffs in _sections(restr, 200, 37):
             _smooth_norm(restr, coeffs, "a", 4)
         assert degrees and max(degrees) <= 4
