@@ -170,6 +170,34 @@ class TestFactorBase:
         for s in range(1, 43):
             assert fb.scalar_log(s) == sympy.discrete_log(43, s, fb.g0)
 
+    @pytest.mark.parametrize(
+        "build, kappa, ncols, digest",
+        [
+            (lambda: build_kummer(199, 11), 2, 1811,
+             "0d0761d7b3b614b61684f11df31cc08f388e75dd447303389e4adaf8bbb58115"),
+            (lambda: build_torus(109, 11), 2, 547,
+             "d6f0730172f171df7efd939d202e7d0233d769c40f3ecd3813d1af5888f25572"),
+            (lambda: build_torus(13, 7), 3, 119,
+             "a758617096fc4bc82c34cc03b62f90e7b1be57f2fc2073daab8efebae0e71d9f"),
+            (lambda: build_artin_schreier(7), 3, 21,
+             "51905d1997392c11a48799e1f8b229c9a80462eeb67195a844282d0cb27f065b"),
+        ],
+        ids=["kummer-199x11", "torus-109x11", "torus-13x7-k3", "artin-schreier-7-k3"],
+    )
+    def test_factor_base_and_generator_pinned(self, build, kappa, ncols, digest):
+        # sha256 of every orbit (member coefficients in walk order, shift,
+        # scalar, kernel weight; kernel flag and closure) and of the
+        # generator, as the column-sum orbit step and the trial-division
+        # bound 10^6 computed them
+        rep = build()
+        fb = build_factor_base(rep, kappa)
+        rows = [(o.is_kernel, o.closure_scalar, o.closure_ker_weight, o.closure_exponent,
+                 tuple((m.poly.coeffs, m.shift, m.scalar, m.ker_weight) for m in o.members))
+                for o in fb.orbits]
+        generator = find_generator(rep).coeffs
+        assert fb.ncols == ncols
+        assert hashlib.sha256(repr((rows, generator)).encode()).hexdigest() == digest
+
     def test_elliptic_orbits_are_singletons(self, elliptic_ext):
         ext = elliptic_ext
         fb = build_factor_base(ext.rep, 2)
