@@ -64,7 +64,7 @@ import operator
 import random
 import struct
 from itertools import compress, islice
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import NonInvertible
 
@@ -73,7 +73,12 @@ from .errors import NonInvertible
 # silently treat the zero polynomial as a unit.
 NEG_INF = float("-inf")
 
-_TRIAL_BOUND = 10 ** 6
+# Trial division stops here and rho takes the rest.  ms per factorize_int
+# at bounds 10^3/10^4/10^5/10^6 (medians of 9 alternating rounds, 2-core
+# host, Python 3.11.7): 43^11 - 1 2.1/2.3/5.2/34, 109^11 - 1 0.27/0.43/3.4/32,
+# 199^11 - 1 117/118/119/148, 29^7 - 1 0.07/0.26/0.28/0.28.  The largest
+# cofactor left on the ladder, 8.9e21 (199^11), is in is_prime's exact range.
+_TRIAL_BOUND = 10 ** 4
 
 
 # The first thirteen primes.  As Miller-Rabin bases they decide primality
@@ -116,13 +121,13 @@ def is_prime(n: int) -> bool:
 
 
 def factorize_int(n: int) -> dict[int, int]:
-    """Factor a positive integer: trial division to 10^6, Pollard rho after.
+    """Factor a positive integer: trial division to 10^4, Pollard rho after.
 
     Returns {prime: multiplicity}.  Trial division takes out every prime
-    below 10^6; a cofactor left above 10^12 that is not prime goes to
-    Brent's rho.  Group orders on the ladder do get there: 43^11 - 1 leaves
-    6038099 * 3664405207 and 199^11 - 1 leaves 75449464927 * 117942356533
-    (about 8.9e21) for rho to split.
+    up to 10^4; a cofactor left below 10^8 is prime, and one above it that
+    is not prime goes to Brent's rho, x -> x^2 + c from 2 with c = 1, 2, ...
+    On the ladder rho splits 6038099 * 3664405207 (43^11 - 1) and
+    75449464927 * 117942356533 (199^11 - 1, about 8.9e21), and no other.
     """
     if n < 1:
         raise ValueError("factorize_int wants a positive integer")
@@ -167,35 +172,29 @@ def _rho_factor(n: int) -> dict[int, int]:
 
 
 def _rho_once(n: int, c: int) -> int:
-    # Brent's cycle finding.
+    # Brent's cycle finding on y -> y^2 + c from y = 2, the step inlined;
+    # q takes x - y without abs, which changes no gcd(q, n).
     y, r, q, d = 2, 1, 1, 1
-    g = lambda v: (v * v + c) % n
     x = ys = y
     while d == 1:
         x = y
         for _ in range(r):
-            y = g(y)
+            y = (y * y + c) % n
         k = 0
         while k < r and d == 1:
             ys = y
             for _ in range(min(128, r - k)):
-                y = g(y)
-                q = q * abs(x - y) % n
-            d = _gcd(q, n)
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            d = gcd(q, n)
             k += 128
         r *= 2
     if d == n:
         d = 1
         while d == 1:
-            ys = g(ys)
-            d = _gcd(abs(x - ys), n)
+            ys = (ys * ys + c) % n
+            d = gcd(x - ys, n)
     return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:
@@ -273,6 +272,14 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
         self.p = p
+
+    @classmethod
+    def _reduced(cls, coeffs: tuple, p: int) -> "Poly":
+        """A Poly of a tuple already reduced mod p and trimmed, as it is."""
+        f = object.__new__(cls)
+        f.coeffs = coeffs
+        f.p = p
+        return f
 
     @property
     def degree(self):
@@ -518,20 +525,21 @@ class _WideSlots:
         return [int.from_bytes(data[i:i + w], "little") for i in range(0, self.size, w)]
 
 
-def _slot_codec(count: int, width: int):
-    """Packs `count` slots of `width` bytes to bytes and back."""
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
-    return struct.Struct(f"<{count}{fmt}") if fmt else _WideSlots(count, width)
+def _slot_codec(count: int, bound: int):
+    """Packs `count` slots for values up to `bound` to bytes and back, each
+    of 1, 2, 4 or 8 bytes (one struct call), or whole bytes past 64 bits."""
+    width = -(-bound.bit_length() // 8)
+    if width > 8:
+        return _WideSlots(count, width)
+    return struct.Struct(f"<{count}{'BHIQ'[(width - 1).bit_length()]}")
 
 
 class PackedModulus:
     """The packed kernel for F_p[X]/(modulus): elements as ints, d slots each.
 
-    Slot i of an element holds its X^i coefficient.  The slot width is
-    S = bit_length(2d(p-1)^2) bits (see the module docstring), rounded up to
-    1, 2, 4 or 8 bytes so that struct moves the slots in and out of bytes in
-    one call; past 64 bits it is rounded up to whole bytes.  The modulus
-    need not be monic.
+    Slot i of an element holds its X^i coefficient.  Slots hold values up
+    to 2d(p-1)^2 (see the module docstring), in the bytes `_slot_codec`
+    gives that bound.  The modulus need not be monic.
     """
 
     __slots__ = ("modulus", "p", "d", "_full", "_low", "_low_mask", "_zeros", "_rows",
@@ -544,11 +552,10 @@ class PackedModulus:
         self.modulus = modulus
         self.p = p
         self.d = d
-        width = -(-(2 * d * (p - 1) ** 2).bit_length() // 8)  # bytes for S bits
-        if width <= 8:
-            width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8
-        self._full = _slot_codec(2 * d - 1, width)  # a product before folding
-        self._low = _slot_codec(d, width)
+        bound = 2 * d * (p - 1) ** 2
+        self._full = _slot_codec(2 * d - 1, bound)  # a product before folding
+        self._low = _slot_codec(d, bound)
+        width = self._low.size // d
         self._low_mask = (1 << (8 * width * d)) - 1
         self._zeros = (0,) * d
         # rows[i] = x^(d+i) mod A, packed, for the high slots i = 0..d-2
@@ -969,7 +976,7 @@ def _monic_from_index(n: int, k: int, p: int) -> Poly:
         n, c = divmod(n, p)
         coeffs.append(c)
     coeffs.append(1)
-    return Poly(coeffs, p)
+    return Poly._reduced(tuple(coeffs), p)
 
 
 def _monic_multiples(f: tuple, k: int, p: int) -> list[int]:

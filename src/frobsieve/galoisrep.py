@@ -37,6 +37,7 @@ from .ffcore import (
     Poly,
     PrimeField,
     QuotientField,
+    _slot_codec,
     double_and_add,
     factorize_int,
     fraction_kernel,
@@ -585,39 +586,42 @@ class Orbit:
 
 
 def _step_basis(rep: Representation, n: int):
-    """Columns of the powers (aX + b)^i (cX + d)^(n-i), i = 0..n, for the
-    Frobenius matrix (a, b, c, d): entry [j][i] is the X^j coefficient of
-    the i-th power.  Cached per degree n."""
-    cols = rep._step_basis.get(n)
-    if cols is None:
+    """(codec, rows) for the Frobenius matrix (a, b, c, d), cached per
+    degree n: row i = 0..n packs in slot j the X^j coefficient of
+    (aX + b)^i (cX + d)^(n-i).  Slots hold up to (n + 1)(p - 1)^2, what a
+    combination with coefficients in [0, p) reaches, so none carries."""
+    basis = rep._step_basis.get(n)
+    if basis is None:
         a, b, c, d = rep.frobenius.matrix
         one = rep.field.poly([1])
         num_pows = list(accumulate([rep.field.poly([b, a])] * n, mul, initial=one))
         den_pows = list(accumulate([rep.field.poly([d, c])] * n, mul, initial=one))
-        rows = [(num_pows[i] * den_pows[n - i]).coeffs for i in range(n + 1)]
-        cols = [tuple(row[j] if j < len(row) else 0 for row in rows)
-                for j in range(n + 1)]
-        rep._step_basis[n] = cols
-    return cols
+        codec = _slot_codec(n + 1, (n + 1) * (rep.p - 1) ** 2)
+        rows = [int.from_bytes(codec.pack(*f.coeffs, *[0] * (n + 1 - len(f.coeffs))), "little")
+                for f in map(mul, num_pows, reversed(den_pows))]
+        basis = rep._step_basis[n] = (codec, rows)
+    return basis
 
 
 def frobenius_step(rep: Representation, q: Poly):
     """One step of the orbit walk: (sigma(q), scalar) with
     q(x)^p = scalar * sigma(q)(x) * (c x + d)^(-deg q).
 
-    The numerator sum_i q_i (aX + b)^i (cX + d)^(n-i) is an F_p-combination
-    of the cached power basis.  Only q = X - a/c (c != 0) makes it drop
-    degree; then it is a constant and the function returns (None, constant)
-    with q(x)^p = constant / (c x + d).
+    The numerator sum_i q_i (aX + b)^i (cX + d)^(n-i) is one packed sum of
+    the `_step_basis` rows and one unpack; its top slot mod p is s, and one
+    pass by s^-1 mod p gives sigma(q).  Only q = X - a/c (c != 0) makes it
+    drop degree; then it is a constant and the function returns
+    (None, constant) with q(x)^p = constant / (c x + d).
     """
     p = rep.p
-    acc = [sum(map(mul, q.coeffs, col)) for col in _step_basis(rep, q.degree)]
+    codec, rows = _step_basis(rep, q.degree)
+    acc = codec.unpack(sum(map(mul, q.coeffs, rows)).to_bytes(codec.size, "little"))
     s = acc[-1] % p
     if s == 0:
         # the successor is the place at infinity
         return None, Poly(acc, p).constant_value()
     inv = pow(s, -1, p)
-    return Poly([c * inv for c in acc], p), s
+    return Poly._reduced(tuple([v * inv % p for v in acc]), p), s
 
 
 def _walk(rep: Representation, q: Poly):

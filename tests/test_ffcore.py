@@ -8,6 +8,7 @@ trusting the implementation under test.
 import random
 import time
 from itertools import count
+from math import prod
 
 import pytest
 
@@ -434,7 +435,7 @@ def test_bsgs_dlog_in_subgroup_of_extension():
 def test_is_prime_and_factorize():
     assert is_prime(2) and is_prime(43) and is_prime(370801)
     assert not is_prime(1) and not is_prime(62748516)
-    # the degree-11 orders leave cofactors above 10^12 after trial
+    # the degree-11 orders leave cofactors above 10^8 after trial
     # division: composite for 43 and 199 (rho splits them), prime for 109
     for n in (43 ** 6 - 1, 13 ** 7 - 1, 7 ** 7 - 1, 11 ** 7 - 1, 360,
               43 ** 11 - 1, 109 ** 11 - 1, 199 ** 11 - 1):
@@ -444,6 +445,27 @@ def test_is_prime_and_factorize():
             assert is_prime(q)
             prod *= q ** m
         assert prod == n
+
+
+def test_factorize_int_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    ladder = [43 ** 6, 61 ** 6, 7 ** 7, 11 ** 7, 13 ** 7, 17 ** 7, 29 ** 7, 71 ** 7, 43 ** 5,
+              43 ** 11, 109 ** 11, 199 ** 11]
+    # primes on either side of the trial-division bound 10^4 and of 10^6
+    below, above = (9967, 9973, 999961, 999983), (10007, 10009, 1000003, 1000033)
+    products = [a * b for a in below + above for b in below + above if a < b]
+    powers = [q ** e for q in (10007, 1000003, 4294967311) for e in (2, 3)]
+    rng = random.Random(29)
+    randoms = [rng.randrange(2, 2 ** 48) for _ in range(60)]
+    for n in [N - 1 for N in ladder] + products + powers + randoms:
+        fac = factorize_int(n)
+        if n == 199 ** 11 - 1:
+            # factorint takes 1-2.5 s here; primes that multiply back to n
+            # are its answer, since the factorization is unique
+            assert all(sympy.isprime(q) for q in fac)
+            assert prod(q ** m for q, m in fac.items()) == n
+        else:
+            assert fac == sympy.factorint(n), n
 
 
 def test_is_prime_matches_trial_division():

@@ -1,6 +1,7 @@
 """Tests for the structured field models and their Frobenius orbits."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -13,7 +14,7 @@ from frobsieve.errors import (
     InconsistentFrobenius,
     InvalidPoint,
 )
-from frobsieve.ffcore import monic_irreducibles
+from frobsieve.ffcore import Poly, monic_irreducibles
 from frobsieve.galoisrep import (
     NEUTRAL,
     HomographyFrobenius,
@@ -23,6 +24,7 @@ from frobsieve.galoisrep import (
     build_torus,
     degree,
     frobenius_orbit,
+    frobenius_step,
     orbit_partition,
     rep_from_json,
     torus_add,
@@ -58,6 +60,27 @@ def orbit_identity_oracle(rep, orb):
         if orb.closure_ker_weight:
             lhs = ring.mul(lhs, ring.pow(ring.el([tau, 1]), orb.closure_ker_weight))
         assert lhs == ring.embed(orb.closure_scalar)
+
+
+def reference_step(rep, q):
+    """The orbit step by column sums: the X^j coefficient of the numerator
+    sum_i q_i (aX + b)^i (cX + d)^(n-i) is the sum over i of q_i times
+    the X^j coefficient of the i-th power, each power built by Poly
+    products; then (monic numerator, top coefficient), or (None, the
+    constant) when the numerator drops degree."""
+    p, n = rep.p, q.degree
+    a, b, c, d = rep.frobenius.matrix
+    powers = []
+    for i in range(n + 1):
+        term = rep.field.poly([1])
+        for factor in [rep.field.poly([b, a])] * i + [rep.field.poly([d, c])] * (n - i):
+            term = term * factor
+        powers.append(term.coeffs + (0,) * (n + 1 - len(term.coeffs)))
+    acc = [sum(qi * power[j] for qi, power in zip(q.coeffs, powers)) for j in range(n + 1)]
+    s = acc[-1] % p
+    if s == 0:
+        return None, Poly(acc, p).constant_value()
+    return Poly([v * pow(s, -1, p) for v in acc], p), s
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +348,49 @@ class TestOrbits:
         orb = frobenius_orbit(rep, rep.field.poly([-2, 1]))
         assert orb.size == 6
         orbit_identity_oracle(rep, orb)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_step_matches_column_sums(self, p):
+        # every monic polynomial of degree 1-3, irreducible or not, under
+        # the Kummer, Artin-Schreier and torus matrices over F_p.  The
+        # torus step degenerates at X - a/c, and only there; its proper
+        # multiples, which no walk meets, have no step
+        reps = [build_kummer(p, max(p - 1, 1)), build_artin_schreier(p)]
+        if p > 2:
+            reps.append(build_torus(p, p + 1))
+        for rep in reps:
+            a, _b, c, _d = rep.frobenius.matrix
+            pole = a * pow(c, -1, p) % p if c else None
+            degenerate = []
+            for n in (1, 2, 3):
+                for low in itertools.product(range(p), repeat=n):
+                    q = Poly(list(low) + [1], p)
+                    if n > 1 and pole is not None and q(pole) == 0:
+                        continue
+                    step = frobenius_step(rep, q)
+                    assert step == reference_step(rep, q), (rep, q)
+                    if step[0] is None:
+                        degenerate.append(q)
+            assert degenerate == ([Poly([-pole, 1], p)] if c else []), rep
+
+    @pytest.mark.parametrize("build", [lambda p: build_kummer(p, 3), lambda p: build_torus(p, 4)],
+                             ids=["kummer", "torus"])
+    def test_step_exact_at_a_32_bit_prime(self, build):
+        # at p = 2^32 + 15 a degree-3 step sums four products near 2^64 in
+        # a slot: the orbits of random monic polynomials with coefficients
+        # in [0, p) must follow the column sums member by member
+        p = 2 ** 32 + 15
+        rep = build(p)
+        rng = random.Random(32)
+        for n in (1, 2, 3) * 6:
+            q = Poly([rng.randrange(p) for _ in range(n)] + [1], p)
+            orb = frobenius_orbit(rep, q)
+            succs = orb.polys()[1:] + [None if orb.is_kernel else orb.anchor]
+            scalars = [mem.scalar for mem in orb.members[1:]] + [orb.closure_scalar]
+            for mem, succ, scalar in zip(orb.members, succs, scalars):
+                ref, s = reference_step(rep, mem.poly)
+                assert ref == succ
+                assert mem.scalar * s % p == scalar
 
     def test_kummer_partition_counts(self):
         rep = build_kummer(43, 6)
