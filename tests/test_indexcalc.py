@@ -102,6 +102,7 @@ def elliptic_run(elliptic_rep):
 # field -> (builder, the one prime of N solved from relations, columns)
 LARGE_L_FIELDS = {
     "artin-schreier-11^11": (lambda: build_artin_schreier(11), 1806113, 7),
+    "torus-13^7": (lambda: build_torus(13, 7), 5229043, 15),
     "kummer-29^7": (lambda: build_kummer(29, 7), 88009573, 64),
     "elliptic-17^7": (lambda: build_elliptic_residue(17, 7).rep, 25646167, 154),
 }
@@ -823,6 +824,15 @@ class TestPipelines:
     # computed it before it split targets into numerator and denominator
     TORUS_ILOG_DIGEST = "7cf25327d6031210a4e9b0356404608d3b9a4d290a6d7497aa50c7e2f21f7d7c"
 
+    # the same recipe for compute_logs(rep, 2, seed=0) on fields whose N has
+    # a prime >= 2^20, so the table comes through the elimination mod that
+    # prime and the top-up schedule decides which relations are kept
+    LARGE_L_RUN_DIGESTS = {
+        "torus-13^7": "c8c9b2a8034e0cc1d69d08f52c02b4eb18cc7d8c8a600b19cf5dfb0c581cce60",
+        "kummer-29^7": "65d2f3c14896f40c36301a0412cf89dc89308ccd6f4068cc2f7ef55e5fb870c3",
+        "elliptic-17^7": "50b4b1fa07a9e3774a71883e8cc5b745aa688a8f1f2a5837b6350aa6cb6cf91e",
+    }
+
     @staticmethod
     def _digest(obj):
         return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -833,6 +843,12 @@ class TestPipelines:
         _fb, _g, relations, table = run
         doc = {"relations": [r.to_json() for r in relations], "table": table.to_json()}
         assert self._digest(doc) == self.RUN_DIGESTS[seed]
+
+    @pytest.mark.parametrize("field", sorted(LARGE_L_RUN_DIGESTS))
+    def test_large_l_run_pinned(self, large_l_reps, field):
+        _fb, _g, relations, table = compute_logs(large_l_reps[field], 2, seed=0)
+        doc = {"relations": [r.to_json() for r in relations], "table": table.to_json()}
+        assert self._digest(doc) == self.LARGE_L_RUN_DIGESTS[field]
 
     def test_individual_logs_pinned(self, kummer_rep, kummer_run):
         fb, _g, _rels, table = kummer_run
