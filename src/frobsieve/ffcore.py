@@ -1257,50 +1257,58 @@ class FixedBasePowers:
 
 
 # ---------------------------------------------------------------------------
-# Small dense linear algebra mod a prime.  Rows are lists of ints.
+# Sparse linear algebra mod a prime: one incremental echelon.
 
 
-def rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p.  Returns (rows, pivot column list)."""
-    mat = [[c % p for c in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+class Echelon:
+    """Row echelon form over F_p, one sparse row at a time (LaMacchia and
+    Odlyzko, 1990).  `pivots` maps each pivot column c to a row {column:
+    value} whose lowest nonzero column is c, with 1 there and the right side
+    at column ncols.  A row is reduced once, lowest column first, until its
+    lowest column has no pivot and becomes one: the pivots of the RREF."""
+
+    def __init__(self, ncols: int, p: int):
+        self.ncols, self.p, self.pivots = ncols, p, {}
+
+    @property
+    def full(self) -> bool:
+        return len(self.pivots) == self.ncols
+
+    def add(self, row: dict, rhs: int = 0):
+        """Add the equation sum row[c] x_c = rhs; ValueError if the rows contradict it."""
+        p, pivots = self.p, self.pivots
+        row = {c: v % p for c, v in {**row, self.ncols: rhs}.items() if v % p}
+        while row:
+            c = min(row)
+            if c == self.ncols:
+                raise ValueError(f"rows are inconsistent modulo {p}")
+            f = row[c]
+            if c not in pivots:
+                inv = pow(f, -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                return
+            for j, v in pivots[c].items():
+                if w := (row.get(j, 0) - f * v) % p:
+                    row[j] = w
+                else:
+                    del row[j]
+
+    def solve(self, free=()) -> list[int]:
+        """The solution with 1 at each column in free, 0 at the other non-pivots."""
+        x = [int(c in free) for c in range(self.ncols)] + [-1]
+        for c in sorted(self.pivots, reverse=True):
+            # x[c] is still 0, and x[ncols] = -1 carries the right side
+            x[c] = -sum(v * x[j] for j, v in self.pivots[c].items()) % self.p
+        return x[:-1]
 
 
 def kernel_basis(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the right null space of the matrix over F_p."""
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = rref_mod_p(rows, p)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in zip(rref, pivots):
-            vec[pc] = (-row[fc]) % p
-        basis.append(vec)
-    return basis
+    """Basis of the right null space over F_p, as read from the RREF: per
+    column without a pivot, ascending, the vector 1 there, 0 at the others."""
+    ech = Echelon(ncols, p)
+    for row in rows:
+        ech.add(dict(enumerate(row)))
+    return [ech.solve(free=(c,)) for c in range(ncols) if c not in ech.pivots]
 
 
 def coefficient_rows(polys, n: int) -> list[list[int]]:
@@ -1330,21 +1338,3 @@ def _combine(coeffs, polys):
             for j, a in enumerate(q.coeffs):
                 acc[j] += c * a
     return Poly(acc, polys[0].p)
-
-
-def solve_mod_prime(rows: list[list[int]], rhs: list[int], p: int):
-    """Solve A x = b over F_p.
-
-    Returns (particular solution, free column list), or None if inconsistent.
-    Free columns are set to 0 in the particular solution.
-    """
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    rref, pivots = rref_mod_p(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for row, pc in zip(rref, pivots):
-        x[pc] = row[-1] % p
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    return x, free

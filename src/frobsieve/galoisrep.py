@@ -610,14 +610,16 @@ def frobenius_step(rep: Representation, q: Poly):
     The numerator sum_i q_i (aX + b)^i (cX + d)^(n-i) is one packed sum of
     the `_step_basis` rows and one unpack; its top slot mod p is s, and one
     pass by s^-1 mod p gives sigma(q).  Only q = X - a/c (c != 0) makes it
-    drop degree; then it is a constant and the function returns
-    (None, constant) with q(x)^p = constant / (c x + d).
+    drop degree; it returns (None, constant) with q(x)^p = constant / (c x
+    + d).  Any other q with the root a/c is not irreducible: ValueError.
     """
     p = rep.p
     codec, rows = _step_basis(rep, q.degree)
     acc = codec.unpack(sum(map(mul, q.coeffs, rows)).to_bytes(codec.size, "little"))
     s = acc[-1] % p
     if s == 0:
+        if q.degree > 1:
+            raise ValueError(f"{q!r} is not irreducible: it has the root a/c of the Frobenius")
         # the successor is the place at infinity
         return None, Poly(acc, p).constant_value()
     inv = pow(s, -1, p)

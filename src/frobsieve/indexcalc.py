@@ -6,10 +6,10 @@ degree <= kappa, find the log of every base column, then peel individual
 logarithms off the table.  The column logs are found modulo each prime
 power l^k of N = p^d - 1 and combined by CRT.  Below SMALL_PRIME_BOUND
 (2^20) Pohlig-Hellman reads them from the subgroup of order l^k, exactly
-and without relations; modulo each larger l the relations are solved by
-one elimination over F_l.  Every log is checked by exponentiation; a
-column left undetermined pulls more relations from the same trial stream,
-which resumes where it stopped until its trial budget runs out.
+and without relations; modulo each larger l each relation is reduced
+once into one sparse echelon over F_l.  While a column lacks a pivot, more
+relations come from the same trial stream, which resumes where it stopped
+until its trial budget runs out.  Every log is checked by exponentiation.
 
 What the structural Frobenius buys is column count: polynomials in one
 orbit have logarithms that differ by powers of p and explicit scalars, so
@@ -23,6 +23,7 @@ import random
 
 from .errors import InconsistentFrobenius, NotFound, RankDeficient, SieveTimeout
 from .ffcore import (
+    Echelon,
     FixedBasePowers,
     Poly,
     PrimeOps,
@@ -34,7 +35,6 @@ from .ffcore import (
     primitive_root,
     resultant,
     smooth_pieces,
-    solve_mod_prime,
 )
 from .galoisrep import ELLIPTIC, Representation, orbit_partition
 
@@ -163,13 +163,6 @@ class Relation:
         if powers is None:
             return acc == ring.pow(ring.el(g), self.e % N)
         return acc == powers.pow(self.e)
-
-    def dense_row(self, ncols: int):
-        row = [0] * ncols
-        for col, exp in self.columns.items():
-            row[col] = exp
-        row[ncols - 1] = self.const_exp
-        return row
 
     def to_json(self):
         return {
@@ -388,29 +381,38 @@ def pohlig_hellman(rep: Representation, g: Poly, targets, prime_powers):
     return parts
 
 
+def _reduce(echelons, relations):
+    """Add each relation, its constant exponent on the last column, to each
+    echelon and return them; ValueError names l if one contradicts them."""
+    for rel in relations:
+        for ech in echelons:
+            ech.add({**rel.columns, ech.ncols - 1: rel.const_exp}, rel.e)
+    return echelons
+
+
+def _column_logs(rep: Representation, echelons, g: Poly, targets):
+    """Candidate logs: Pohlig-Hellman, each echelon's solution, then CRT."""
+    small, large = _order_split(rep)
+    parts = pohlig_hellman(rep, g, targets, small) + [ech.solve() for ech in echelons]
+    moduli = [ell**k for ell, k in sorted(small.items())] + large
+    return [crt([part[i] for part in parts], moduli) for i in range(len(targets))]
+
+
 def solve_log_system(rep: Representation, relations, g: Poly, targets):
     """Candidate log_g of each target mod N, where targets are the column
     values in column order and relations are rows over those columns.
 
     Each prime power of N takes one exact path (see _order_split):
-    Pohlig-Hellman for the small ones, and for each large prime l one RREF
-    of the stacked rows over F_l (LaMacchia and Odlyzko, 1990: sieved
-    relations only have to be solved modulo the large primes of N).  CRT
-    combines the pieces.  A column the rows leave free mod l reads 0
+    Pohlig-Hellman for the small ones, and for each large prime l one
+    sparse echelon of the rows over F_l (LaMacchia and Odlyzko, 1990:
+    sieved relations only have to be solved modulo the large primes of N).
+    CRT combines the pieces.  A column the rows leave free mod l reads 0
     there, and so may a pivot column that depends on it, so the caller
     checks every candidate by exponentiation.  Raises ValueError if the
     rows are inconsistent modulo some l.
     """
-    small, large = _order_split(rep)
-    parts = pohlig_hellman(rep, g, targets, small)
-    rhs = [r.e for r in relations]
-    for ell in large:
-        sol = solve_mod_prime([r.dense_row(len(targets)) for r in relations], rhs, ell)
-        if sol is None:
-            raise ValueError(f"relations are inconsistent modulo {ell}")
-        parts.append(sol[0])
-    moduli = [ell**k for ell, k in sorted(small.items())] + large
-    return [crt([part[i] for part in parts], moduli) for i in range(len(targets))]
+    echelons = [Echelon(len(targets), ell) for ell in _order_split(rep)[1]]
+    return _column_logs(rep, _reduce(echelons, relations), g, targets)
 
 
 class LogTable:
@@ -474,15 +476,21 @@ class LogTable:
 def build_log_table(rep: Representation, fb: FactorBase, relations, g: Poly) -> LogTable:
     """Solve for every column log and package them, each verified.
 
-    solve_log_system gives one candidate per column, and every candidate
-    is checked by exponentiation.  A column that fails the check (one the
-    relations left undetermined modulo some large prime of N) raises
-    RankDeficient naming the failing columns: more relations are needed.
+    The column logs come as in solve_log_system, and every one is checked
+    by exponentiation.  A column that fails the check (one the relations
+    left undetermined modulo some large prime of N) raises RankDeficient
+    naming the failing columns: more relations are needed.
     """
+    echelons = [Echelon(fb.ncols, ell) for ell in _order_split(rep)[1]]
+    return _table(rep, fb, g, _reduce(echelons, relations))
+
+
+def _table(rep: Representation, fb: FactorBase, g: Poly, echelons) -> LogTable:
+    """build_log_table from the echelons the relations were reduced into."""
     table = LogTable(g, rep.order(), {})
     powers = table.powers(rep.ring)
     targets = [fb.column_value(col) for col in range(fb.ncols)]
-    values = solve_log_system(rep, relations, g, targets)
+    values = _column_logs(rep, echelons, g, targets)
     failed = [col for col in range(fb.ncols) if powers.pow(values[col]) != targets[col]]
     if failed:
         raise RankDeficient(
@@ -550,23 +558,22 @@ RELATION_MARGIN = 10
 def compute_logs(rep: Representation, kappa: int, seed: int = 0, max_trials: int = 10**6):
     """Whole pipeline: factor base, generator, relations, solved table.
 
-    The sieved relations are pulled from one relation_stream.  A column
-    whose log fails its check (typically one the sieve happened never to
-    hit, or one left free modulo some large prime of N) makes the stream
-    yield max(16, ncols // 4) more, from where it stopped, and the system
-    is solved again.  The only stop is the trial budget max_trials, which
-    raises SieveTimeout with the relations found so far; the result is a
-    deterministic function of the seed.
+    Each sieved relation from one relation_stream is reduced once, after
+    the free rows, into one echelon per large prime of N; while one lacks a
+    pivot, the stream yields max(16, ncols // 4) more from where it stopped.
+    The trial budget max_trials is the only stop: SieveTimeout carries the
+    relations found so far.  The result is a deterministic function of the seed.
     """
     fb = build_factor_base(rep, kappa)
     g = find_generator(rep)
     free = fb.free_relations()
+    echelons = _reduce([Echelon(fb.ncols, ell) for ell in _order_split(rep)[1]], free)
     stream = relation_stream(rep, fb, g, seed, max_trials)
     sieved = []
     target = fb.ncols + RELATION_MARGIN
     while True:
-        _take_relations(stream, sieved, target, max_trials)
-        try:
-            return fb, g, free + sieved, build_log_table(rep, fb, free + sieved, g)
-        except RankDeficient:
-            target += max(16, fb.ncols // 4)
+        done = len(sieved)
+        _reduce(echelons, _take_relations(stream, sieved, target, max_trials)[done:])
+        if all(ech.full for ech in echelons):
+            return fb, g, free + sieved, _table(rep, fb, g, echelons)
+        target += max(16, fb.ncols // 4)

@@ -16,6 +16,7 @@ import frobsieve.ffcore as ffcore
 from frobsieve.ffcore import (
     EVAL_PRIME_BOUND,
     NEG_INF,
+    Echelon,
     FixedBasePowers,
     PackedModulus,
     Poly,
@@ -40,7 +41,6 @@ from frobsieve.ffcore import (
     poly_sort_key,
     primitive_root,
     resultant,
-    solve_mod_prime,
 )
 from frobsieve.errors import NonInvertible
 from frobsieve.ffcore import _edf, _roots
@@ -503,6 +503,90 @@ def test_crt():
         assert crt([x % m for m in moduli], moduli) == x
 
 
+# ---------------------------------------------------------------------------
+# The echelon against dense Gauss-Jordan elimination, which the library ran
+# before: a full reduced row echelon form of the whole matrix at once.
+
+
+def rref_mod_p(rows, p):
+    """Reduced row echelon form over F_p.  Returns (rows, pivot column list)."""
+    mat = [[c % p for c in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] % p != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [v * inv % p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def rref_kernel(rows, ncols, p):
+    """The kernel basis read from rref_mod_p: per free column, 1 there and
+    minus that column of the reduced rows at the pivots."""
+    if not rows:
+        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    rref, pivots = rref_mod_p(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rref, pivots):
+            vec[pc] = (-row[fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def solve_mod_prime(rows, rhs, p):
+    """Solve A x = b over F_p: (particular solution with every free column 0,
+    free column list), or None if inconsistent."""
+    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    rref, pivots = rref_mod_p(aug, p)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for row, pc in zip(rref, pivots):
+        x[pc] = row[-1] % p
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    return x, free
+
+
+def echelon_of(rows, rhs, p):
+    ech = Echelon(len(rows[0]), p)
+    for row, b in zip(rows, rhs):
+        ech.add(dict(enumerate(row)), b)
+    return ech
+
+
+def random_matrix(rng, nrows, ncols, p):
+    """A random matrix with a random share of zero entries, sometimes with
+    repeated or scaled rows, so rank deficiency is common."""
+    density = rng.random()
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.2:
+            k = rng.randrange(p)
+            rows.append([k * v % p for v in rng.choice(rows)])
+        else:
+            rows.append([rng.randrange(1, p) if rng.random() < density else 0
+                         for _ in range(ncols)])
+    return rows
+
+
 def test_kernel_and_solve():
     rng = random.Random(4)
     p = 13
@@ -514,11 +598,57 @@ def test_kernel_and_solve():
                 assert sum(a * b for a, b in zip(row, vec)) % p == 0
         x = [rng.randrange(p) for _ in range(6)]
         rhs = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
-        sol = solve_mod_prime(rows, rhs, p)
-        assert sol is not None
-        part, _ = sol
+        part = echelon_of(rows, rhs, p).solve()
         for row, b in zip(rows, rhs):
             assert sum(a * v for a, v in zip(row, part)) % p == b
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 43, 199])
+def test_kernel_basis_matches_rref(p):
+    # no rows, fewer rows than columns, more rows than columns, any density
+    rng = random.Random(p)
+    for _ in range(200):
+        ncols = rng.randrange(1, 11)
+        rows = random_matrix(rng, rng.randrange(0, 13), ncols, p)
+        basis = kernel_basis(rows, ncols, p)
+        assert basis == rref_kernel(rows, ncols, p)
+        for vec in basis:
+            assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in rows)
+
+
+@pytest.mark.parametrize("p", [11, 5229043])
+def test_echelon_matches_dense_solve(p):
+    rng = random.Random(p)
+    kinds = {"full": 0, "deficient": 0, "inconsistent": 0}
+    for _ in range(150):
+        ncols = rng.randrange(1, 25)
+        rows = random_matrix(rng, rng.randrange(1, 2 * ncols + 2), ncols, p)
+        x = [rng.randrange(p) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+        want = solve_mod_prime(rows, rhs, p)
+        ech = echelon_of(rows, rhs, p)
+        part, free = want
+        assert sorted(ech.pivots) == [c for c in range(ncols) if c not in free]
+        assert ech.full == (not free)
+        got = ech.solve()
+        assert got == part
+        assert all(sum(a * v for a, v in zip(row, got)) % p == b for row, b in zip(rows, rhs))
+        if not free:
+            kinds["full"] += 1
+            assert got == x
+        else:
+            kinds["deficient"] += 1
+        # a combination of the rows with its right side off by one
+        weights = [rng.randrange(p) for _ in rows]
+        if any(weights[i] and any(row) for i, row in enumerate(rows)):
+            combo = [sum(w * row[c] for w, row in zip(weights, rows)) % p for c in range(ncols)]
+            if any(combo):
+                kinds["inconsistent"] += 1
+                bad = sum(w * b for w, b in zip(weights, rhs)) + 1
+                assert solve_mod_prime(rows + [combo], rhs + [bad], p) is None
+                with pytest.raises(ValueError, match=str(p)):
+                    ech.add(dict(enumerate(combo)), bad)
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,17 @@ class TestOrbits:
                         degenerate.append(q)
             assert degenerate == ([Poly([-pole, 1], p)] if c else []), rep
 
+    @pytest.mark.parametrize("low", [[0, 1], [0, 2], [2, 0], [1, 2]])
+    def test_reducible_through_the_pole_rejected(self, low):
+        # at build_torus(3, 4) a/c = 2: x^2 + x, x^2 + 2 and (x + 1)^2 have
+        # that root, and x^2 + 2x walks to x^2 + x in one step
+        rep = build_torus(3, 4)
+        a, _b, c, _d = rep.frobenius.matrix
+        assert a * pow(c, -1, 3) % 3 == 2
+        q = Poly(low + [1], 3)
+        with pytest.raises(ValueError, match="is not irreducible"):
+            frobenius_orbit(rep, q)
+
     @pytest.mark.parametrize("build", [lambda p: build_kummer(p, 3), lambda p: build_torus(p, 4)],
                              ids=["kummer", "torus"])
     def test_step_exact_at_a_32_bit_prime(self, build):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -647,6 +648,18 @@ class TestSolver:
         assert _order_split(rep)[1] == [large]
         fb, _g, _rels, table = compute_logs(rep, 2, seed=seed)
         assert fb.ncols == ncols
+        assert table.verify_all(rep)
+
+    def test_elliptic_43_5_completes(self):
+        # 947 singleton columns and the large prime 3500201 of N: seed 0
+        # takes 24 top-up rounds, 6622 relations.  Each is reduced once, so
+        # the call takes seconds; re-solving every row each round took minutes
+        rep = build_elliptic_residue(43, 5).rep
+        assert _order_split(rep)[1] == [3500201]
+        start = time.perf_counter()
+        fb, _g, relations, table = compute_logs(rep, 2, seed=0)
+        assert time.perf_counter() - start < 60
+        assert (fb.ncols, len(relations)) == (947, 6622)
         assert table.verify_all(rep)
 
     def test_undetermined_column_raises(self, torus_rep):
