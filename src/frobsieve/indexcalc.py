@@ -185,35 +185,53 @@ def build_factor_base(rep: Representation, kappa: int) -> FactorBase:
     return FactorBase(rep, kappa, orbits, primitive_root(rep.p))
 
 
+def _split_over(fb: FactorBase, z: Poly, lookup):
+    """(unit, [(lookup[q], m), ...]) over the monic irreducible factors q^m
+    of z, when z is kappa-smooth and every q is a base polynomial; else None.
+
+    `lookup` maps the coefficients of each base polynomial to what the
+    caller sums: its (orbit index, member) in smooth_factor, its log in
+    individual_log.  z is tested for smoothness first, and a passer is
+    split from the distinct-degree pieces the test returns; a z of degree
+    <= kappa that is a scalar times a base polynomial is looked up, not
+    split.
+    """
+    if z.is_zero():
+        raise ValueError("cannot factor the zero element")
+    pieces = smooth_pieces(z, fb.kappa)
+    if pieces is None:
+        return None
+    if 0 < z.degree <= fb.kappa and z.monic().coeffs in lookup:
+        unit, factors = z.lc(), [(z.monic(), 1)]
+    else:
+        unit, factors = factor(z, pieces=pieces)
+    hits = []
+    for q, mult in factors:
+        hit = lookup.get(q.coeffs)
+        if hit is None:
+            return None  # degree fits but poly missing: inconsistent base
+        hits.append((hit, mult))
+    return unit, hits
+
+
 def smooth_factor(fb: FactorBase, z: Poly):
     """Express z over the factor base, or None if z is not kappa-smooth.
 
     Each irreducible factor q is some sigma^j applied to its orbit anchor,
     so its log folds into the anchor column with weight p^j, a scalar
     correction on the constant column, and (torus) a weight on the kernel
-    column.  The leading unit also lands on the constant column.  z is
-    tested for smoothness first, and a passer is split from the
-    distinct-degree pieces the test returns; a z of degree <= kappa that
-    is a scalar times a base polynomial is looked up, not split.
+    column.  The leading unit also lands on the constant column.  The
+    test, lookup and split are _split_over's.
     """
     rep = fb.rep
     N = rep.order()
-    if z.is_zero():
-        raise ValueError("cannot factor the zero element")
-    pieces = smooth_pieces(z, fb.kappa)
-    if pieces is None:
+    split = _split_over(fb, z, fb._members)
+    if split is None:
         return None
-    if 0 < z.degree <= fb.kappa and fb.member_of(z.monic()):
-        unit, factors = z.lc(), [(z.monic(), 1)]
-    else:
-        unit, factors = factor(z, pieces=pieces)
+    unit, hits = split
     cols = {}
     const = fb.scalar_log(unit)
-    for q, mult in factors:
-        hit = fb.member_of(q)
-        if hit is None:
-            return None  # degree fits but poly missing: inconsistent base
-        idx, mem = hit
+    for (idx, mem), mult in hits:
         cols[idx] = (cols.get(idx, 0) + rep.p ** mem.shift * mult) % N
         if mem.ker_weight:
             kcol = fb.kernel_index
@@ -299,11 +317,12 @@ def sieve_trials(seed: int, budget: int, target, draw, relation):
     return _take_relations(trial_stream(seed, budget, draw, relation), [], target, budget)
 
 
-def relation_stream(rep: Representation, fb: FactorBase, g: Poly, seed: int, max_trials: int):
+def relation_stream(rep: Representation, fb: FactorBase, g: Poly, powers: FixedBasePowers,
+                    seed: int, max_trials: int):
     """The trial stream of relations g^e = smooth product, keyed by their
-    exponent e, so an exponent drawn twice gives one relation."""
+    exponent e, so an exponent drawn twice gives one relation.  `powers`
+    is the fixed-base table of g."""
     N = rep.order()
-    powers = FixedBasePowers(rep.ring, g, N)
 
     def draw(rng):
         e = rng.randrange(1, N)
@@ -326,7 +345,8 @@ def collect_relations(rep: Representation, fb: FactorBase, target_count: int,
     """The first target_count relations of relation_stream."""
     if g is None:
         g = find_generator(rep)
-    stream = relation_stream(rep, fb, g, seed, max_trials)
+    powers = FixedBasePowers(rep.ring, g, rep.order())
+    stream = relation_stream(rep, fb, g, powers, seed, max_trials)
     return _take_relations(stream, [], target_count, max_trials)
 
 
@@ -418,9 +438,9 @@ def solve_log_system(rep: Representation, relations, g: Poly, targets):
 class LogTable:
     """Discrete logs of the factor-base columns, base g, modulo N.
 
-    The fixed-base table of g and the log of each column of a factor
-    base are built on first use and kept, so every individual log against
-    this table shares them.
+    The fixed-base table of g, and for a factor base the log of each of
+    its columns and of each of its base polynomials, are built on first
+    use and kept, so every individual log against this table shares them.
     """
 
     def __init__(self, g: Poly, N: int, logs):
@@ -428,7 +448,7 @@ class LogTable:
         self.N = N
         self.logs = dict(logs)  # Poly -> int
         self._powers = None
-        self._column_logs = None  # (factor base, log of each of its columns)
+        self._base_logs = None  # (factor base, its column logs, its member logs)
 
     def __repr__(self):
         return f"LogTable(entries={len(self.logs)}, N={self.N})"
@@ -442,12 +462,29 @@ class LogTable:
             self._powers = FixedBasePowers(ring, ring.el(self.g), self.N)
         return self._powers
 
+    def _logs_of(self, fb: FactorBase):
+        if self._base_logs is None or self._base_logs[0] is not fb:
+            N, p = self.N, fb.rep.p
+            cols = [self.log(fb.column_value(col)) for col in range(fb.ncols)]
+            log_g0 = cols[fb.const_col]
+            log_ker = 0 if fb.kernel_index is None else cols[fb.kernel_index]
+            members = {
+                coeffs: (p ** mem.shift * cols[idx] - fb.scalar_log(mem.scalar) * log_g0
+                         + mem.ker_weight * log_ker) % N
+                for coeffs, (idx, mem) in fb._members.items()
+            }
+            self._base_logs = (fb, cols, members)
+        return self._base_logs
+
     def column_logs(self, fb: FactorBase) -> list[int]:
         """The log of each column of fb, in column order."""
-        if self._column_logs is None or self._column_logs[0] is not fb:
-            logs = [self.log(fb.column_value(col)) for col in range(fb.ncols)]
-            self._column_logs = (fb, logs)
-        return self._column_logs[1]
+        return self._logs_of(fb)[1]
+
+    def member_logs(self, fb: FactorBase) -> dict:
+        """The log of each base polynomial of fb, keyed by its coefficients:
+        a member q = anchor^(p^shift) * scalar^-1 * (x + tau)^ker_weight has
+        p^shift L(anchor) - scalar_log(scalar) L(g0) + ker_weight L(x + tau)."""
+        return self._logs_of(fb)[2]
 
     def verify_all(self, rep: Representation) -> bool:
         ring = rep.ring
@@ -482,13 +519,16 @@ def build_log_table(rep: Representation, fb: FactorBase, relations, g: Poly) -> 
     naming the failing columns: more relations are needed.
     """
     echelons = [Echelon(fb.ncols, ell) for ell in _order_split(rep)[1]]
-    return _table(rep, fb, g, _reduce(echelons, relations))
+    powers = FixedBasePowers(rep.ring, g, rep.order())
+    return _table(rep, fb, g, powers, _reduce(echelons, relations))
 
 
-def _table(rep: Representation, fb: FactorBase, g: Poly, echelons) -> LogTable:
-    """build_log_table from the echelons the relations were reduced into."""
+def _table(rep: Representation, fb: FactorBase, g: Poly, powers: FixedBasePowers,
+           echelons) -> LogTable:
+    """build_log_table from the echelons the relations were reduced into;
+    the table keeps powers, the fixed-base table of g."""
     table = LogTable(g, rep.order(), {})
-    powers = table.powers(rep.ring)
+    table._powers = powers
     targets = [fb.column_value(col) for col in range(fb.ncols)]
     values = _column_logs(rep, echelons, g, targets)
     failed = [col for col in range(fb.ncols) if powers.pow(values[col]) != targets[col]]
@@ -514,10 +554,16 @@ def individual_log(
     Trial e writes z = target * g^e as num / den with both halves of degree
     about d/2 (Blake, Fuji-Hara, Mullin and Vanstone, 1984) and needs both
     to be smooth, which happens far more often than for the one degree
-    d - 1 polynomial z.  Then log target = -e + log num - log den.  The
-    split only changes which trial succeeds, not the answer: for a fixed
-    g the log is unique mod N, and no result is returned before
-    g^result == target has been checked by exponentiation.
+    d - 1 polynomial z.  Then log target = -e + log num - log den.  Trial 0
+    takes e = 0 and splits the target as it is, with no power of g; the
+    RNG that draws e for the later trials is built only when trial 1 is
+    needed.  The log of a smooth half is L(unit) + sum m L(q) over its
+    factors q^m, read from the table's member logs of fb (see
+    LogTable.member_logs); the smoothness test, lookup and split are
+    smooth_factor's (_split_over).  The split only changes which trial
+    succeeds, not the answer: for a fixed g the log is unique mod N, and
+    no result is returned before g^result == target has been checked by
+    exponentiation.
     """
     ring = rep.ring
     N = rep.order()
@@ -525,26 +571,31 @@ def individual_log(
     if target.is_zero():
         raise ValueError("zero has no logarithm")
     powers = table.powers(ring)
-    col_logs = table.column_logs(fb)
-    log_g0 = col_logs[fb.const_col]
+    member_logs = table.member_logs(fb)
+    log_g0 = table.column_logs(fb)[fb.const_col]
 
-    def table_log(hit):
-        cols, const = hit
-        return const * log_g0 + sum(exp * col_logs[col] for col, exp in cols.items())
+    def half_log(z):
+        split = _split_over(fb, z, member_logs)
+        if split is None:
+            return None
+        unit, hits = split
+        return fb.scalar_log(unit) * log_g0 + sum(lam * mult for lam, mult in hits)
 
-    rng = random.Random(_mix(seed, 0x517CC1B7))
+    e, z, rng = 0, target, None
     for trial in range(max_trials):
-        e = 0 if trial == 0 else rng.randrange(N)
-        num, den = _rational_split(
-            ring.modulus, ring.mul(target, powers.pow(e)), rep.d // 2
-        )
-        num_hit = smooth_factor(fb, num)
-        if num_hit is None:
+        if trial:
+            if rng is None:
+                rng = random.Random(_mix(seed, 0x517CC1B7))
+            e = rng.randrange(N)
+            z = ring.mul(target, powers.pow(e))
+        num, den = _rational_split(ring.modulus, z, rep.d // 2)
+        num_log = half_log(num)
+        if num_log is None:
             continue
-        den_hit = smooth_factor(fb, den)
-        if den_hit is None:
+        den_log = half_log(den)
+        if den_log is None:
             continue
-        result = (-e + table_log(num_hit) - table_log(den_hit)) % N
+        result = (-e + num_log - den_log) % N
         if powers.pow(result) != target:
             continue  # table inconsistency would surface here; keep trying
         return result
@@ -562,18 +613,21 @@ def compute_logs(rep: Representation, kappa: int, seed: int = 0, max_trials: int
     the free rows, into one echelon per large prime of N; while one lacks a
     pivot, the stream yields max(16, ncols // 4) more from where it stopped.
     The trial budget max_trials is the only stop: SieveTimeout carries the
-    relations found so far.  The result is a deterministic function of the seed.
+    relations found so far.  One fixed-base table of g serves the stream
+    and the returned LogTable.  The result is a deterministic function of
+    the seed.
     """
     fb = build_factor_base(rep, kappa)
     g = find_generator(rep)
+    powers = FixedBasePowers(rep.ring, g, rep.order())
     free = fb.free_relations()
     echelons = _reduce([Echelon(fb.ncols, ell) for ell in _order_split(rep)[1]], free)
-    stream = relation_stream(rep, fb, g, seed, max_trials)
+    stream = relation_stream(rep, fb, g, powers, seed, max_trials)
     sieved = []
     target = fb.ncols + RELATION_MARGIN
     while True:
         done = len(sieved)
         _reduce(echelons, _take_relations(stream, sieved, target, max_trials)[done:])
         if all(ech.full for ech in echelons):
-            return fb, g, free + sieved, _table(rep, fb, g, echelons)
+            return fb, g, free + sieved, _table(rep, fb, g, powers, echelons)
         target += max(16, fb.ncols // 4)

@@ -785,6 +785,17 @@ def test_fixed_base_powers_match_ring_pow(p, d):
         assert table.pow(e) == ring.pow(g, e)
     for e in (-1, -N - 3, -rng.randrange(N)):
         assert table.pow(e) == ring.pow(g, e % N)
+    # exponents with zero bytes between nonzero ones skip those rows
+    for e in (1 + 256 ** 2, 255 * 256 ** 3, 256 ** 4 + 255, 7 * 256 ** 2 + 3 * 256 ** 4):
+        assert table.pow(e) == ring.pow(g, e % N), e
+    # one row per byte of order - 1, whether its bit length is a multiple
+    # of 8 (256, 65536, 2^24; 2^8 - 1 at p = 2, d = 8) or not; order 1
+    # keeps one row and gives 1
+    for order in (1, 2, 256, 257, 65536, 65537, 2 ** 24, 2 ** 24 + 1):
+        table = FixedBasePowers(ring, g, order)
+        exps = [0, 1, order - 1, order, order + 1, 255, 256, 1 + 256 ** 2, 255 * 256 ** 3, -1]
+        for e in exps + [rng.randrange(4 * order) for _ in range(5)]:
+            assert table.pow(e) == ring.pow(g, e % order), (order, e)
 
 
 def _sylvester_resultant(f, g, p):
@@ -1326,6 +1337,41 @@ def test_linear_factors_without_packed_kernel(monkeypatch):
     assert min(passers.values()) >= 40, passers
     smooth_pieces(Poly([1, 2, 3, 1], _ABOVE_EVAL), 2)
     assert builds[0] == 1
+
+
+def test_peel_gives_each_root_its_own_piece(monkeypatch):
+    # at p <= EVAL_PRIME_BOUND step 1 of the peel hands back one piece
+    # (1, m, X - r) per root r of multiplicity m, so the split of a passer
+    # evaluates no polynomial again; at kappa = 2 both deciders meet them
+    rng = random.Random(31)
+    seen_multiple, sides = False, set()
+    for p in (2, 3, 43, 199, _EVAL_TOP):
+        for _ in range(30):
+            f = Poly([rng.randrange(1, p)], p)
+            for _ in range(rng.randrange(1, 4)):
+                f = f * _power(Poly([rng.randrange(p), 1], p), rng.randrange(1, 4))
+            f = f * _random_irreducible(p, 2, rng)
+            if f.degree <= 2:
+                continue
+            pieces = smooth_pieces(f, 2)
+            sides.add(f.degree <= 4)
+            want = factor(f)
+            roots = {q.coeffs: m for q, m in want[1] if q.degree == 1}
+            linear = [(piece, m) for k, m, piece in pieces if k == 1]
+            assert sorted((tuple(piece), m) for piece, m in linear) == sorted(roots.items()), f
+            seen_multiple |= any(m > 1 for _, m in linear)
+            calls = [0]
+            real_roots = ffcore._roots
+
+            def counted(*args):
+                calls[0] += 1
+                return real_roots(*args)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(ffcore, "_roots", counted)
+                assert factor(f, pieces=pieces) == want
+            assert calls[0] == 0, f
+    assert seen_multiple and sides == {True, False}
 
 
 def test_is_smooth_edges():

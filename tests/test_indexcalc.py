@@ -5,11 +5,20 @@ import json
 import math
 import random
 import time
+import types
 
 import pytest
 
 from frobsieve.errors import InconsistentFrobenius, RankDeficient, SieveTimeout
-from frobsieve.ffcore import Poly, crt, factor, factorize_int, monic_irreducibles, resultant
+from frobsieve.ffcore import (
+    FixedBasePowers,
+    Poly,
+    crt,
+    factor,
+    factorize_int,
+    monic_irreducibles,
+    resultant,
+)
 from frobsieve.galoisrep import (
     build_artin_schreier,
     build_kummer,
@@ -909,6 +918,63 @@ class TestPipelines:
             assert reloaded.column_logs(base) == [
                 table.log(base.column_value(col)) for col in range(base.ncols)
             ]
+
+    @pytest.mark.parametrize("rep_name, run_name", [KINDS[0], KINDS[1], KINDS[3]])
+    def test_member_logs_by_exponentiation(self, request, rep_name, run_name):
+        # the table's log of every base polynomial, for its own kappa = 2
+        # base and for the kappa = 1 base read from the same table, is
+        # checked by exponentiation; the torus base has members with
+        # kernel weights
+        rep = request.getfixturevalue(rep_name)
+        fb, g, _rels, table = request.getfixturevalue(run_name)
+        ring = rep.ring
+        weighted = 0
+        for base in (fb, build_factor_base(rep, 1), fb):
+            logs = table.member_logs(base)
+            members = [mem for orb in base.orbits for mem in orb.members]
+            assert set(logs) == {mem.poly.coeffs for mem in members}
+            for mem in members:
+                assert ring.pow(g, logs[mem.poly.coeffs]) == ring.el(mem.poly), mem
+            weighted += sum(1 for mem in members if mem.ker_weight)
+        assert (weighted > 0) == (rep_name == "torus_rep")
+
+    def test_first_trial_takes_no_power(self, kummer_rep, kummer_run, monkeypatch):
+        # a column value is split as it is on trial 0: the only power of g
+        # is the final check, and no RNG is built; a target that trial 0
+        # does not finish builds its RNG once
+        import frobsieve.indexcalc as ic
+
+        fb, _g, _rels, table = kummer_run
+        counts = {"pow": 0, "rng": 0}
+        real_pow = FixedBasePowers.pow
+
+        def counted_pow(self, e):
+            counts["pow"] += 1
+            return real_pow(self, e)
+
+        def counted_rng(*args):
+            counts["rng"] += 1
+            return random.Random(*args)
+
+        monkeypatch.setattr(FixedBasePowers, "pow", counted_pow)
+        monkeypatch.setattr(ic, "random", types.SimpleNamespace(Random=counted_rng))
+        for col in range(fb.ncols):
+            z = fb.column_value(col)
+            counts.update(pow=0, rng=0)
+            assert individual_log(kummer_rep, fb, table, z, seed=col) == table.log(z)
+            assert counts == {"pow": 1, "rng": 0}, col
+        ring = kummer_rep.ring
+        rng = random.Random(5)
+        later = 0
+        for j in range(40):
+            z = ring.random_el(rng)
+            if z.is_zero():
+                continue
+            counts.update(pow=0, rng=0)
+            individual_log(kummer_rep, fb, table, z, seed=j)
+            assert counts["rng"] == (counts["pow"] > 1)
+            later += counts["rng"]
+        assert later > 0
 
     def test_frobenius_log_consistency(self, kummer_rep, kummer_run):
         # log(x^p) read through the table equals p*log(x)
