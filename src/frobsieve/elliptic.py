@@ -212,13 +212,6 @@ def curve_iter(p: int, target: int):
                 yield crv
 
 
-def curve_search(p: int, target: int) -> Curve:
-    """First ordinary curve with exactly the requested number of points."""
-    for crv in curve_iter(p, target):
-        return crv
-    raise NotFound(f"no ordinary curve over F_{p} with {target} points")
-
-
 # ---------------------------------------------------------------------------
 # Vélu quotient by an odd-order rational cyclic subgroup.
 
@@ -384,11 +377,6 @@ def _translate(ring, a4, P, t):
         # would need a doubling; cannot happen for fiber points vs rational t
         raise NonInvertible("fiber point collides with a rational point")
     return ec_add(ring, a4, P, (xt, ring.embed(t[1])))
-
-
-def translate_x(ext: EllipticResidueRep, t) -> Poly:
-    """x(B (+) t) as an element of L = F_p[X]/A."""
-    return translate_point(ext, ext.point(), t)[0]
 
 
 def hasse_multiples(p: int, d: int) -> range:
@@ -600,9 +588,6 @@ class EndomorphismElement:
 
     def __sub__(self, other):
         return self._like(self.m - other.m, self.n - other.n)
-
-    def __neg__(self):
-        return self._like(-self.m, -self.n)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -251,11 +251,9 @@ class PrimeField:
     def x(self) -> "Poly":
         return Poly([0, 1], self.p)
 
-    def random_poly(self, rng: random.Random, degree: int, monic: bool = False) -> "Poly":
+    def random_poly(self, rng: random.Random, degree: int) -> "Poly":
         coeffs = [rng.randrange(self.p) for _ in range(degree + 1)]
-        if monic:
-            coeffs[-1] = 1
-        elif degree >= 0:
+        if degree >= 0:
             while coeffs[-1] == 0:
                 coeffs[-1] = rng.randrange(self.p)
         return Poly(coeffs, self.p)
@@ -329,17 +327,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)], self.p)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs], self.p)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -355,9 +347,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = (out[i + j] + a * b) % p
         return Poly(out, p)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -489,11 +478,6 @@ def resultant(f: Poly, g: Poly) -> int:
             res = -res
         res = res * pow(g.lc(), m - r.degree, p) % p
         f, g = g, r
-
-
-def poly_mul_mod(f: Poly, g: Poly, modulus: Poly) -> Poly:
-    k = PackedModulus(modulus)
-    return k.unpack(k.mul(k.pack(f), k.pack(g)))
 
 
 def poly_pow_mod(f: Poly, e: int, modulus: Poly, packed: PackedModulus | None = None) -> Poly:

@@ -228,11 +228,6 @@ def torus_normalize(P, p: int):
     return (1, 0)
 
 
-def torus_eq(P, Q, p: int) -> bool:
-    # cross-multiplication avoids inversions
-    return (P[0] * Q[1] - Q[0] * P[1]) % p == 0
-
-
 def torus_is_neutral(P, p: int) -> bool:
     return P[1] % p == 0
 
@@ -576,9 +571,6 @@ class Orbit:
     def full_size(self) -> int:
         """Orbit size counting the place at infinity for the kernel orbit."""
         return len(self.members) + (1 if self.is_kernel else 0)
-
-    def polys(self):
-        return [mem.poly for mem in self.members]
 
     def __repr__(self):
         tag = "kernel " if self.is_kernel else ""

@@ -624,7 +624,9 @@ def compute_logs(rep: Representation, kappa: int, seed: int = 0, max_trials: int
     echelons = _reduce([Echelon(fb.ncols, ell) for ell in _order_split(rep)[1]], free)
     stream = relation_stream(rep, fb, g, powers, seed, max_trials)
     sieved = []
-    target = fb.ncols + RELATION_MARGIN
+    # the stream holds one relation per exponent, N - 1 in all, which at
+    # F_4 and F_9 is fewer than ncols + RELATION_MARGIN
+    target = min(fb.ncols + RELATION_MARGIN, rep.order() - 1)
     while True:
         done = len(sieved)
         _reduce(echelons, _take_relations(stream, sieved, target, max_trials)[done:])

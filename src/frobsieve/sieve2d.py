@@ -56,7 +56,6 @@ from .ffcore import (
     horner,
     is_irreducible,
     kernel_basis,
-    monic_irreducibles,
     poly_gcd,
     poly_sort_key,
     smooth_pieces,
@@ -600,14 +599,6 @@ class NSClassEE:
         return f"NSClassEE({self.d1}, {self.d2}, {self.xi!r})"
 
 
-def class_of_side_a(alpha: EndomorphismElement) -> NSClassEE:
-    return NSClassEE(alpha.norm(), 1, alpha)
-
-
-def class_of_side_b(beta: EndomorphismElement) -> NSClassEE:
-    return NSClassEE(1, beta.norm(), beta.conj())
-
-
 def intersection_degrees_ee(c: NSClassEE, alpha, beta):
     """Intersection numbers of the class with the two parametrized curves."""
     da = c.d1 + c.d2 * alpha.norm() - (c.xi * alpha.conj()).trace()
@@ -935,8 +926,7 @@ class PlaceClasses:
     below it: the minimal polynomial over F_p of
     X(alpha) = N_x(alpha)/h(alpha)^2 for a root alpha of q, from the Vélu
     quotient by T.  A kernel place (h(alpha) = 0) lies over the origin of
-    E/T and gets the label 1.  Labels are cached on first use; only
-    `class_count` walks the whole base.
+    E/T and gets the label 1.  Labels are cached on first use.
     """
 
     def __init__(self, curve: Curve, kappa: int, t):
@@ -969,10 +959,6 @@ class PlaceClasses:
             raise ValueError("image place did not descend to F_p")
         got = self._canonical[q.coeffs] = Poly([cc.constant_value() for cc in prod], ring.p)
         return got
-
-    def class_count(self) -> int:
-        reps = {self.class_of(q).coeffs for q in monic_irreducibles(self.curve.p, self.kappa)}
-        return len(reps)
 
 
 def translate_place(curve: Curve, q: Poly, t) -> Poly:
@@ -1019,10 +1005,6 @@ def translate_place(curve: Curve, q: Poly, t) -> Poly:
             raise ValueError("translated place did not descend to F_p")
         coeffs.append(cc.constant_value())
     return Poly(coeffs, p).monic()
-
-
-def build_place_classes(curve: Curve, kappa: int, t) -> PlaceClasses:
-    return PlaceClasses(curve, kappa, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1073,7 @@ class EERestriction:
             "a": self._basis_values("a", setup.p_int),
             "b": self._basis_values("b", setup.q_int),
         }
-        self.classes = build_place_classes(curve, kappa, setup.m0)
+        self.classes = PlaceClasses(curve, kappa, setup.m0)
 
     def _common_form(self, P, Q):
         ff = self.ffops

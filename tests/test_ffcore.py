@@ -36,7 +36,6 @@ from frobsieve.ffcore import (
     monic_irreducibles,
     poly_gcd,
     poly_invert_mod,
-    poly_mul_mod,
     poly_pow_mod,
     poly_sort_key,
     primitive_root,
@@ -56,7 +55,8 @@ def test_kummer_ring_examples():
     # x^3 * x^3 = r and x^43 = zeta * x in F_43[X]/(X^6 - 3)
     A = Poly([-3, 0, 0, 0, 0, 0, 1], 43)
     x3 = Poly([0, 0, 0, 1], 43)
-    assert poly_mul_mod(x3, x3, A) == Poly([3], 43)
+    k = PackedModulus(A)
+    assert k.unpack(k.mul(k.pack(x3), k.pack(x3))) == Poly([3], 43)
     x = Poly([0, 1], 43)
     assert poly_pow_mod(x, 43, A) == Poly([0, 37], 43)
     assert pow(3, 7, 43) == 37
@@ -695,12 +695,13 @@ def test_packed_mulmod_matches_schoolbook(p, d):
     linear = Poly([rng.randrange(p), rng.randrange(1, p)], p)
     ring = QuotientField(monic)
     for m in (monic, non_monic, linear):
+        k = PackedModulus(m)
         for _ in range(40):
             # inputs need not be reduced below the modulus
             a = Poly([rng.randrange(p) for _ in range(rng.randrange(2 * d + 2))], p)
             b = Poly([rng.randrange(p) for _ in range(rng.randrange(2 * d + 2))], p)
             want = _schoolbook_mulmod(list(a.coeffs), list(b.coeffs), list(m.coeffs), p)
-            assert poly_mul_mod(a, b, m) == want
+            assert k.unpack(k.mul(k.pack(a), k.pack(b))) == want
             if m is monic:
                 assert ring.mul(a, b) == want
     # the all-(p-1) element squared has the largest product slots

@@ -29,9 +29,9 @@ from frobsieve.galoisrep import (
     rep_from_json,
     torus_add,
     torus_check,
-    torus_eq,
     torus_is_neutral,
     torus_neg,
+    torus_normalize,
     torus_order,
     torus_scalar,
     torus_u,
@@ -209,7 +209,7 @@ class TestTorusGroup:
 
     def test_neutral_and_inverses(self):
         for P in self.all_points():
-            assert torus_eq(torus_add(P, NEUTRAL, self.D, self.p), P, self.p)
+            assert torus_normalize(torus_add(P, NEUTRAL, self.D, self.p), self.p) == torus_normalize(P, self.p)
             s = torus_add(P, torus_neg(P, self.p), self.D, self.p)
             assert torus_is_neutral(s, self.p)
 
@@ -219,7 +219,7 @@ class TestTorusGroup:
             for Q in pts:
                 a = torus_add(P, Q, self.D, self.p)
                 b = torus_add(Q, P, self.D, self.p)
-                assert torus_eq(a, b, self.p)
+                assert torus_normalize(a, self.p) == torus_normalize(b, self.p)
 
     def test_associative_exhaustive(self):
         pts = self.all_points()
@@ -229,7 +229,7 @@ class TestTorusGroup:
                 for R in pts:
                     left = torus_add(PQ, R, self.D, self.p)
                     right = torus_add(P, torus_add(Q, R, self.D, self.p), self.D, self.p)
-                    assert torus_eq(left, right, self.p)
+                    assert torus_normalize(left, self.p) == torus_normalize(right, self.p)
 
     def test_cyclic_of_order_p_plus_one(self):
         facs = {2: 1, 7: 1}
@@ -245,7 +245,7 @@ class TestTorusGroup:
         acc = NEUTRAL
         for k in range(1, 30):
             acc = torus_add(acc, P, self.D, self.p)
-            assert torus_eq(torus_scalar(k, P, self.D, self.p), acc, self.p)
+            assert torus_normalize(torus_scalar(k, P, self.D, self.p), self.p) == torus_normalize(acc, self.p)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 15, 16, 45, 100])
     def test_scalar_adds_once_per_set_bit_and_lower_bit(self, monkeypatch, k):
@@ -261,7 +261,7 @@ class TestTorusGroup:
         expect = NEUTRAL
         for _ in range(k):
             expect = torus_add(expect, P, self.D, self.p)
-        assert torus_eq(torus_scalar(k, P, self.D, self.p), expect, self.p)
+        assert torus_normalize(torus_scalar(k, P, self.D, self.p), self.p) == torus_normalize(expect, self.p)
         assert len(calls) == bin(k).count("1") + k.bit_length() - 1
 
     def test_negative_scalar(self):
@@ -269,7 +269,7 @@ class TestTorusGroup:
         for k in range(1, 15):
             a = torus_scalar(-k, P, self.D, self.p)
             b = torus_neg(torus_scalar(k, P, self.D, self.p), self.p)
-            assert torus_eq(a, b, self.p)
+            assert torus_normalize(a, self.p) == torus_normalize(b, self.p)
 
     def test_affine_coordinate(self):
         assert torus_u(NEUTRAL, self.p) is None
@@ -396,7 +396,7 @@ class TestOrbits:
         for n in (1, 2, 3) * 6:
             q = Poly([rng.randrange(p) for _ in range(n)] + [1], p)
             orb = frobenius_orbit(rep, q)
-            succs = orb.polys()[1:] + [None if orb.is_kernel else orb.anchor]
+            succs = [mem.poly for mem in orb.members[1:]] + [None if orb.is_kernel else orb.anchor]
             scalars = [mem.scalar for mem in orb.members[1:]] + [orb.closure_scalar]
             for mem, succ, scalar in zip(orb.members, succs, scalars):
                 ref, s = reference_step(rep, mem.poly)
@@ -415,7 +415,7 @@ class TestOrbits:
         # partition: no polynomial in two orbits
         seen = set()
         for o in orbits:
-            for q in o.polys():
+            for q in (mem.poly for mem in o.members):
                 assert q.coeffs not in seen
                 seen.add(q.coeffs)
 

@@ -158,7 +158,7 @@ class TestFactorBase:
         assert sum(o.size for o in fb.orbits) == total
         seen = set()
         for orb in fb.orbits:
-            for q in orb.polys():
+            for q in (mem.poly for mem in orb.members):
                 assert q.coeffs not in seen
                 seen.add(q.coeffs)
 
@@ -827,6 +827,25 @@ class TestPipelines:
 
     def test_elliptic_end_to_end(self, elliptic_rep, elliptic_run):
         check_pipeline(elliptic_rep, elliptic_run, 14)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_artin_schreier(2),
+        lambda: build_kummer(3, 2),
+        lambda: build_torus(3, 2),
+    ], ids=["artin-schreier-2^2", "kummer-3^2", "torus-3^2"])
+    def test_tiny_fields_complete(self, build):
+        # N - 1 = 2 or 7 distinct exponents is fewer than ncols + 10, so the
+        # first target is every exponent; asking for more ran the whole
+        # trial budget dry and raised SieveTimeout
+        rep = build()
+        N = rep.order()
+        fb, g, relations, table = compute_logs(rep, 1, max_trials=10**4)
+        assert len(relations) - len(fb.free_relations()) == N - 1
+        assert table.verify_all(rep)
+        ring = rep.ring
+        for e in range(N):
+            z = ring.pow(g, e)
+            assert ring.pow(g, individual_log(rep, fb, table, z)) == z
 
     def test_pipeline_deterministic(self, as_rep):
         a = compute_logs(as_rep, 2, seed=4)
